@@ -26,10 +26,12 @@ from .linalg import DensityOperator, DimMismatch
 from .measurement import (
     LocalMeasurement,
     ProjectiveBasis,
+    _require_bipartite,
     _spectrum_side_a,
     _spectrum_side_ab,
     _spectrum_side_b,
     disturbance,
+    disturbance_rows,
     disturbance_spectra,
     purity_ratio,
     rescale_factor,
@@ -139,6 +141,10 @@ class OptimizerOptions:
     tol: float = 1e-10
     max_iter: int = 2000
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationResult:
@@ -159,12 +165,6 @@ class TriangleReport:
     delta1: float
     triangle_holds: bool
     dadb_holds: bool
-
-
-def _require_bipartite(rho: DensityOperator) -> tuple[int, int]:
-    if len(rho.dims) != 2:
-        raise DimMismatch(f"expected a two-block dims split, got {rho.dims}")
-    return rho.dims
 
 
 def _objective_factory(rho: DensityOperator, side: str, idx: EntropicIndices):
@@ -526,40 +526,40 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     Returns the shared input spectrum and, per trial, the spectra after the
     A measurement, the B measurement, and both.  These depend only on the
     state and the drawn bases, so one batch serves every entropic index.
+
+    Stream contract: all Ginibre entries come from one standard-normal draw
+    whose row k holds the numbers that ``linalg.haar_unitary(na, rng)`` and
+    then ``haar_unitary(nb, rng)`` would take for trial k.  The bases, and so
+    the spectra, equal those of a per-trial loop alternating the two calls,
+    bit for bit; one batched QR per side and one stacked spectrum call per
+    side replace that loop.
     """
     na, nb = _require_bipartite(rho)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    z = np.random.default_rng(seed).standard_normal((trials, 2 * (na * na + nb * nb)))
+    ua = linalg.haar_from_normals(z[:, : 2 * na * na], na)
+    ub = linalg.haar_from_normals(z[:, 2 * na * na :], nb)
     t = rho.matrix.reshape(na, nb, na, nb)
-    n = na * nb
-    after_a = np.empty((trials, n))
-    after_b = np.empty((trials, n))
-    after_ab = np.empty((trials, n))
-    for k in range(trials):
-        ua = linalg.haar_unitary(na, rng)
-        ub = linalg.haar_unitary(nb, rng)
-        after_a[k] = _spectrum_side_a(t, ua)
-        after_b[k] = _spectrum_side_b(t, ub)
-        after_ab[k] = _spectrum_side_ab(t, ua, ub)
     return {
         "before": linalg.spectrum(rho),
-        "after_a": after_a,
-        "after_b": after_b,
-        "after_ab": after_ab,
+        "after_a": _spectrum_side_a(t, ua),
+        "after_b": _spectrum_side_b(t, ub),
+        "after_ab": _spectrum_side_ab(t, ua, ub),
     }
 
 
 def contractivity_min_from_spectra(spectra: dict, idx: EntropicIndices) -> float:
-    """min over trials of D_A(rho) - P_B * D_A(post_B), from cached spectra."""
+    """min over trials of D_A(rho) - P_B * D_A(post_B), from cached spectra.
+
+    D_A(rho) goes through ``_disturbance_batch`` (numpy's expm1) and
+    D_A(post_B) through ``measurement.disturbance_rows`` (math.expm1, as the
+    scalar ``disturbance_spectra`` uses); each term keeps the expm1 it has
+    always used, so the ``qcorr fig1`` rows do not move in the last digit.
+    """
     before = spectra["before"]
     d_a = _disturbance_batch(before, spectra["after_a"], idx)
-    d_a_post_b = np.array(
-        [
-            disturbance_spectra(b_spec, ab_spec, idx)
-            for b_spec, ab_spec in zip(spectra["after_b"], spectra["after_ab"])
-        ]
-    )
+    d_a_post_b = disturbance_rows(spectra["after_b"], spectra["after_ab"], idx)
     if idx.regime is Regime.UNIFIED:
         q, s = idx.q, idx.s
         log_tb = np.log(np.sum(np.where(before > 0.0, before, 0.0) ** q))

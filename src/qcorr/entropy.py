@@ -35,7 +35,7 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class EntropicIndices:
-    """Index pair (q, s); q must be positive.
+    """Index pair (q, s); both finite, q positive.
 
     q within REGIME_TOL of 1 selects the von Neumann limit regardless of s;
     otherwise s within REGIME_TOL of 0 selects the Renyi limit.
@@ -45,6 +45,8 @@ class EntropicIndices:
     s: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.q) and math.isfinite(self.s)):
+            raise BadIndices(f"q and s must be finite, got q={self.q}, s={self.s}")
         if not self.q > 0:
             raise BadIndices(f"q must be positive, got {self.q}")
 

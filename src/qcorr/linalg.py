@@ -226,14 +226,32 @@ def schmidt(psi, dims) -> SchmidtDecomposition:
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
+
+    Consumes 2 n^2 standard normals from ``rng``: the n x n real parts in
+    row-major order, then the imaginary parts.  ``haar_from_normals`` on the
+    same numbers returns the same unitary bit for bit, so k calls here equal
+    one batched call on a ``rng.standard_normal((k, 2 * n * n))`` draw.
+    """
     if n < 1:
         raise DimMismatch("dimension must be >= 1")
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    return haar_from_normals(rng.standard_normal(2 * n * n), n)
+
+
+def haar_from_normals(z: np.ndarray, n: int) -> np.ndarray:
+    """Haar unitaries from standard normals, stacked over the leading axes of z.
+
+    The last axis of z holds 2 n^2 numbers, laid out as ``haar_unitary``
+    draws them.  The QR factorization runs once over the whole stack and the
+    phases of R's diagonal are moved into Q's columns.
+    """
+    z = np.asarray(z, dtype=float)
+    z = z.reshape(*z.shape[:-1], 2, n, n)
+    g = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_density(dims, rng: np.random.Generator) -> DensityOperator:

@@ -130,23 +130,45 @@ def apply_local(rho: DensityOperator, m: LocalMeasurement) -> DensityOperator:
     return DensityOperator(0.5 * (mat + dag(mat)), rho.dims)
 
 
+def _blocks_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
+    """Unnormalized conditional states of B, one block per outcome on A.
+
+    ``ua`` may be a stack of unitaries; its leading axes lead the result.
+    """
+    return np.einsum("...ai,abcd,...ci->...ibd", ua.conj(), t, ua)
+
+
+def _blocks_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    return np.einsum("...bj,abcd,...dj->...jac", ub.conj(), t, ub)
+
+
+def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Outcome table (..., N_A, N_B) of a bilocal measurement, unclipped."""
+    return np.real(
+        np.einsum("...ai,...bj,abcd,...ci,...dj->...ij", ua.conj(), ub.conj(), t, ua, ub)
+    )
+
+
+def _flat_spectrum(vals: np.ndarray, stack: tuple) -> np.ndarray:
+    return np.clip(vals.reshape(stack + (-1,)), 0.0, None)
+
+
 def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
-    """Spectrum after measuring side A: union of conditional-block spectra."""
-    blocks = np.einsum("ai,abcd,ci->ibd", ua.conj(), t, ua)
-    return np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None)
+    """Spectrum after measuring side A: union of conditional-block spectra.
+
+    The three ``_spectrum_side_*`` kernels take one unitary per side or
+    stacks of them (shape (..., n, n)) and return spectra of shape (..., N).
+    """
+    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(t, ua)), ua.shape[:-2])
 
 
 def _spectrum_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    blocks = np.einsum("bj,abcd,dj->jac", ub.conj(), t, ub)
-    return np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None)
+    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_b(t, ub)), ub.shape[:-2])
 
 
 def _spectrum_side_ab(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Spectrum after a bilocal measurement: the rotated joint diagonal."""
-    probs = np.real(
-        np.einsum("ai,bj,abcd,ci,dj->ij", ua.conj(), ub.conj(), t, ua, ub)
-    )
-    return np.clip(probs.ravel(), 0.0, None)
+    return _flat_spectrum(_joint_probabilities(t, ua, ub), ua.shape[:-2])
 
 
 def measured_spectrum(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:
@@ -172,18 +194,13 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
     na, nb = _check_measurement_dims(rho, m)
     t = rho.matrix.reshape(na, nb, na, nb)
     if m.side == "AB":
-        ua, ub = m.basis_a.unitary, m.basis_b.unitary
-        probs = np.real(
-            np.einsum("ai,bj,abcd,ci,dj->ij", ua.conj(), ub.conj(), t, ua, ub)
-        )
+        probs = _joint_probabilities(t, m.basis_a.unitary, m.basis_b.unitary)
         return ConditionalDecomposition("AB", np.clip(probs, 0.0, None), ())
     if m.side == "A":
-        u = m.basis_a.unitary
-        blocks = np.einsum("ai,abcd,ci->ibd", u.conj(), t, u)
+        blocks = _blocks_side_a(t, m.basis_a.unitary)
         cond_dims = (nb,)
     else:
-        u = m.basis_b.unitary
-        blocks = np.einsum("bj,abcd,dj->jac", u.conj(), t, u)
+        blocks = _blocks_side_b(t, m.basis_b.unitary)
         cond_dims = (na,)
     probs = np.clip(np.real(np.trace(blocks, axis1=1, axis2=2)), 0.0, None)
     conditionals = []
@@ -229,6 +246,62 @@ def disturbance_spectra(before, after, idx: EntropicIndices) -> float:
     if abs(x) < 1e-12:
         return dlog / (1.0 - idx.q) * (1.0 + 0.5 * x)
     return math.expm1(x) / ((1.0 - idx.q) * idx.s)
+
+
+def _positive_row_sums(p: np.ndarray, term) -> np.ndarray:
+    """sum(term(row[row > 0])) for every row of p, added as a 1-D np.sum would.
+
+    Rows are grouped by their count of positive entries and each group is
+    summed over a (rows, count) array, which numpy adds in the same order as
+    a 1-D array of that length.  Zero padding would change that order once
+    a row is longer than eight.
+    """
+    positive = p > 0.0
+    if positive.all():
+        return np.sum(term(p), axis=-1)
+    counts = positive.sum(axis=-1)
+    out = np.empty(p.shape[0])
+    for k in np.unique(counts):
+        rows = counts == k
+        group = p[rows][positive[rows]].reshape(np.count_nonzero(rows), k)
+        out[rows] = np.sum(term(group), axis=-1)
+    return out
+
+
+def _log_power_sum_rows(p: np.ndarray, q: float) -> np.ndarray:
+    if not np.all(np.any(p > 0.0, axis=-1)):
+        raise ValueError("spectrum has no positive weight")
+    return np.log(_positive_row_sums(p, lambda pz: pz**q))
+
+
+def disturbance_rows(before: np.ndarray, after: np.ndarray, idx: EntropicIndices) -> np.ndarray:
+    """disturbance_spectra(before[k], after[k], idx) for every row k, bit for bit.
+
+    The same arithmetic runs over all rows at once: the power and entropy
+    sums go through ``_positive_row_sums``, and the unified branch maps
+    math.expm1 over the rows.  numpy's vectorized expm1 differs from math.expm1 in the
+    last bit on about one input in ten, so using it here would move digits
+    of ``qcorr fig1``, whose post-measurement term (D_A after measuring B)
+    has always gone through the scalar path.  The term D_A(rho) of fig1 is
+    evaluated by numpy's expm1 and keeps it.
+    """
+    before = np.clip(np.asarray(before, dtype=float), 0.0, None)
+    after = np.clip(np.asarray(after, dtype=float), 0.0, None)
+    regime = idx.regime
+    if regime is Regime.VON_NEUMANN:
+        def entropy(p):
+            return -_positive_row_sums(p, lambda pz: pz * np.log(pz))
+        return entropy(after) - entropy(before)
+    dlog = _log_power_sum_rows(after, idx.q) - _log_power_sum_rows(before, idx.q)
+    if regime is Regime.RENYI:
+        return dlog / (1.0 - idx.q)
+    x = idx.s * dlog
+    general = np.fromiter(map(math.expm1, x.tolist()), float, x.size)
+    return np.where(
+        np.abs(x) < 1e-12,
+        dlog / (1.0 - idx.q) * (1.0 + 0.5 * x),
+        general / ((1.0 - idx.q) * idx.s),
+    )
 
 
 def purity_ratio(rho: DensityOperator, m: LocalMeasurement, idx: EntropicIndices) -> float:

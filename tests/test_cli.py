@@ -1,4 +1,5 @@
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 from qcorr import linalg
 from qcorr.cli import ParseError, main, parse_state_file, write_state_file
 from util import bell_density
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def run(args):
@@ -166,6 +169,18 @@ class TestFig1Command:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_documented_run_matches_committed_results(self, tmp_path):
+        """The default sweep (20 states x 1000 pairs) reproduces results/fig1.csv."""
+        out = tmp_path / "fig1.csv"
+        assert run(["fig1", "--seed", "20260810", "--out", str(out)]) == 0
+
+        def body(path):
+            return [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
+
+        committed = body(RESULTS / "fig1.csv")
+        assert len(committed) == 1 + 20 * 2 * 14
+        assert body(out) == committed
+
     def test_seed_changes_draws(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["fig1", "--q", "2", "--n-states", "1", "--trials", "30",
@@ -244,6 +259,19 @@ class TestErrorsAndDeterminism:
 
     def test_no_source_fails(self):
         assert run(["entropy"]) == 1
+
+    @pytest.mark.parametrize("q,s", [("2", "nan"), ("inf", "1")])
+    def test_non_finite_indices_fail(self, q, s, capsys):
+        assert run(["measure", "--family", "werner", "--N", "2", "--x", "1",
+                    "--q", q, "--s", s, "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "value=" not in captured.out
+
+    def test_zero_restarts_fail(self, capsys):
+        assert run(["measure", "--family", "werner", "--N", "2", "--x", "1",
+                    "--q", "2", "--s", "1", "--restarts", "0", "--seed", "1"]) == 1
+        assert "restarts" in capsys.readouterr().err
 
     def test_stdout_mode(self, capsys):
         assert run(["entropy", "--family", "werner", "--N", "2", "--x", "0",

@@ -101,6 +101,11 @@ class TestMeasureCorrelations:
         res = measure_correlations(rho, "AB", TS2, FAST)
         assert abs(res.value - 2.0 / 7.0) < 1e-6
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(ValueError):
+            OptimizerOptions(restarts=restarts)
+
     def test_deterministic_given_seed(self, rng):
         rho = linalg.random_density((2, 2), rng)
         r1 = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=3, seed=5))

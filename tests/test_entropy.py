@@ -45,6 +45,13 @@ class TestIndices:
         with pytest.raises(BadIndices):
             EntropicIndices(-2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "q,s", [(2.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.inf), (2.0, -math.inf)]
+    )
+    def test_non_finite_rejected(self, q, s):
+        with pytest.raises(BadIndices):
+            EntropicIndices(q, s)
+
 
 class TestSpectrumEntropy:
     @pytest.mark.parametrize("idx", IDX_GRID)
