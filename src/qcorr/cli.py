@@ -98,8 +98,9 @@ def write_csv(path, meta_lines, header, rows, footer_lines=()):
 def parse_state_file(path) -> DensityOperator:
     """Read a state file: ``dims: d1 d2 ...`` then ``row col real imag`` lines.
 
-    Unlisted entries are zero; the matrix is validated (hermitized,
-    positivity-checked, renormalized) before returning.
+    Unlisted entries are zero and each entry may be listed once; the matrix
+    is validated (hermitized, positivity-checked, renormalized) before
+    returning.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh]
@@ -114,6 +115,7 @@ def parse_state_file(path) -> DensityOperator:
         raise ParseError("dims line lists no dimensions")
     n = math.prod(dims)
     mat = np.zeros((n, n), dtype=complex)
+    seen = set()
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 4:
@@ -125,6 +127,9 @@ def parse_state_file(path) -> DensityOperator:
             raise ParseError(f"bad entry line {ln!r}") from exc
         if not (0 <= r < n and 0 <= c < n):
             raise ParseError(f"entry ({r}, {c}) outside a {n}x{n} matrix")
+        if (r, c) in seen:
+            raise ParseError(f"entry ({r}, {c}) listed twice, again in {ln!r}")
+        seen.add((r, c))
         mat[r, c] = re_part + 1j * im_part
     return linalg.make_density(mat, dims)
 

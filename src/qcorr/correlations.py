@@ -21,17 +21,17 @@ from scipy.linalg import schur
 from scipy.optimize import minimize
 
 from . import linalg, measurement
-from .entropy import EntropicIndices, Regime, unified_entropy_spectrum
+from .entropy import EntropicIndices, entropy_change, spectral_sum, unified_entropy_spectrum
 from .linalg import DensityOperator, DimMismatch
 from .measurement import (
     LocalMeasurement,
     ProjectiveBasis,
+    _purity_ratio_sums,
     _require_bipartite,
     _spectrum_side_a,
     _spectrum_side_ab,
     _spectrum_side_b,
     disturbance,
-    disturbance_rows,
     disturbance_spectra,
     purity_ratio,
     rescale_factor,
@@ -169,23 +169,24 @@ class TriangleReport:
 
 def _objective_factory(rho: DensityOperator, side: str, idx: EntropicIndices):
     na, nb = _require_bipartite(rho)
-    before = linalg.spectrum(rho)
+    before = spectral_sum(linalg.spectrum(rho), idx)
     t = rho.matrix.reshape(na, nb, na, nb)
     la = na * na - 1
 
     if side == "A":
         def objective(x):
             after = _spectrum_side_a(t, _unitary_from_angles(x, na))
-            return disturbance_spectra(before, after, idx)
+            return entropy_change(spectral_sum(after, idx), before, idx)
     elif side == "B":
         def objective(x):
             after = _spectrum_side_b(t, _unitary_from_angles(x, nb))
-            return disturbance_spectra(before, after, idx)
+            return entropy_change(spectral_sum(after, idx), before, idx)
     else:
         def objective(x):
             ua = _unitary_from_angles(x[:la], na)
             ub = _unitary_from_angles(x[la:], nb)
-            return disturbance_spectra(before, _spectrum_side_ab(t, ua, ub), idx)
+            after = _spectrum_side_ab(t, ua, ub)
+            return entropy_change(spectral_sum(after, idx), before, idx)
 
     return objective
 
@@ -207,12 +208,16 @@ def measure_correlations(
 
     Multistart Nelder-Mead over generator coefficients; deterministic given
     ``opts.seed``.  ``warm_starts`` may carry extra start vectors (already
-    concatenated for side AB).
+    concatenated for side AB).  Raises DimMismatch when a measured side has
+    dimension 1.
     """
     if side not in measurement.SIDES:
         raise ValueError(f"side must be one of {measurement.SIDES}")
     opts = opts or OptimizerOptions()
     na, nb = _require_bipartite(rho)
+    for name, n in (("A", na), ("B", nb)):
+        if name in side and n == 1:
+            raise DimMismatch(f"side {name} has dimension 1; there is no basis to measure")
     la, lb = na * na - 1, nb * nb - 1
     objective = _objective_factory(rho, side, idx)
 
@@ -316,24 +321,6 @@ def _eig2x2_batch(m: np.ndarray) -> np.ndarray:
     return np.stack([tr / 2.0 + disc, tr / 2.0 - disc], axis=-1)
 
 
-def _disturbance_batch(before: np.ndarray, after: np.ndarray, idx: EntropicIndices) -> np.ndarray:
-    """disturbance_spectra vectorized over the leading axes of ``after``."""
-    after = np.clip(after, 0.0, None)
-    regime = idx.regime
-    if regime is Regime.VON_NEUMANN:
-        safe = np.where(after > 0.0, after, 1.0)
-        s_after = -np.sum(after * np.log(safe), axis=-1)
-        return s_after - unified_entropy_spectrum(before, idx)
-
-    q, s = idx.q, idx.s
-    log_tb = np.log(np.sum(np.where(before > 0.0, before, 0.0) ** q))
-    log_ta = np.log(np.sum(after**q, axis=-1))
-    dlog = log_ta - log_tb
-    if regime is Regime.RENYI:
-        return dlog / (1.0 - q)
-    return np.expm1(s * dlog) / ((1.0 - q) * s)
-
-
 def _grid_axes(n_theta: int, n_phi: int, window=None):
     """Cell-centered grid over the sphere, or over a refinement window."""
     if window is None:
@@ -364,7 +351,7 @@ def _unilocal_grid_values(t, before, idx, axis, thetas, phis):
     else:
         blocks = np.einsum("gjb,abcd,gjd->gjac", v.conj(), t, v)
     eigs = _eig2x2_batch(blocks).reshape(v.shape[0], 4)
-    return _disturbance_batch(before, eigs, idx)
+    return disturbance_spectra(before, eigs, idx)
 
 
 def _bilocal_grid_values(t, before, idx, ta, pa, tb, pb, chunk=2048):
@@ -377,7 +364,7 @@ def _bilocal_grid_values(t, before, idx, ta, pa, tb, pb, chunk=2048):
         probs = np.real(
             np.einsum("gia,hjac,gic->ghij", va[lo:hi].conj(), cond_b, va[lo:hi])
         ).reshape(hi - lo, vb.shape[0], 4)
-        out[lo:hi] = _disturbance_batch(before, probs, idx)
+        out[lo:hi] = disturbance_spectra(before, probs, idx)
     return out
 
 
@@ -552,21 +539,18 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
 def contractivity_min_from_spectra(spectra: dict, idx: EntropicIndices) -> float:
     """min over trials of D_A(rho) - P_B * D_A(post_B), from cached spectra.
 
-    D_A(rho) goes through ``_disturbance_batch`` (numpy's expm1) and
-    D_A(post_B) through ``measurement.disturbance_rows`` (math.expm1, as the
-    scalar ``disturbance_spectra`` uses); each term keeps the expm1 it has
-    always used, so the ``qcorr fig1`` rows do not move in the last digit.
+    The spectral sums of ``before`` and ``after_b`` are taken once and serve
+    both disturbances and P_B.  D_A(rho) hands numpy's ufunc to
+    ``entropy_change``, while D_A(post_B) keeps the math-module default of
+    the scalar ``disturbance_spectra``; the two differ in the last bit on
+    about one input in ten, and each term keeps the one it has always used,
+    so the ``qcorr fig1`` rows do not move in the last digit.
     """
-    before = spectra["before"]
-    d_a = _disturbance_batch(before, spectra["after_a"], idx)
-    d_a_post_b = disturbance_rows(spectra["after_b"], spectra["after_ab"], idx)
-    if idx.regime is Regime.UNIFIED:
-        q, s = idx.q, idx.s
-        log_tb = np.log(np.sum(np.where(before > 0.0, before, 0.0) ** q))
-        log_t_post = np.log(np.sum(spectra["after_b"] ** q, axis=-1))
-        p_b = np.exp(s * (log_t_post - log_tb))
-    else:
-        p_b = 1.0
+    before = spectral_sum(spectra["before"], idx)
+    after_b = spectral_sum(spectra["after_b"], idx)
+    d_a = entropy_change(spectral_sum(spectra["after_a"], idx), before, idx, expm1=np.expm1)
+    d_a_post_b = entropy_change(spectral_sum(spectra["after_ab"], idx), after_b, idx)
+    p_b = _purity_ratio_sums(after_b, before, idx)
     return float(np.min(d_a - p_b * d_a_post_b))
 
 

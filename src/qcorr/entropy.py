@@ -4,6 +4,13 @@ The family is S_(q,s)(rho) = ((Tr rho^q)^s - 1) / ((1-q) s) for q > 0,
 q != 1, s != 0.  The s -> 0 limit gives Renyi entropies, q -> 1 gives the
 von Neumann entropy (for any s), and s = 1 gives Tsallis entropies.  All
 logarithms are natural.
+
+Every entropy, entropy difference and disturbance in the package goes
+through two array functions over the last axis: ``spectral_sum`` reduces a
+spectrum (or a stack of them) to the sum its entropy is built from, and
+``entropy_change`` maps two such sums to the purity-rescaled entropy
+change.  ``entropy_change`` is the package's one map from the von Neumann,
+Renyi and unified regimes to values.
 """
 
 from __future__ import annotations
@@ -59,37 +66,83 @@ class EntropicIndices:
         return Regime.UNIFIED
 
 
-def log_power_sum(p, q: float) -> float:
-    """log(sum_i p_i^q) over the positive entries, with 0^q := 0."""
-    p = np.asarray(p, dtype=float)
-    pz = p[p > 0.0]
-    if pz.size == 0:
-        raise ValueError("spectrum has no positive weight")
-    return float(np.log(np.sum(pz**q)))
+def _positive_sums(p: np.ndarray, term):
+    """sum(term(row[row > 0])) over the last axis of p, added as a 1-D np.sum would.
 
-
-def _von_neumann(p: np.ndarray) -> float:
-    pz = p[p > 0.0]
-    return float(-np.sum(pz * np.log(pz)))
-
-
-def unified_entropy_spectrum(p, idx: EntropicIndices) -> float:
-    """Unified (q,s)-entropy of a probability vector.
-
-    The general branch evaluates expm1(s * log t) / ((1-q) s) with
-    t = sum p_i^q, switching to the leading series when |s log t| < 1e-12.
+    Rows of a stack are grouped by their count of positive entries and each
+    group is summed over a (rows, count) array, which numpy adds in the same
+    order as a 1-D array of that length.  Zero padding would change that
+    order once a row is longer than eight.
     """
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    positive = p > 0.0
+    if p.size and positive.all():
+        return np.sum(term(p), axis=-1)
+    if not positive.any(axis=-1).all():
+        raise ValueError("spectrum has no positive weight")
+    if p.ndim == 1:
+        return np.sum(term(p[positive]))
+    rows = p.reshape(-1, p.shape[-1])
+    positive = positive.reshape(rows.shape)
+    counts = np.count_nonzero(positive, axis=-1)
+    out = np.empty(rows.shape[0])
+    for k in np.unique(counts):
+        sel = counts == k
+        out[sel] = np.sum(term(rows[sel][positive[sel]].reshape(-1, k)), axis=-1)
+    return out.reshape(p.shape[:-1])
+
+
+def log_power_sum(p, q: float):
+    """log(sum_i p_i^q) over the positive entries of the last axis (0^q := 0)."""
+    return np.log(_positive_sums(np.asarray(p, dtype=float), lambda pz: pz**q))
+
+
+def spectral_sum(p, idx: EntropicIndices):
+    """The sum an entropy is built from, over the last axis of p.
+
+    The von Neumann entropy -sum p ln p in that regime, log_power_sum(p, q)
+    otherwise; only positive entries count.  A 1-D spectrum gives a float,
+    a stack of spectra an array over its leading axes.
+    """
+    p = np.asarray(p, dtype=float)
+    if idx.regime is Regime.VON_NEUMANN:
+        total = -_positive_sums(p, lambda pz: pz * np.log(pz))
+    else:
+        total = log_power_sum(p, idx.q)
+    return float(total) if p.ndim == 1 else total
+
+
+def entropy_change(after_sum, before_sum, idx: EntropicIndices, expm1=math.expm1):
+    """Purity-rescaled entropy change (S(after) - S(before)) / (Tr before^q)^s.
+
+    Takes two spectral_sum values (floats or arrays) with d their
+    difference, and returns d (von Neumann), d / (1-q) (Renyi) or
+    expm1(s d) / ((1-q) s), switching to the leading series when
+    |s d| < 1e-12.  With before_sum = 0 this is the entropy of ``after``.
+    ``expm1`` is math.expm1, mapped over arrays, unless a numpy ufunc is
+    given; numpy's expm1 differs from it in the last bit on about one input
+    in ten.
+    """
+    d = after_sum - before_sum
     regime = idx.regime
     if regime is Regime.VON_NEUMANN:
-        return _von_neumann(p)
-    log_t = log_power_sum(p, idx.q)
+        return d
     if regime is Regime.RENYI:
-        return log_t / (1.0 - idx.q)
-    x = idx.s * log_t
-    if abs(x) < 1e-12:
-        return log_t / (1.0 - idx.q) * (1.0 + 0.5 * x)
-    return math.expm1(x) / ((1.0 - idx.q) * idx.s)
+        return d / (1.0 - idx.q)
+    x = idx.s * d
+    series = d / (1.0 - idx.q) * (1.0 + 0.5 * x)
+    scale = (1.0 - idx.q) * idx.s
+    if np.ndim(x) == 0:
+        return series if abs(x) < 1e-12 else expm1(x) / scale
+    if isinstance(expm1, np.ufunc):
+        general = expm1(x)
+    else:
+        general = np.fromiter(map(expm1, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.where(np.abs(x) < 1e-12, series, general / scale)
+
+
+def unified_entropy_spectrum(p, idx: EntropicIndices):
+    """Unified (q,s)-entropy of a probability vector, or of each row of a stack."""
+    return entropy_change(spectral_sum(p, idx), 0.0, idx)
 
 
 def unified_entropy(rho: linalg.DensityOperator, idx: EntropicIndices) -> float:
@@ -98,15 +151,10 @@ def unified_entropy(rho: linalg.DensityOperator, idx: EntropicIndices) -> float:
 
 
 def max_entropy(n: int, idx: EntropicIndices) -> float:
-    """Upper entropy bound (N^((1-q)s) - 1)/((1-q)s), attained by I/N."""
+    """Upper entropy bound (N^((1-q)s) - 1)/((1-q)s): the entropy of I/N."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if idx.regime is not Regime.UNIFIED:
-        return math.log(n)
-    x = (1.0 - idx.q) * idx.s * math.log(n)
-    if abs(x) < 1e-12:
-        return math.log(n) * (1.0 + 0.5 * x)
-    return math.expm1(x) / ((1.0 - idx.q) * idx.s)
+    return unified_entropy_spectrum(np.full(n, 1.0 / n), idx)
 
 
 def relative_entropy(rho: linalg.DensityOperator, sigma: linalg.DensityOperator) -> float:
@@ -125,7 +173,7 @@ def relative_entropy(rho: linalg.DensityOperator, sigma: linalg.DensityOperator)
     if np.any(d[tiny] > 1e-9):
         return math.inf
     cross = float(np.sum(d[~tiny] * np.log(w[~tiny])))
-    val = -_von_neumann(linalg.spectrum(rho)) - cross
+    val = -spectral_sum(linalg.spectrum(rho), EntropicIndices(1.0, 1.0)) - cross
     # Klein inequality guarantees nonnegativity; clamp roundoff only
     return max(val, 0.0)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .entropy import EntropicIndices, Regime
+from .entropy import EntropicIndices, Regime, entropy_change
 from .linalg import DensityOperator
 from .measurement import disturbance_spectra
 
@@ -203,21 +203,15 @@ def _power_sum_dq(terms, q: float) -> float:
 def _ratio_closed_form(num_terms, den_terms, idx: EntropicIndices) -> float:
     """((num(q)/den(q))^s - 1) / ((1-q)s) with the regime limits.
 
-    num and den are power sums over (coefficient, base) pairs; the von
-    Neumann limit is the -d/dq log-ratio at q = 1 (valid whenever
-    num(1) = den(1)).
+    num and den are power sums over (coefficient, base) pairs, and each
+    enters ``entropy_change`` as its log; the von Neumann limit takes -d/dq
+    of that log at q = 1 instead (valid whenever num(1) = den(1)).
     """
     if idx.regime is Regime.VON_NEUMANN:
-        num, den = _power_sum(num_terms, 1.0), _power_sum(den_terms, 1.0)
-        return -(_power_sum_dq(num_terms, 1.0) / num - _power_sum_dq(den_terms, 1.0) / den)
-    q = idx.q
-    log_ratio = math.log(_power_sum(num_terms, q)) - math.log(_power_sum(den_terms, q))
-    if idx.regime is Regime.RENYI:
-        return log_ratio / (1.0 - q)
-    x = idx.s * log_ratio
-    if abs(x) < 1e-12:
-        return log_ratio / (1.0 - q) * (1.0 + 0.5 * x)
-    return math.expm1(x) / ((1.0 - q) * idx.s)
+        sums = [-_power_sum_dq(t, 1.0) / _power_sum(t, 1.0) for t in (num_terms, den_terms)]
+    else:
+        sums = [math.log(_power_sum(t, idx.q)) for t in (num_terms, den_terms)]
+    return entropy_change(*sums, idx)
 
 
 def werner_printed_form(n: int, x: float, idx: EntropicIndices) -> float:
@@ -259,7 +253,8 @@ def isotropic_specializations(n: int, p: float, q: float) -> tuple[float, float]
     tsallis = disturbance_spectra(before, after, EntropicIndices(q, 1.0))
     num_terms = [(float(n), 1.0 - p + n * p), (float(n * n - n), 1.0 - p)]
     den_terms = [(1.0, 1.0 - p + n * n * p), (float(n * n - 1), 1.0 - p)]
-    renyi = (
-        math.log(_power_sum(num_terms, q)) - math.log(_power_sum(den_terms, q))
-    ) / (1.0 - q)
+    renyi = entropy_change(
+        math.log(_power_sum(num_terms, q)), math.log(_power_sum(den_terms, q)),
+        EntropicIndices(q, 0.0),
+    )
     return tsallis, renyi

@@ -51,6 +51,10 @@ class ConvergenceFailure(RuntimeError):
     pass
 
 
+class NotFinite(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Trace-one positive semidefinite matrix with a declared subsystem split.
@@ -104,12 +108,14 @@ def make_density(matrix, dims) -> DensityOperator:
     The input is hermitized as (m + m^dag)/2; eigenvalues in [-TOL_PSD, 0)
     are clipped to zero and the result is renormalized to unit trace.
 
-    Raises NotSquare, DimMismatch, NotPositive (eigenvalue below -TOL_PSD)
-    or TraceZero.
+    Raises NotSquare, NotFinite (a NaN or infinite entry), DimMismatch,
+    NotPositive (eigenvalue below -TOL_PSD) or TraceZero.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix has a NaN or infinite entry")
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
         raise DimMismatch(f"dims {dims} incompatible with dimension {m.shape[0]}")

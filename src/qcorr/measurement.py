@@ -4,20 +4,27 @@ A complete rank-one measurement is represented by the unitary whose columns
 are the measured basis; applying it without postselection dephases the state
 in that basis.  Local measurements act on one block of a bipartite split
 (sides "A", "B") or on both ("AB").  The disturbance of a measurement is the
-entropy increase it causes, rescaled by the generalized purity (Tr rho^q)^s;
-the rescale factor and the purity ratio are identically 1 in the von Neumann
+entropy increase it causes, rescaled by the generalized purity (Tr rho^q)^s.
+It is ``entropy.entropy_change`` applied to the ``entropy.spectral_sum`` of
+the spectra after and before, for one pair of spectra or for stacks of them.
+The rescale factor and the purity ratio are identically 1 in the von Neumann
 and Renyi limit regimes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .entropy import EntropicIndices, Regime, log_power_sum, unified_entropy_spectrum
+from .entropy import (
+    EntropicIndices,
+    Regime,
+    entropy_change,
+    spectral_sum,
+    unified_entropy_spectrum,
+)
 from .linalg import DensityOperator, DimMismatch, dag
 
 SIDES = ("A", "B", "AB")
@@ -213,101 +220,44 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
     return ConditionalDecomposition(m.side, probs, tuple(conditionals))
 
 
-def rescale_factor(before_spectrum: np.ndarray, idx: EntropicIndices) -> float:
-    """The divisor (Tr rho^q)^s; identically 1 in the limit regimes."""
+def _purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
+    """exp(s (after_sum - before_sum)) from two spectral_sum values.
+
+    In the unified regime the sums are log power sums and this is
+    ((Tr after^q) / (Tr before^q))^s; the factor is identically 1 in the
+    limit regimes, where the measures carry no purity rescaling.
+    """
     if idx.regime is not Regime.UNIFIED:
         return 1.0
-    return math.exp(idx.s * log_power_sum(before_spectrum, idx.q))
+    return np.exp(idx.s * (after_sum - before_sum))
+
+
+def rescale_factor(before_spectrum: np.ndarray, idx: EntropicIndices) -> float:
+    """The divisor (Tr rho^q)^s; identically 1 in the limit regimes."""
+    return float(_purity_ratio_sums(spectral_sum(before_spectrum, idx), 0.0, idx))
 
 
 def purity_ratio_spectra(before: np.ndarray, after: np.ndarray, idx: EntropicIndices) -> float:
     """((Tr after^q) / (Tr before^q))^s; identically 1 in the limit regimes."""
-    if idx.regime is not Regime.UNIFIED:
-        return 1.0
-    return math.exp(idx.s * (log_power_sum(after, idx.q) - log_power_sum(before, idx.q)))
+    return float(
+        _purity_ratio_sums(spectral_sum(after, idx), spectral_sum(before, idx), idx)
+    )
 
 
-def disturbance_spectra(before, after, idx: EntropicIndices) -> float:
+def disturbance_spectra(before, after, idx: EntropicIndices):
     """Purity-rescaled entropy increase between two spectra.
 
     Algebraically equal to (S(after) - S(before)) / (Tr before^q)^s, but
-    evaluated through the log of the power-sum ratio, which is exact in the
-    limit regimes and stable near them.
+    evaluated by ``entropy_change`` through the log of the power-sum ratio,
+    which is exact in the limit regimes and stable near them.  Either
+    argument may be a stack of spectra; the result is then an array over
+    the leading axes, equal row for row to the 1-D calls, bit for bit.
     """
-    before = np.clip(np.asarray(before, dtype=float), 0.0, None)
-    after = np.clip(np.asarray(after, dtype=float), 0.0, None)
-    regime = idx.regime
-    if regime is Regime.VON_NEUMANN:
-        return unified_entropy_spectrum(after, idx) - unified_entropy_spectrum(before, idx)
-    dlog = log_power_sum(after, idx.q) - log_power_sum(before, idx.q)
-    if regime is Regime.RENYI:
-        return dlog / (1.0 - idx.q)
-    x = idx.s * dlog
-    if abs(x) < 1e-12:
-        return dlog / (1.0 - idx.q) * (1.0 + 0.5 * x)
-    return math.expm1(x) / ((1.0 - idx.q) * idx.s)
-
-
-def _positive_row_sums(p: np.ndarray, term) -> np.ndarray:
-    """sum(term(row[row > 0])) for every row of p, added as a 1-D np.sum would.
-
-    Rows are grouped by their count of positive entries and each group is
-    summed over a (rows, count) array, which numpy adds in the same order as
-    a 1-D array of that length.  Zero padding would change that order once
-    a row is longer than eight.
-    """
-    positive = p > 0.0
-    if positive.all():
-        return np.sum(term(p), axis=-1)
-    counts = positive.sum(axis=-1)
-    out = np.empty(p.shape[0])
-    for k in np.unique(counts):
-        rows = counts == k
-        group = p[rows][positive[rows]].reshape(np.count_nonzero(rows), k)
-        out[rows] = np.sum(term(group), axis=-1)
-    return out
-
-
-def _log_power_sum_rows(p: np.ndarray, q: float) -> np.ndarray:
-    if not np.all(np.any(p > 0.0, axis=-1)):
-        raise ValueError("spectrum has no positive weight")
-    return np.log(_positive_row_sums(p, lambda pz: pz**q))
-
-
-def disturbance_rows(before: np.ndarray, after: np.ndarray, idx: EntropicIndices) -> np.ndarray:
-    """disturbance_spectra(before[k], after[k], idx) for every row k, bit for bit.
-
-    The same arithmetic runs over all rows at once: the power and entropy
-    sums go through ``_positive_row_sums``, and the unified branch maps
-    math.expm1 over the rows.  numpy's vectorized expm1 differs from math.expm1 in the
-    last bit on about one input in ten, so using it here would move digits
-    of ``qcorr fig1``, whose post-measurement term (D_A after measuring B)
-    has always gone through the scalar path.  The term D_A(rho) of fig1 is
-    evaluated by numpy's expm1 and keeps it.
-    """
-    before = np.clip(np.asarray(before, dtype=float), 0.0, None)
-    after = np.clip(np.asarray(after, dtype=float), 0.0, None)
-    regime = idx.regime
-    if regime is Regime.VON_NEUMANN:
-        def entropy(p):
-            return -_positive_row_sums(p, lambda pz: pz * np.log(pz))
-        return entropy(after) - entropy(before)
-    dlog = _log_power_sum_rows(after, idx.q) - _log_power_sum_rows(before, idx.q)
-    if regime is Regime.RENYI:
-        return dlog / (1.0 - idx.q)
-    x = idx.s * dlog
-    general = np.fromiter(map(math.expm1, x.tolist()), float, x.size)
-    return np.where(
-        np.abs(x) < 1e-12,
-        dlog / (1.0 - idx.q) * (1.0 + 0.5 * x),
-        general / ((1.0 - idx.q) * idx.s),
-    )
+    return entropy_change(spectral_sum(after, idx), spectral_sum(before, idx), idx)
 
 
 def purity_ratio(rho: DensityOperator, m: LocalMeasurement, idx: EntropicIndices) -> float:
     """Purity ratio of the measurement on this state."""
-    if idx.regime is not Regime.UNIFIED:
-        return 1.0
     return purity_ratio_spectra(linalg.spectrum(rho), measured_spectrum(rho, m), idx)
 
 

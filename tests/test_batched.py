@@ -1,20 +1,23 @@
-"""Bitwise equality of the batched fig1 path with its per-trial definition.
+"""Bitwise equality of the batched paths with their per-row definitions.
 
-``measurement_pair_spectra`` draws every trial's Ginibre entries at once and
-``contractivity_min_from_spectra`` evaluates the post-measurement term row by
-row; both must reproduce, bit for bit, the per-trial loops they replace, so
-that ``qcorr fig1`` output does not move in the last digit.
+``measurement_pair_spectra`` draws every trial's Ginibre entries at once,
+and the regime kernel (``spectral_sum``, ``entropy_change``) evaluates
+stacks of spectra in one call; both must reproduce, bit for bit, the
+per-trial and per-row calls they replace, so that ``qcorr fig1`` output does
+not move in the last digit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcorr import correlations, linalg, measurement
+from qcorr import linalg, measurement
 from qcorr.correlations import contractivity_min_from_spectra, measurement_pair_spectra
-from qcorr.entropy import EntropicIndices, Regime
-from qcorr.measurement import disturbance_rows, disturbance_spectra
+from qcorr.entropy import EntropicIndices, entropy_change, spectral_sum
+from qcorr.measurement import disturbance_spectra, purity_ratio_spectra
 
 INDICES = [
     EntropicIndices(1.0, 1.0),  # von Neumann
@@ -57,22 +60,26 @@ def reference_pair_spectra(rho, trials, seed):
 
 
 def reference_contractivity_min(spectra, idx):
-    """The per-trial disturbance_spectra expression the batched kernel replaced."""
+    """The per-trial expression the batched kernel replaced.
+
+    D_A(rho) is evaluated one trial at a time with numpy's expm1, as fig1
+    has always evaluated it; the other terms are per-row public calls.
+    """
     before = spectra["before"]
-    d_a = correlations._disturbance_batch(before, spectra["after_a"], idx)
+    d_a = np.array(
+        [
+            entropy_change(spectral_sum(a_spec, idx), spectral_sum(before, idx), idx,
+                           expm1=np.expm1)
+            for a_spec in spectra["after_a"]
+        ]
+    )
     d_a_post_b = np.array(
         [
             disturbance_spectra(b_spec, ab_spec, idx)
             for b_spec, ab_spec in zip(spectra["after_b"], spectra["after_ab"])
         ]
     )
-    if idx.regime is Regime.UNIFIED:
-        q, s = idx.q, idx.s
-        log_tb = np.log(np.sum(np.where(before > 0.0, before, 0.0) ** q))
-        log_t_post = np.log(np.sum(spectra["after_b"] ** q, axis=-1))
-        p_b = np.exp(s * (log_t_post - log_tb))
-    else:
-        p_b = 1.0
+    p_b = np.array([purity_ratio_spectra(before, b_spec, idx) for b_spec in spectra["after_b"]])
     return float(np.min(d_a - p_b * d_a_post_b))
 
 
@@ -133,9 +140,11 @@ class TestStackedSpectra:
 
 
 class TestDisturbanceRows:
+    """Stacked disturbance_spectra against one call per row."""
+
     @staticmethod
     def check(before, after, idx):
-        rows = disturbance_rows(before, after, idx)
+        rows = disturbance_spectra(before, after, idx)
         scalar = np.array([disturbance_spectra(b, a, idx) for b, a in zip(before, after)])
         assert same_bits(rows, scalar)
 
@@ -180,7 +189,7 @@ class TestDisturbanceRows:
 
     def test_no_positive_weight(self):
         with pytest.raises(ValueError):
-            disturbance_rows(np.zeros((2, 4)), np.full((2, 4), 0.25), EntropicIndices(2.0, 1.0))
+            disturbance_spectra(np.zeros((2, 4)), np.full((2, 4), 0.25), EntropicIndices(2.0, 1.0))
 
 
 class TestContractivityMin:
@@ -201,3 +210,71 @@ class TestContractivityMin:
             spectra = measurement_pair_spectra(rank_deficient(dims, rank, rng), 200, 47)
             value = contractivity_min_from_spectra(spectra, idx)
             assert same_bits(value, reference_contractivity_min(spectra, idx))
+
+
+# rows of 1 to 10 probabilities with zeros anywhere; a row is rescaled to
+# unit sum unless it has no weight, and such rows are replaced below
+ROW_STACKS = st.integers(1, 10).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 1e-300, 1e-9, 0.25, 0.5, 1.0, 3.0]) | st.floats(0.0, 1.0),
+                 min_size=n, max_size=n),
+        min_size=1, max_size=12,
+    )
+)
+KERNEL_INDICES = st.sampled_from(
+    [
+        (1.0, 1.0), (1.0 + 5e-9, -2.0),                     # von Neumann
+        (2.0, 0.0), (0.3, 5e-9), (4.0, -5e-9),              # Renyi
+        (2.0, 1.0), (0.5, 1.0), (3.0, 0.5), (1.5, -1.0),    # unified
+        (2.0, 2e-8), (0.7, 1.1e-8), (1.0 + 2e-8, 1e-3),     # unified near both switches
+    ]
+)
+
+
+def as_spectra(rows):
+    p = np.array(rows, dtype=float)
+    p[p.sum(axis=-1) == 0.0, 0] = 1.0
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+class TestKernelRows:
+    """spectral_sum and entropy_change on stacks against one call per row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=ROW_STACKS, shift=st.floats(-1e-11, 1e-11), qs=KERNEL_INDICES,
+           ufunc=st.booleans())
+    def test_stack_equals_rows(self, rows, shift, qs, ufunc):
+        idx = EntropicIndices(*qs)
+        p = as_spectra(rows)
+        sums = spectral_sum(p, idx)
+        assert same_bits(sums, np.array([spectral_sum(row, idx) for row in p]))
+        # before sums a hair away from the after sums put |s d| on both sides
+        # of the 1e-12 switch to the series
+        before = sums[::-1] + shift * np.arange(sums.size)
+        expm1 = np.expm1 if ufunc else math.expm1
+        change = entropy_change(sums, before, idx, expm1=expm1)
+        per_row = [entropy_change(a, b, idx, expm1=expm1) for a, b in zip(sums.tolist(), before)]
+        assert same_bits(change, np.array(per_row, dtype=float))
+
+    @pytest.mark.parametrize("idx", INDICES)
+    def test_stack_of_stacks(self, idx):
+        rng = np.random.default_rng(53)
+        p = rng.dirichlet(np.ones(9), (4, 5))
+        p[rng.uniform(size=p.shape) < 0.3] = 0.0
+        p[..., 0] += 0.1
+        p /= p.sum(axis=-1, keepdims=True)
+        flat = disturbance_spectra(p[0, 0], p.reshape(20, 9), idx)
+        assert same_bits(disturbance_spectra(p[0, 0], p, idx), flat.reshape(4, 5))
+
+
+class TestPurityRatio:
+    @pytest.mark.parametrize("idx", INDICES)
+    @pytest.mark.parametrize("dims,rank", [((2, 2), 4), ((3, 3), 2)])
+    def test_contractivity_p_b_equals_per_row_ratio(self, idx, dims, rank):
+        rho = rank_deficient(dims, rank, np.random.default_rng([59, rank, *dims]))
+        spectra = measurement_pair_spectra(rho, 200, 61)
+        p_b = measurement._purity_ratio_sums(
+            spectral_sum(spectra["after_b"], idx), spectral_sum(spectra["before"], idx), idx
+        )
+        per_row = [purity_ratio_spectra(spectra["before"], b, idx) for b in spectra["after_b"]]
+        assert same_bits(np.broadcast_to(p_b, len(per_row)), np.array(per_row))

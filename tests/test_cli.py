@@ -1,4 +1,5 @@
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -68,6 +69,18 @@ class TestStateFile:
         path = tmp_path / "bad.txt"
         path.write_text("dims: 2\n0 0 1\n")
         with pytest.raises(ParseError):
+            parse_state_file(path)
+
+    def test_repeated_entry_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("dims: 2\n0 0 0.5 0\n1 1 0.5 0\n0 0 0.25 0\n")
+        with pytest.raises(ParseError, match="0 0 0.25 0"):
+            parse_state_file(path)
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("dims: 2\n0 0 nan 0\n1 1 0.5 0\n")
+        with pytest.raises(linalg.NotFinite):
             parse_state_file(path)
 
     def test_validation_through_make_density(self, tmp_path):
@@ -257,6 +270,12 @@ class TestErrorsAndDeterminism:
         bad.write_text("not a state\n")
         assert run(["entropy", "--state-file", str(bad)]) == 1
 
+    def test_nan_state_file_fails(self, tmp_path, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("dims: 2 2\n0 0 0.5 0\n3 3 nan 0\n")
+        assert run(["measure", "--state-file", str(bad), "--seed", "1"]) == 1
+        assert "NaN" in capsys.readouterr().err
+
     def test_no_source_fails(self):
         assert run(["entropy"]) == 1
 
@@ -281,10 +300,13 @@ class TestErrorsAndDeterminism:
         assert "entropy" in out
 
     def test_console_entry_point(self):
+        # the child imports this checkout's package, installed or not
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qcorr", "entropy", "--family", "isotropic",
              "--N", "2", "--y", "0.25", "--q", "2", "--s", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "# schema_version=1" in proc.stdout

@@ -101,6 +101,16 @@ class TestMeasureCorrelations:
         res = measure_correlations(rho, "AB", TS2, FAST)
         assert abs(res.value - 2.0 / 7.0) < 1e-6
 
+    def test_dimension_one_side_rejected(self, rng):
+        rho = linalg.random_density((1, 3), rng)
+        for side in ("A", "AB"):
+            with pytest.raises(DimMismatch, match="side A"):
+                measure_correlations(rho, side, TS2, FAST)
+        assert abs(measure_correlations(rho, "B", TS2, FAST).value) < 1e-8
+        flipped = linalg.random_density((3, 1), rng)
+        with pytest.raises(DimMismatch, match="side B"):
+            measure_correlations(flipped, "B", TS2, FAST)
+
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_restarts_below_one_rejected(self, restarts):
         with pytest.raises(ValueError):

@@ -39,6 +39,13 @@ class TestMakeDensity:
         with pytest.raises(linalg.TraceZero):
             linalg.make_density(np.zeros((2, 2)), [2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 1] = bad
+        with pytest.raises(linalg.NotFinite):
+            linalg.make_density(m, [2])
+
     def test_hermitizes_input(self):
         m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         rho = linalg.make_density(m, [2])
