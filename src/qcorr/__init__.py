@@ -11,6 +11,7 @@ from .correlations import (
     entanglement_lower_bound,
     grid_oracle_qubit,
     measure_correlations,
+    qubit_oracle,
     triangle_analysis,
 )
 from .entropy import (

@@ -351,10 +351,12 @@ def cmd_fig1(args) -> int:
         spectra = correlations.measurement_pair_spectra(
             rho, args.trials, [args.seed, state_id, 1]
         )
-        for family_name, s in (("renyi", 0.0), ("tsallis", 1.0)):
-            for q in q_list:
+        for q in q_list:
+            # ln sum p^q does not depend on s: one set of sums serves both rows
+            sums = correlations.spectral_sums(spectra, EntropicIndices(q, 1.0))
+            for family_name, s in (("renyi", 0.0), ("tsallis", 1.0)):
                 idx = EntropicIndices(q, s)
-                min_diff = correlations.contractivity_min_from_spectra(spectra, idx)
+                min_diff = correlations.contractivity_min_from_spectra(spectra, idx, sums)
                 rows.append(
                     (state_id, family_name, q, min_diff, min_diff < -VIOLATION_TOL)
                 )

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcorr import linalg
+from qcorr import cli, linalg
 from qcorr.cli import ParseError, main, parse_state_file, write_state_file
+from qcorr.correlations import qubit_oracle
 from util import bell_density
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -238,6 +239,29 @@ class TestAncillaCheckCommand:
                     "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
         assert max(float(cell(header, r, "rescaled_diff")) for r in rows) <= 1e-6
+
+    def test_documented_run_matches_qubit_oracle(self, tmp_path):
+        """scripts/run_ancilla_check.py's configuration: every value is exact.
+
+        Every row measures a qubit at (q, s) = (2, 1), before and after the
+        ancilla is grouped with B, so each value has a closed form.
+        """
+        out = tmp_path / "a.csv"
+        assert run(["ancilla-check", "--q", "2", "--s", "1", "--samples", "20",
+                    "--seed", "20260810", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert len(rows) == 20
+        worst = 0.0
+        for r in rows:
+            rng = np.random.default_rng([20260810, int(cell(header, r, "sample_id"))])
+            rho = linalg.random_density((2, 2), rng)
+            grouped = linalg.regroup(linalg.tensor(rho, cli._build_ancilla("mixed", 2, rng)), [0])
+            worst = max(
+                worst,
+                abs(float(cell(header, r, "d_before")) - qubit_oracle(rho, "A")),
+                abs(float(cell(header, r, "d_after_ancilla")) - qubit_oracle(grouped, "A")),
+            )
+        assert worst <= 1e-9
 
 
 class TestTriangleScanCommand:

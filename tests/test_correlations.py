@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import (
@@ -16,12 +17,14 @@ from qcorr.correlations import (
     grid_oracle_qubit,
     measure_correlations,
     measurement_pair_spectra,
+    qubit_oracle,
+    spectral_sums,
     su_generators,
     triangle_analysis,
 )
-from qcorr.entropy import EntropicIndices
+from qcorr.entropy import EntropicIndices, spectral_sum
 from qcorr.linalg import DimMismatch
-from util import IDX_GRID, bell_density, cc_state, cq_state, random_basis
+from util import IDX_GRID, bell_density, cc_state, cq_state, pure_density, random_basis
 
 VN = EntropicIndices(1.0, 1.0)
 TS2 = EntropicIndices(2.0, 1.0)
@@ -141,6 +144,126 @@ class TestMeasureCorrelations:
             a = measure_correlations(rho, side, TS2, opts).value
             b = measure_correlations(rotated, side, TS2, opts).value
             assert abs(a - b) <= 1e-6
+
+
+class TestRiemannianSearch:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_gradient_matches_finite_differences(self, rng, dims):
+        rho = linalg.random_density(dims, rng)
+        t = rho.matrix.reshape(dims + dims)
+        for idx in IDX_GRID:
+            before = spectral_sum(linalg.spectrum(rho), idx)
+            for side in ("A", "B", "AB"):
+                us = [linalg.haar_unitary(n, rng) for n, name in zip(dims, "AB") if name in side]
+                objective = correlations._objective_factory(t, side, idx, before)
+                grads = correlations._gradient_factory(t, side, idx, before)(*us)
+                for k, u in enumerate(us):
+                    h = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+                    h = h + h.conj().T
+
+                    def moved(eps):
+                        vs = list(us)
+                        vs[k] = u @ expm(1j * eps * h)
+                        return objective(*vs)
+
+                    numeric = (moved(1e-6) - moved(-1e-6)) / 2e-6
+                    exact = np.real(np.trace(h @ grads[k]))
+                    assert abs(numeric - exact) <= 1e-7 * max(1.0, abs(exact))
+
+    def test_gradient_finite_at_zero_probabilities(self, rng):
+        # a pure state in its local eigenbases: most measured probabilities
+        # vanish, where ln p and p^(q-1) diverge (warnings are errors here)
+        psi = linalg.random_pure((2, 3), rng)
+        rho = pure_density(psi, (2, 3))
+        t = rho.matrix.reshape(2, 3, 2, 3)
+        us = [correlations._eigenbasis(rho, k) for k in (0, 1)]
+        for idx in (VN, EntropicIndices(0.3, 1.0), EntropicIndices(0.5, 0.0)):
+            before = spectral_sum(linalg.spectrum(rho), idx)
+            for side, sel in (("A", us[:1]), ("B", us[1:]), ("AB", us)):
+                grads = correlations._gradient_factory(t, side, idx, before)(*sel)
+                assert all(np.all(np.isfinite(g)) for g in grads)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_qudit_values_match_long_search(self, q):
+        """3x3 states on every side: 8 restarts reach a 32-restart long run."""
+        idx = EntropicIndices(q, 1.0)
+        long_run = OptimizerOptions(restarts=32, seed=1, max_iter=20000)
+        for k in range(4):
+            rho = linalg.random_density((3, 3), np.random.default_rng([5, k]))
+            for side in ("A", "B", "AB"):
+                found = measure_correlations(rho, side, idx, OptimizerOptions(restarts=8)).value
+                reference = measure_correlations(rho, side, idx, long_run).value
+                assert abs(found - reference) <= 1e-8, (k, side)
+
+    def test_result_carries_evidence(self):
+        rho = linalg.random_density((3, 3), np.random.default_rng([5, 2]))
+        opts = OptimizerOptions(restarts=8)
+        res = measure_correlations(rho, "AB", VN, opts)
+        assert math.isfinite(res.spread) and res.spread >= 0.0
+        assert res.converged
+        assert res.grad_norm <= 1e-6
+        assert 1 <= res.basin_hits <= opts.restarts
+        assert res.nfev >= opts.restarts
+        assert res.iterations > 0
+
+    def test_cusp_stall_is_not_converged(self):
+        # a rank-2 3x3 state at q = 0.3: restarts stall where a measured
+        # probability reaches 0 and p^q has an infinite slope
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        rho = linalg.make_density(v @ v.conj().T, (3, 3))
+        opts = OptimizerOptions(restarts=4, seed=3)
+        runs, minimize = [], correlations.minimize
+
+        def spy(*args):
+            runs.append(minimize(*args))
+            return runs[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlations, "minimize", spy)
+            res = measure_correlations(rho, "A", EntropicIndices(0.3, 1.0), opts)
+        assert len(runs) == opts.restarts
+        assert not res.converged and res.grad_norm > 1.0
+        assert not any(run.success for run in runs)
+        assert min(run.fun for run in runs) == res.value
+        # at q = 2 the objective is smooth there and the same search converges
+        assert measure_correlations(rho, "A", TS2, opts).converged
+
+
+class TestQubitOracle:
+    @staticmethod
+    def dakic_vedral_brukner(rho, side):
+        """Two-qubit geometric discord over the purity, from Bloch data."""
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        eye = np.eye(2)
+        m = rho.matrix
+        x = np.real([np.trace(m @ np.kron(p, eye)) for p in paulis])
+        y = np.real([np.trace(m @ np.kron(eye, p)) for p in paulis])
+        corr = np.real([[np.trace(m @ np.kron(a, b)) for b in paulis] for a in paulis])
+        if side == "B":
+            x, corr = y, corr.T
+        k_max = np.linalg.eigvalsh(np.outer(x, x) + corr @ corr.T)[-1]
+        return 0.25 * (x @ x + np.sum(corr**2) - k_max) / np.real(np.trace(m @ m))
+
+    def test_matches_dakic_vedral_brukner(self, rng):
+        for _ in range(20):
+            rho = linalg.random_density((2, 2), rng)
+            for side in ("A", "B"):
+                assert_allclose(qubit_oracle(rho, side), self.dakic_vedral_brukner(rho, side), atol=1e-14)
+
+    @pytest.mark.parametrize("dims, side", [((2, 2), "A"), ((2, 3), "A"), ((2, 4), "A"), ((3, 2), "B")])
+    def test_search_matches_oracle(self, rng, dims, side):
+        opts = OptimizerOptions(restarts=8, seed=3)
+        for _ in range(5):
+            rho = linalg.random_density(dims, rng)
+            found = measure_correlations(rho, side, TS2, opts).value
+            assert abs(found - qubit_oracle(rho, side)) <= 1e-9
+
+    def test_rejects_other_sides(self, rng):
+        with pytest.raises(DimMismatch):
+            qubit_oracle(linalg.random_density((3, 2), rng), "A")
+        with pytest.raises(ValueError):
+            qubit_oracle(linalg.random_density((2, 2), rng), "AB")
 
 
 class TestGridOracle:
@@ -302,6 +425,17 @@ class TestContractivity:
                 found = True
                 break
         assert found, f"no contractivity violation found at q={q}"
+
+    def test_shared_sums_give_identical_rows(self, rng):
+        # the fig1 driver takes the sums once per q for its Renyi and Tsallis rows
+        rho = linalg.random_density((2, 2), rng)
+        spectra = measurement_pair_spectra(rho, 60, 5)
+        for q in (0.5, 1.0, 2.0, 4.0):
+            sums = spectral_sums(spectra, EntropicIndices(q, 1.0))
+            for s in (0.0, 1.0):
+                idx = EntropicIndices(q, s)
+                shared = contractivity_min_from_spectra(spectra, idx, sums)
+                assert shared == contractivity_min_from_spectra(spectra, idx)
 
     def test_probe_matches_split_api(self, rng):
         rho = linalg.random_density((2, 2), rng)
