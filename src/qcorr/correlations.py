@@ -6,9 +6,12 @@ by multistart Riemannian conjugate gradient (Polak-Ribiere+, Armijo line
 search): the disturbance has a closed-form gradient under U -> U exp(iK),
 and each step moves along that exponential.  The starts are the local
 eigenbases of the reduced states (the exact optimum for pure and pseudopure
-states), any caller's warm starts, then Haar-random unitaries.  Bases are
-reported as real coefficient vectors on a traceless Hermitian generator
-basis (N^2 - 1 per side), which decode through the matrix exponential.
+states), any caller's warm starts, then Haar-random unitaries.  All starts
+descend in lockstep as one stack (``_lockstep``): every objective, gradient
+and exponential call covers all rows that need it, and no row's descent
+depends on the other rows.  Bases are reported as real
+coefficient vectors on a traceless Hermitian generator basis (N^2 - 1 per
+side), which decode through the matrix exponential.
 
 The result is an upper bound, not a certified global minimum.  Each result
 carries its evidence: the spread and basin count over restarts, the
@@ -34,7 +37,7 @@ from .entropy import (
     spectral_sum,
     unified_entropy_spectrum,
 )
-from .linalg import DensityOperator, DimMismatch
+from .linalg import DensityOperator, DimMismatch, dag
 from .measurement import (
     LocalMeasurement,
     ProjectiveBasis,
@@ -156,6 +159,8 @@ class OptimizerOptions:
     when an iteration that took its first trial step lowers the value by no
     more than ``tol`` times the value, when no step rotating the bases by
     more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
+    Raises ValueError for restarts < 1, max_iter < 0, or a tol that is
+    negative or NaN (either would switch the decrease test off).
     """
 
     restarts: int = 32
@@ -166,6 +171,10 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be a number >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +223,8 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
 
     ``t`` is the state as an (N_A, N_B, N_A, N_B) tensor and ``before`` the
     spectral sum of its spectrum.  The objective takes one unitary for
-    side A or B and two for side AB.
+    side A or B and two for side AB, or stacks of them (shape (..., n, n)),
+    and then returns one value per stack row.
     """
     spectrum_after = {"A": _spectrum_side_a, "B": _spectrum_side_b, "AB": _spectrum_side_ab}[side]
 
@@ -227,22 +237,24 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
 def _slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
     """dD/dp, the disturbance's derivative by each probability of the spectrum p.
 
-    -(ln p + 1) for von Neumann, else P q p^(q-1) / ((1-q) Tr p^q) with P the
-    purity ratio (1 in the Renyi limit).  Entries below SLOPE_FLOOR, where
-    ln p and, for q < 1, p^(q-1) diverge, are taken at the floor.
+    The spectrum fills the last two axes of p (outcomes by conditional
+    eigenvalues, or the joint outcome table); any axes before them are stack
+    axes.  -(ln p + 1) for von Neumann, else P q p^(q-1) / ((1-q) Tr p^q)
+    with P the purity ratio (1 in the Renyi limit).  Entries below
+    SLOPE_FLOOR, where ln p and, for q < 1, p^(q-1) diverge, are taken at
+    the floor.
     """
     pz = np.maximum(p, SLOPE_FLOOR)
     if idx.regime is Regime.VON_NEUMANN:
         return -(np.log(pz) + 1.0)
-    after = spectral_sum(p.ravel(), idx)
-    scale = idx.q * _purity_ratio_sums(after, before, idx) / ((1.0 - idx.q) * math.exp(after))
-    return scale * pz ** (idx.q - 1.0)
+    after = spectral_sum(p.reshape(p.shape[:-2] + (-1,)), idx)
+    scale = idx.q / (1.0 - idx.q) * _purity_ratio_sums(after, before, idx) / np.exp(after)
+    return scale[..., None, None] * pz ** (idx.q - 1.0)
 
 
-def _hermitian_gradient(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """-i (x - x^dag) for x = u^dag y: Tr_B(-i[W, F]) from x = Tr_B(W F)."""
-    x = u.conj().T @ y
-    return -1j * (x - x.conj().T)
+def _gradient_from(x: np.ndarray) -> np.ndarray:
+    """-i (x - x^dag): the gradient Tr_B(-i[W, F]) from x = Tr_B(W F), W in the rotated basis."""
+    return -1j * (x - dag(x))
 
 
 def _gradient_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
@@ -252,56 +264,84 @@ def _gradient_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: fl
     slopes in the measured eigenbasis (diagonal for side AB, block-diagonal
     over the outcomes for sides A and B), the disturbance changes by
     Tr(K C), C = -i[W, F], under U -> U exp(iK) on side A; the gradient is
-    the partial trace of C over B, and symmetrically for side B.  Every
-    side starts from the value kernel's conditional blocks
-    (``measurement._blocks_side_a/b``).
+    the partial trace of C over B, and symmetrically for side B.  Sides A
+    and B start from the value kernel's conditional blocks
+    (``measurement._blocks_side_a/b``); side AB forms W itself, since its
+    value kernel takes the outcome table only.  Like the objective, the
+    gradient takes stacks of unitaries, and each side's matrix then has the
+    same leading stack axes.
     """
 
     def conditional(blocks):
         lam, vec = np.linalg.eigh(blocks)
         g = _slope(lam, idx, before)
-        return (vec * g[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        return (vec * g[..., None, :]) @ dag(vec)
 
     if side == "A":
         def gradient(ua):
             f = conditional(_blocks_side_a(t, ua))
-            return (_hermitian_gradient(ua, np.einsum("abce,ck,keb->ak", t, ua, f)),)
+            return (_gradient_from(dag(ua) @ np.einsum("abce,...ck,...keb->...ak", t, ua, f)),)
     elif side == "B":
         def gradient(ub):
             f = conditional(_blocks_side_b(t, ub))
-            return (_hermitian_gradient(ub, np.einsum("abed,dl,lea->bl", t, ub, f)),)
+            return (_gradient_from(dag(ub) @ np.einsum("abed,...dl,...lea->...bl", t, ub, f)),)
     else:
+        na, nb = t.shape[:2]
+        rho = t.reshape(na * nb, na * nb)
+
         def gradient(ua, ub):
-            # with C_j the conditional blocks of B, W[ij, kj] = (ua^dag C_j ua)[i, k]:
-            # its diagonal is the outcome table and x_A[i, k] = sum_j W[ij, kj] g[k, j];
-            # x_B is the same sum over the conditional blocks of A
-            cb = _blocks_side_b(t, ub) @ ua
-            g = _slope(np.real(np.einsum("ai,jai->ij", ua.conj(), cb)), idx, before)
-            x_a = np.einsum("jak,kj->ak", cb, g)
-            x_b = np.einsum("ibl,il->bl", _blocks_side_a(t, ua) @ ub, g)
-            return _hermitian_gradient(ua, x_a), _hermitian_gradient(ub, x_b)
+            # W = U^dag rho U for U = ua (x) ub, by two matmuls per row: its
+            # diagonal is the outcome table, x_A[i, k] = sum_j W[ij, kj] g[k, j]
+            # and x_B[j, l] = sum_i W[ij, il] g[i, l]
+            u = np.einsum("...ai,...bj->...abij", ua, ub).reshape(ua.shape[:-2] + rho.shape)
+            w = (dag(u) @ rho @ u).reshape(ua.shape[:-2] + (na, nb, na, nb))
+            g = _slope(np.einsum("...ijij->...ij", w).real, idx, before)
+            x_a = np.einsum("...ijkj,...kj->...ik", w, g)
+            x_b = np.einsum("...ijil,...il->...jl", w, g)
+            return _gradient_from(x_a), _gradient_from(x_b)
 
     return gradient
 
 
-def _exp_path(k: np.ndarray):
-    """step -> exp(i step k) for a Hermitian direction k, up to a global phase.
+_EYE2 = np.eye(2)
 
-    k is diagonalized once and every step reuses its eigenbasis.  For n = 2
-    the closed form of ``_unitary_from_angles`` on the Pauli coefficients of
-    k's traceless part is used instead, which is cheaper than a 2x2 ``eigh``:
-    the qubit items of the ``measure`` benchmark take about 10% less time.
+
+def _exp_path(u: np.ndarray, k: np.ndarray):
+    """(step, rows) -> u exp(i step k) on those rows of stacks u and k.
+
+    ``u`` holds unitaries and ``k`` Hermitian directions, both of shape
+    (R, n, n); ``rows`` selects rows (an index list or a slice) and
+    ``step`` holds one step length per selected row.  The exponential is
+    exact up to a global phase per row.  Each k is diagonalized once, by one
+    stacked ``eigh``, and every step reuses u times its eigenbasis.  For
+    n = 2 the closed form of ``_unitary_from_angles``, vectorized over the
+    rows, is used instead: with k0 the traceless part of k and r its norm on
+    the Pauli basis, exp(i t k0) = cos(t r) + i sin(t r) k0 / r.
     """
-    if k.shape[0] == 2:
-        a, b, c = float(k[1, 0].real), float(k[1, 0].imag), float(0.5 * (k[0, 0] - k[1, 1]).real)
-        return lambda step: _unitary_from_angles((step * a, step * b, step * c), 2)
+    if k.shape[-1] == 2:
+        k0 = k - 0.5 * (k[:, 0, 0] + k[:, 1, 1])[:, None, None] * _EYE2
+        r = np.hypot(np.abs(k0[:, 1, 0]), k0[:, 0, 0].real)
+        uk = u @ k0 * (1j / np.where(r == 0.0, 1.0, r))[:, None, None]
+
+        def path(step, rows):
+            angle = (step * r[rows])[:, None, None]
+            return np.cos(angle) * u[rows] + np.sin(angle) * uk[rows]
+
+        return path
     w, v = np.linalg.eigh(k)
-    vh = v.conj().T
-    return lambda step: (v * np.exp(1j * step * w)) @ vh
+    uv, vh = u @ v, dag(v)
+    return lambda step, rows: (uv[rows] * np.exp(1j * step[:, None] * w[rows])[:, None, :]) @ vh[rows]
 
 
-def _inner(xs, ys) -> float:
-    return sum(float(np.real(np.vdot(x, y))) for x, y in zip(xs, ys))
+def _inner(xs, ys) -> np.ndarray:
+    """Re Tr(x^dag y) summed over the sides, one value per stack row.
+
+    Every x and y is a stack of Hermitian matrices, one tuple entry per
+    side, so Re Tr(x^dag y) = Tr(x y).  Each row's sum runs over that row
+    alone, so it has the same bits whatever the other rows hold.
+    """
+    first, *rest = (np.einsum("rij,rji->r", x, y).real for x, y in zip(xs, ys))
+    return sum(rest, first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,60 +362,129 @@ class LocalSearch:
     success: bool
 
 
-def minimize(objective, gradient, us, opts: OptimizerOptions) -> LocalSearch:
-    """One restart: Riemannian Polak-Ribiere+ conjugate gradient on U(n) (x U(m)).
+def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSearch]:
+    """Riemannian Polak-Ribiere+ conjugate gradient on U(n) (x U(m)), one descent per row.
 
-    Steps move along U -> U exp(i t D) with the direction D carried over
-    unchanged in the Lie algebra.  The line search is Armijo backtracking.
-    Its first trial step is the minimizer of the quadratic through the last
-    two values and the current slope, capped at a rotation by 0.5 rad;
-    each retry is the minimizer of the quadratic through the current value,
-    slope and failed trial, kept within [0.1, 0.5] of the failed step.
-    ``measure_correlations`` calls it through the module attribute, so a
-    tracer bound there (``perfbench/spans.py``) sees every restart.
+    ``us`` holds one stack of unitaries per side; row r of the stacks is
+    start r, and the r-th LocalSearch returned is its descent.  Steps move
+    along U -> U exp(i t D) with the direction D carried over unchanged in
+    the Lie algebra.  The line search is Armijo backtracking.  Its first
+    trial step is the minimizer of the quadratic through the last two values
+    and the current slope, capped at a rotation by 0.5 rad; each retry is
+    the minimizer of the quadratic through the current value, slope and
+    failed trial, kept within [0.1, 0.5] of the failed step.
+
+    The rows descend in lockstep.  Each line-search round makes one stacked
+    objective call on the rows whose trial is pending, each iteration one
+    stacked gradient call on the rows that accepted a step, and a row leaves
+    the stack when a stopping test ends it.  Every row keeps its own step,
+    slope, direction and stopping state under the rules of a lone descent,
+    and every stacked call computes each row from that row alone, so a
+    row's descent does not depend on the other rows.
     """
-    us = tuple(us)
-    f = objective(*us)
-    nfev, change = 1, None
+    f = objective(*us).tolist()
     g = gradient(*us)
-    gg = _inner(g, g)
-    d = [-x for x in g]
+    gg = _inner(g, g).tolist()
+    d = tuple(-x for x in g)
+    rows = list(range(len(f)))  # the start each live row descends from
+    nfev = [1] * len(f)
+    change = [None] * len(f)
+    out = [None] * len(f)
+    ended = []  # live rows settled since the stack was last trimmed
+
+    def settle(k, nit, success):
+        out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
+        ended.append(k)
+
+    def trimmed(*columns):
+        """Per-row lists and tuples of stacks (one per side) without the ended rows."""
+        keep = [k for k in range(len(rows)) if k not in ended]
+        ended.clear()
+        return [[c[k] for k in keep] if isinstance(c, list) else tuple(x[keep] for x in c) for c in columns]
+
+    for k in range(len(f)):
+        if gg[k] < GRAD_TOL * GRAD_TOL:
+            settle(k, 0, True)
+    if ended:
+        us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
+
     for it in range(opts.max_iter):
-        if gg < GRAD_TOL * GRAD_TOL:
-            return LocalSearch(f, us, math.sqrt(gg), nfev, it, True)
-        slope = _inner(g, d)
-        if slope >= 0.0:
-            d, slope = [-x for x in g], -gg
-        dnorm = math.sqrt(_inner(d, d))
-        step = 0.5 / dnorm if change is None else min(0.5 / dnorm, 2.0 * change / slope)
-        paths = [_exp_path(x) for x in d]
-        backtracked = False
-        while True:
-            trial = tuple(u @ path(step) for u, path in zip(us, paths))
-            f_trial = objective(*trial)
-            nfev += 1
-            if f_trial <= f + ARMIJO * step * slope:
+        if not rows:
+            break
+        slope, dd = _inner(d, g).tolist(), _inner(d, d).tolist()
+        step = []
+        for k, s in enumerate(slope):
+            if s >= 0.0:  # not a descent direction: restart along -g
+                for x, y in zip(d, g):
+                    x[k] = -y[k]
+                slope[k] = s = -gg[k]
+                dd[k] = gg[k]
+            cap = 0.5 / math.sqrt(dd[k])
+            step.append(cap if change[k] is None else min(cap, 2.0 * change[k] / s))
+        paths = [_exp_path(u, x) for u, x in zip(us, d)]
+        backtracked = [False] * len(rows)
+        f_trial = [0.0] * len(rows)
+        pending = list(range(len(rows)))
+        while pending:
+            if len(pending) == len(rows):  # the first round, and often later ones
+                steps = np.array(step)
+                trial = moved = tuple(path(steps, slice(None)) for path in paths)
+            else:
+                steps = np.array([step[k] for k in pending])
+                moved = tuple(path(steps, pending) for path in paths)
+                for x, y in zip(trial, moved):
+                    x[pending] = y
+            retry = []
+            for k, value in zip(pending, objective(*moved).tolist()):
+                nfev[k] += 1
+                f_trial[k] = value
+                if value <= f[k] + ARMIJO * step[k] * slope[k]:
+                    continue
+                backtracked[k] = True
+                curvature = value - f[k] - slope[k] * step[k]
+                step[k] = min(max(-0.5 * slope[k] * step[k] * step[k] / curvature, 0.1 * step[k]), 0.5 * step[k])
+                if step[k] * math.sqrt(dd[k]) >= MIN_ANGLE:
+                    retry.append(k)
+                else:
+                    # a stall: converged where the gradient promises less than the
+                    # decrease test's tol (roundoff near a smooth minimum), not at a
+                    # cusp, where a probability reaches 0 and p^q has an infinite slope
+                    settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= opts.tol * abs(f[k]))
+            pending = retry
+
+        change = [b - a for a, b in zip(f, f_trial)]
+        us, f = trial, f_trial
+        if ended:
+            us, g, d, f, gg, nfev, change, rows, backtracked = trimmed(
+                us, g, d, f, gg, nfev, change, rows, backtracked
+            )
+            if not rows:
                 break
-            backtracked = True
-            curvature = f_trial - f - slope * step
-            step = min(max(-0.5 * slope * step * step / curvature, 0.1 * step), 0.5 * step)
-            if not step * dnorm >= MIN_ANGLE:
-                # a stall: converged where the gradient promises less than the
-                # decrease test's tol (roundoff near a smooth minimum), not at a
-                # cusp, where a probability reaches 0 and p^q has an infinite slope
-                flat = gg < GRAD_TOL * GRAD_TOL or gg <= opts.tol * abs(f)
-                return LocalSearch(f, us, math.sqrt(gg), nfev, it + 1, flat)
-        change, f, us = f_trial - f, f_trial, trial
         g_new = gradient(*us)
-        gg_new = _inner(g_new, g_new)
-        # a small decrease after backtracking reflects a poor trial step,
-        # not a flat objective, so only a full first step can end the descent
-        if not backtracked and -change <= opts.tol * abs(f):
-            return LocalSearch(f, us, math.sqrt(gg_new), nfev, it + 1, True)
-        beta = max(0.0, (gg_new - _inner(g_new, g)) / gg)
-        d = [-x + beta * y for x, y in zip(g_new, d)]
+        gg_new, cross = _inner(g_new, g_new).tolist(), _inner(g_new, g).tolist()
+        beta = np.array([max(0.0, (a - b) / c) for a, b, c in zip(gg_new, cross, gg)])[:, None, None]
+        d = tuple(beta * y - x for x, y in zip(g_new, d))
         g, gg = g_new, gg_new
-    return LocalSearch(f, us, math.sqrt(gg), nfev, opts.max_iter, gg < GRAD_TOL * GRAD_TOL)
+        for k in range(len(rows)):
+            # a small decrease after backtracking reflects a poor trial step,
+            # not a flat objective, so only a full first step can end the descent
+            if gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
+                settle(k, it + 1, True)
+        if ended:
+            us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
+    for k in range(len(rows)):
+        settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
+    return out
+
+
+def minimize(objective, gradient, us, opts: OptimizerOptions) -> LocalSearch:
+    """One descent from the start ``us`` (one unitary per side).
+
+    ``_lockstep`` on a stack of one row, so the same loop as every search.
+    ``measure_correlations`` passes all its starts to ``_lockstep`` at once
+    and does not call this.
+    """
+    return _lockstep(objective, gradient, tuple(np.asarray(u)[None] for u in us), opts)[0]
 
 
 def _eigenbasis(rho: DensityOperator, subsystem: int) -> np.ndarray:
@@ -392,11 +501,12 @@ def measure_correlations(
 ) -> CorrelationResult:
     """Minimize the local-measurement disturbance over bases on ``side``.
 
-    Multistart Riemannian conjugate gradient over the local unitaries;
-    deterministic given ``opts.seed``.  The starts are the eigenbases of the
-    reduced states, then ``warm_starts`` (generator coefficients, already
-    concatenated for side AB), then Haar-random unitaries.  Raises
-    DimMismatch when a measured side has dimension 1.
+    Multistart Riemannian conjugate gradient over the local unitaries, all
+    restarts in one lockstep descent; deterministic given ``opts.seed``.
+    The starts are the eigenbases of the reduced states, then
+    ``warm_starts`` (generator coefficients, already concatenated for side
+    AB), then Haar-random unitaries.  Raises DimMismatch when a measured
+    side has dimension 1 and BadLength for a warm start of the wrong length.
     """
     if side not in measurement.SIDES:
         raise ValueError(f"side must be one of {measurement.SIDES}")
@@ -413,15 +523,19 @@ def measure_correlations(
     gradient = _gradient_factory(t, side, idx, before)
 
     starts = [[_eigenbasis(rho, k) for k in measured]]
-    cuts = np.cumsum([n * n - 1 for n in dims])[:-1]
+    sizes = [n * n - 1 for n in dims]
     for extra in warm_starts:
-        parts = np.split(np.asarray(extra, dtype=float), cuts)
+        extra = np.asarray(extra, dtype=float)
+        if extra.shape != (sum(sizes),):
+            raise BadLength(f"a side-{side} warm start needs {sum(sizes)} coefficients, got shape {extra.shape}")
+        parts = np.split(extra, np.cumsum(sizes)[:-1])
         starts.append([_unitary_from_angles(x, n) for x, n in zip(parts, dims)])
-    rng = np.random.default_rng(opts.seed)
-    while len(starts) < opts.restarts:
-        starts.append([linalg.haar_unitary(n, rng) for n in dims])
+    if len(starts) < opts.restarts:
+        rng = np.random.default_rng(opts.seed)
+        while len(starts) < opts.restarts:
+            starts.append([linalg.haar_unitary(n, rng) for n in dims])
 
-    runs = [minimize(objective, gradient, us, opts) for us in starts]
+    runs = _lockstep(objective, gradient, tuple(np.array(side_us) for side_us in zip(*starts)), opts)
     best = min(runs, key=lambda r: r.fun)
     values = [r.fun for r in runs]
     angles = {f"angles_{name.lower()}": _angles_from_unitary(u) for name, u in zip(side, best.unitaries)}

@@ -76,11 +76,11 @@ def _positive_sums(p: np.ndarray, term):
     """
     positive = p > 0.0
     if p.size and positive.all():
-        return np.sum(term(p), axis=-1)
+        return term(p).sum(axis=-1)
     if not positive.any(axis=-1).all():
         raise ValueError("spectrum has no positive weight")
     if p.ndim == 1:
-        return np.sum(term(p[positive]))
+        return term(p[positive]).sum()
     rows = p.reshape(-1, p.shape[-1])
     positive = positive.reshape(rows.shape)
     counts = np.count_nonzero(positive, axis=-1)
@@ -129,15 +129,22 @@ def entropy_change(after_sum, before_sum, idx: EntropicIndices, expm1=math.expm1
     if regime is Regime.RENYI:
         return d / (1.0 - idx.q)
     x = idx.s * d
-    series = d / (1.0 - idx.q) * (1.0 + 0.5 * x)
     scale = (1.0 - idx.q) * idx.s
     if np.ndim(x) == 0:
-        return series if abs(x) < 1e-12 else expm1(x) / scale
+        return _series(d, x, idx) if abs(x) < 1e-12 else expm1(x) / scale
     if isinstance(expm1, np.ufunc):
         general = expm1(x)
     else:
         general = np.fromiter(map(expm1, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return np.where(np.abs(x) < 1e-12, series, general / scale)
+    small = np.abs(x) < 1e-12
+    if not small.any():
+        return general / scale
+    return np.where(small, _series(d, x, idx), general / scale)
+
+
+def _series(d, x, idx: EntropicIndices):
+    """Leading terms of expm1(x) / ((1-q) s) in x = s d, for |x| below 1e-12."""
+    return d / (1.0 - idx.q) * (1.0 + 0.5 * x)
 
 
 def unified_entropy_spectrum(p, idx: EntropicIndices):

@@ -89,7 +89,8 @@ class SchmidtDecomposition:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of the last two axes, so of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:

@@ -157,7 +157,8 @@ def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.nd
 
 
 def _flat_spectrum(vals: np.ndarray, stack: tuple) -> np.ndarray:
-    return np.clip(vals.reshape(stack + (-1,)), 0.0, None)
+    # np.maximum clips negative roundoff as np.clip would, at a third of its call cost
+    return np.maximum(vals.reshape(stack + (-1,)), 0.0)
 
 
 def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:

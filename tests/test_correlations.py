@@ -119,6 +119,26 @@ class TestMeasureCorrelations:
         with pytest.raises(ValueError):
             OptimizerOptions(restarts=restarts)
 
+    def test_negative_max_iter_rejected(self):
+        # accepted, it reported iterations = -restarts
+        with pytest.raises(ValueError, match="max_iter"):
+            OptimizerOptions(restarts=2, max_iter=-1)
+        assert OptimizerOptions(max_iter=0).max_iter == 0
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        # accepted, either value disabled the decrease test, so every
+        # restart ran to max_iter
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerOptions(tol=tol)
+
+    @pytest.mark.parametrize("size", [5, 12])
+    def test_warm_start_of_wrong_length_rejected(self, rng, size):
+        # a 2x3 AB search takes 3 + 8 = 11 coefficients
+        rho = linalg.random_density((2, 3), rng)
+        with pytest.raises(BadLength, match="11 coefficients"):
+            measure_correlations(rho, "AB", TS2, FAST, warm_starts=(np.zeros(size),))
+
     def test_deterministic_given_seed(self, rng):
         rho = linalg.random_density((2, 2), rng)
         r1 = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=3, seed=5))
@@ -213,14 +233,15 @@ class TestRiemannianSearch:
         v = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
         rho = linalg.make_density(v @ v.conj().T, (3, 3))
         opts = OptimizerOptions(restarts=4, seed=3)
-        runs, minimize = [], correlations.minimize
+        runs, lockstep = [], correlations._lockstep
 
         def spy(*args):
-            runs.append(minimize(*args))
-            return runs[-1]
+            rows = lockstep(*args)
+            runs.extend(rows)
+            return rows
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(correlations, "minimize", spy)
+            mp.setattr(correlations, "_lockstep", spy)
             res = measure_correlations(rho, "A", EntropicIndices(0.3, 1.0), opts)
         assert len(runs) == opts.restarts
         assert not res.converged and res.grad_norm > 1.0
