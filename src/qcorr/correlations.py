@@ -442,7 +442,8 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
                     continue
                 backtracked[k] = True
                 curvature = value - f[k] - slope[k] * step[k]
-                step[k] = min(max(-0.5 * slope[k] * step[k] * step[k] / curvature, 0.1 * step[k]), 0.5 * step[k])
+                retry_step = -0.5 * slope[k] * step[k] * step[k] / curvature
+                step[k] = min(max(retry_step, 0.1 * step[k]), 0.5 * step[k])
                 if step[k] * math.sqrt(dd[k]) >= MIN_ANGLE:
                     retry.append(k)
                 else:
@@ -527,7 +528,9 @@ def measure_correlations(
     for extra in warm_starts:
         extra = np.asarray(extra, dtype=float)
         if extra.shape != (sum(sizes),):
-            raise BadLength(f"a side-{side} warm start needs {sum(sizes)} coefficients, got shape {extra.shape}")
+            raise BadLength(
+                f"a side-{side} warm start needs {sum(sizes)} coefficients, got shape {extra.shape}"
+            )
         parts = np.split(extra, np.cumsum(sizes)[:-1])
         starts.append([_unitary_from_angles(x, n) for x, n in zip(parts, dims)])
     if len(starts) < opts.restarts:

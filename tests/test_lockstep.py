@@ -9,7 +9,7 @@ from qcorr import correlations, families, linalg
 from qcorr.correlations import OptimizerOptions, measure_correlations
 from qcorr.entropy import EntropicIndices, spectral_sum
 
-INDICES = [EntropicIndices(0.5, 0.0), EntropicIndices(1.0, 1.0), EntropicIndices(2.0, 1.0), EntropicIndices(3.0, 0.5)]
+INDICES = [EntropicIndices(q, s) for q, s in ((0.5, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.5))]
 TS2 = EntropicIndices(2.0, 1.0)
 
 
@@ -39,7 +39,7 @@ def reference_descent(objective, gradient, us, opts):
 
     d = tuple(-x for x in g)
     for it in range(opts.max_iter):
-        if gg < correlations.GRAD_TOL**2:
+        if gg < correlations.GRAD_TOL * correlations.GRAD_TOL:
             return result(it, True, gg)
         slope = correlations._inner(d, g)[0]
         if slope >= 0.0:
@@ -58,7 +58,8 @@ def reference_descent(objective, gradient, us, opts):
             curvature = f_trial - f - slope * step
             step = min(max(-0.5 * slope * step * step / curvature, 0.1 * step), 0.5 * step)
             if not step * dnorm >= correlations.MIN_ANGLE:
-                return result(it + 1, gg < correlations.GRAD_TOL**2 or gg <= opts.tol * abs(f), gg)
+                flat = gg < correlations.GRAD_TOL * correlations.GRAD_TOL or gg <= opts.tol * abs(f)
+                return result(it + 1, flat, gg)
         change, f, us = f_trial - f, f_trial, trial
         g_new = gradient(*us)
         gg_new = correlations._inner(g_new, g_new)[0]
@@ -67,7 +68,7 @@ def reference_descent(objective, gradient, us, opts):
         beta = max(0.0, (gg_new - correlations._inner(g_new, g)[0]) / gg)
         d = tuple(-x + beta * y for x, y in zip(g_new, d))
         g, gg = g_new, gg_new
-    return result(opts.max_iter, gg < correlations.GRAD_TOL**2, gg)
+    return result(opts.max_iter, gg < correlations.GRAD_TOL * correlations.GRAD_TOL, gg)
 
 
 def rank_two_state():
@@ -170,7 +171,8 @@ class TestTotalsOverRows:
         # a rank-2 3x3 state at q = 0.3: rows stall at cusps, where a
         # measured probability reaches 0, before the others finish
         calls = record_rows(monkeypatch)
-        res = measure_correlations(rank_two_state(), "A", EntropicIndices(0.3, 1.0), OptimizerOptions(restarts=8, seed=3))
+        opts = OptimizerOptions(restarts=8, seed=3)
+        res = measure_correlations(rank_two_state(), "A", EntropicIndices(0.3, 1.0), opts)
         (_, runs), = calls
         assert not any(r.success for r in runs)
         assert len({r.nit for r in runs}) > 1
