@@ -303,45 +303,62 @@ def _gradient_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: fl
     return gradient
 
 
-_EYE2 = np.eye(2)
-
-
 def _exp_path(u: np.ndarray, k: np.ndarray):
-    """(step, rows) -> u exp(i step k) on those rows of stacks u and k.
+    """steps -> u exp(i step k), row by row, for stacks u and k of shape (R, n, n).
 
-    ``u`` holds unitaries and ``k`` Hermitian directions, both of shape
-    (R, n, n); ``rows`` selects rows (an index list or a slice) and
-    ``step`` holds one step length per selected row.  The exponential is
-    exact up to a global phase per row.  Each k is diagonalized once, by one
-    stacked ``eigh``, and every step reuses u times its eigenbasis.  For
-    n = 2 the closed form of ``_unitary_from_angles``, vectorized over the
-    rows, is used instead: with k0 the traceless part of k and r its norm on
-    the Pauli basis, exp(i t k0) = cos(t r) + i sin(t r) k0 / r.
+    ``u`` holds unitaries, ``k`` Hermitian directions and ``steps`` one step
+    length per row.  The exponential is exact up to a global phase per row.
+    Each k is diagonalized once, by one stacked ``eigh``, and every step
+    reuses u times its eigenbasis, so each trial is one matmul.  For n = 2
+    the closed form of ``_unitary_from_angles`` is used instead: with k0 the
+    traceless part of k and r its norm on the Pauli basis, exp(i t k0) =
+    cos(t r) + i sin(t r) k0 / r.  Its set-up is a loop over the rows, which
+    costs less than array operations on stacks of at most a few rows.
     """
     if k.shape[-1] == 2:
-        k0 = k - 0.5 * (k[:, 0, 0] + k[:, 1, 1])[:, None, None] * _EYE2
-        r = np.hypot(np.abs(k0[:, 1, 0]), k0[:, 0, 0].real)
-        uk = u @ k0 * (1j / np.where(r == 0.0, 1.0, r))[:, None, None]
+        r, ik0 = [], []
+        for (x, _), (z, y) in k.tolist():
+            c = 0.5 * (x - y).real
+            r.append(math.hypot(abs(z), c))
+            f = 1j / r[-1] if r[-1] else 0.0
+            ik0.append([[f * c, f * z.conjugate()], [f * z, -f * c]])
+        r, uk = np.array(r), u @ np.array(ik0)
 
-        def path(step, rows):
-            angle = (step * r[rows])[:, None, None]
-            return np.cos(angle) * u[rows] + np.sin(angle) * uk[rows]
+        def path(steps):
+            angle = (steps * r)[:, None, None]
+            return np.cos(angle) * u + np.sin(angle) * uk
 
         return path
     w, v = np.linalg.eigh(k)
-    uv, vh = u @ v, dag(v)
-    return lambda step, rows: (uv[rows] * np.exp(1j * step[:, None] * w[rows])[:, None, :]) @ vh[rows]
+    uv, vh, iw = u @ v, dag(v), 1j * w
+    return lambda steps: (uv * np.exp(steps[:, None] * iw)[:, None, :]) @ vh
 
 
-def _inner(xs, ys) -> np.ndarray:
-    """Re Tr(x^dag y) summed over the sides, one value per stack row.
+def _flat(xs) -> np.ndarray:
+    """Per-side stacks (R, n, n) laid side by side as one (R, sum n^2) stack of vectors."""
+    if len(xs) == 1:
+        return xs[0].reshape(len(xs[0]), -1)
+    return np.concatenate([x.reshape(len(x), -1) for x in xs], axis=1)
 
-    Every x and y is a stack of Hermitian matrices, one tuple entry per
-    side, so Re Tr(x^dag y) = Tr(x y).  Each row's sum runs over that row
-    alone, so it has the same bits whatever the other rows hold.
+
+def _sides(x: np.ndarray, us) -> list:
+    """The per-side matrices of a ``_flat`` stack, shaped like the stacks in ``us``."""
+    out, lo = [], 0
+    for u in us:
+        hi = lo + u.shape[-1] ** 2
+        out.append(x[:, lo:hi].reshape(u.shape))
+        lo = hi
+    return out
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> list:
+    """Re Tr(x^dag y) summed over the sides, one float per row of two ``_flat`` stacks.
+
+    That is the dot product of the rows' real and imaginary parts.  Each
+    row's sum runs over that row alone, so it has the same bits whatever the
+    other rows hold.
     """
-    first, *rest = (np.einsum("rij,rji->r", x, y).real for x, y in zip(xs, ys))
-    return sum(rest, first)
+    return np.einsum("ri,ri->r", x.view(float), y.view(float)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,27 +400,31 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
     row's descent does not depend on the other rows.
     """
     f = objective(*us).tolist()
-    g = gradient(*us)
-    gg = _inner(g, g).tolist()
-    d = tuple(-x for x in g)
+    g = _flat(gradient(*us))  # gradients and directions as one row-vector per start
+    gg = _inner(g, g)
+    d = -g
     rows = list(range(len(f)))  # the start each live row descends from
     nfev = [1] * len(f)
     change = [None] * len(f)
     out = [None] * len(f)
     ended = []  # live rows settled since the stack was last trimmed
+    flat_gradient = GRAD_TOL * GRAD_TOL
 
     def settle(k, nit, success):
         out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
         ended.append(k)
 
     def trimmed(*columns):
-        """Per-row lists and tuples of stacks (one per side) without the ended rows."""
+        """The per-row lists, arrays and tuples of stacks without the ended rows."""
         keep = [k for k in range(len(rows)) if k not in ended]
         ended.clear()
-        return [[c[k] for k in keep] if isinstance(c, list) else tuple(x[keep] for x in c) for c in columns]
+        return [
+            [c[k] for k in keep] if isinstance(c, list) else tuple(x[keep] for x in c) if isinstance(c, tuple) else c[keep]
+            for c in columns
+        ]
 
     for k in range(len(f)):
-        if gg[k] < GRAD_TOL * GRAD_TOL:
+        if gg[k] < flat_gradient:
             settle(k, 0, True)
     if ended:
         us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
@@ -411,31 +432,26 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
     for it in range(opts.max_iter):
         if not rows:
             break
-        slope, dd = _inner(d, g).tolist(), _inner(d, d).tolist()
+        slope, dd = _inner(d, g), _inner(d, d)
         step = []
         for k, s in enumerate(slope):
             if s >= 0.0:  # not a descent direction: restart along -g
-                for x, y in zip(d, g):
-                    x[k] = -y[k]
+                d[k] = -g[k]
                 slope[k] = s = -gg[k]
                 dd[k] = gg[k]
             cap = 0.5 / math.sqrt(dd[k])
             step.append(cap if change[k] is None else min(cap, 2.0 * change[k] / s))
-        paths = [_exp_path(u, x) for u, x in zip(us, d)]
+        paths = [_exp_path(u, x) for u, x in zip(us, _sides(d, us))]
         backtracked = [False] * len(rows)
         f_trial = [0.0] * len(rows)
         pending = list(range(len(rows)))
         while pending:
-            if len(pending) == len(rows):  # the first round, and often later ones
-                steps = np.array(step)
-                trial = moved = tuple(path(steps, slice(None)) for path in paths)
-            else:
-                steps = np.array([step[k] for k in pending])
-                moved = tuple(path(steps, pending) for path in paths)
-                for x, y in zip(trial, moved):
-                    x[pending] = y
+            # every row moves by its current step and the pending rows are
+            # evaluated; the others repeat the point they already accepted
+            steps = np.array(step)
+            trial = tuple(path(steps) for path in paths)
             retry = []
-            for k, value in zip(pending, objective(*moved).tolist()):
+            for k, value in zip(pending, objective(*(x.take(pending, axis=0) for x in trial)).tolist()):
                 nfev[k] += 1
                 f_trial[k] = value
                 if value <= f[k] + ARMIJO * step[k] * slope[k]:
@@ -450,7 +466,7 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
                     # a stall: converged where the gradient promises less than the
                     # decrease test's tol (roundoff near a smooth minimum), not at a
                     # cusp, where a probability reaches 0 and p^q has an infinite slope
-                    settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= opts.tol * abs(f[k]))
+                    settle(k, it + 1, gg[k] < flat_gradient or gg[k] <= opts.tol * abs(f[k]))
             pending = retry
 
         change = [b - a for a, b in zip(f, f_trial)]
@@ -461,20 +477,20 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
             )
             if not rows:
                 break
-        g_new = gradient(*us)
-        gg_new, cross = _inner(g_new, g_new).tolist(), _inner(g_new, g).tolist()
-        beta = np.array([max(0.0, (a - b) / c) for a, b, c in zip(gg_new, cross, gg)])[:, None, None]
-        d = tuple(beta * y - x for x, y in zip(g_new, d))
+        g_new = _flat(gradient(*us))
+        gg_new, cross = _inner(g_new, g_new), _inner(g_new, g)
+        beta = np.array([max(0.0, (a - b) / c) for a, b, c in zip(gg_new, cross, gg)])
+        d = beta[:, None] * d - g_new
         g, gg = g_new, gg_new
         for k in range(len(rows)):
             # a small decrease after backtracking reflects a poor trial step,
             # not a flat objective, so only a full first step can end the descent
-            if gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
+            if gg[k] < flat_gradient or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
                 settle(k, it + 1, True)
         if ended:
             us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
     for k in range(len(rows)):
-        settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
+        settle(k, opts.max_iter, gg[k] < flat_gradient)
     return out
 
 

@@ -31,25 +31,25 @@ def reference_descent(objective, gradient, us, opts):
     """
     us = tuple(u[None] for u in us)
     f, nfev, change = objective(*us)[0], 1, None
-    g = gradient(*us)
+    g = correlations._flat(gradient(*us))
     gg = correlations._inner(g, g)[0]
 
     def result(nit, success, grad2):
         return (f, nit, nfev, success, math.sqrt(grad2))
 
-    d = tuple(-x for x in g)
+    d = -g
     for it in range(opts.max_iter):
         if gg < correlations.GRAD_TOL * correlations.GRAD_TOL:
             return result(it, True, gg)
         slope = correlations._inner(d, g)[0]
         if slope >= 0.0:
-            d, slope = tuple(-x for x in g), -gg
+            d, slope = -g, -gg
         dnorm = math.sqrt(correlations._inner(d, d)[0])
         step = 0.5 / dnorm if change is None else min(0.5 / dnorm, 2.0 * change / slope)
-        paths = [correlations._exp_path(u, x) for u, x in zip(us, d)]
+        paths = [correlations._exp_path(u, x) for u, x in zip(us, correlations._sides(d, us))]
         backtracked = False
         while True:
-            trial = tuple(path(np.array([step]), slice(None)) for path in paths)
+            trial = tuple(path(np.array([step])) for path in paths)
             f_trial = objective(*trial)[0]
             nfev += 1
             if f_trial <= f + correlations.ARMIJO * step * slope:
@@ -61,12 +61,12 @@ def reference_descent(objective, gradient, us, opts):
                 flat = gg < correlations.GRAD_TOL * correlations.GRAD_TOL or gg <= opts.tol * abs(f)
                 return result(it + 1, flat, gg)
         change, f, us = f_trial - f, f_trial, trial
-        g_new = gradient(*us)
+        g_new = correlations._flat(gradient(*us))
         gg_new = correlations._inner(g_new, g_new)[0]
         if not backtracked and -change <= opts.tol * abs(f):
             return result(it + 1, True, gg_new)
         beta = max(0.0, (gg_new - correlations._inner(g_new, g)[0]) / gg)
-        d = tuple(-x + beta * y for x, y in zip(g_new, d))
+        d = beta * d - g_new
         g, gg = g_new, gg_new
     return result(opts.max_iter, gg < correlations.GRAD_TOL * correlations.GRAD_TOL, gg)
 
