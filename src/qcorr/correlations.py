@@ -247,8 +247,8 @@ def _slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
     pz = np.maximum(p, SLOPE_FLOOR)
     if idx.regime is Regime.VON_NEUMANN:
         return -(np.log(pz) + 1.0)
-    after = spectral_sum(p.reshape(p.shape[:-2] + (-1,)), idx)
-    scale = idx.q / (1.0 - idx.q) * _purity_ratio_sums(after, before, idx) / np.exp(after)
+    total = (np.maximum(p, 0.0) ** idx.q).sum(axis=(-2, -1))  # Tr p^q
+    scale = idx.q / (1.0 - idx.q) * _purity_ratio_sums(np.log(total), before, idx) / total
     return scale[..., None, None] * pz ** (idx.q - 1.0)
 
 
@@ -397,10 +397,12 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
     the stack when a stopping test ends it.  Every row keeps its own step,
     slope, direction and stopping state under the rules of a lone descent,
     and every stacked call computes each row from that row alone, so a
-    row's descent does not depend on the other rows.
+    row's descent does not depend on the other rows.  Gradients and
+    directions are kept ``_flat``, one vector per row over all sides, so an
+    inner product or a direction update is one array operation.
     """
     f = objective(*us).tolist()
-    g = _flat(gradient(*us))  # gradients and directions as one row-vector per start
+    g = _flat(gradient(*us))
     gg = _inner(g, g)
     d = -g
     rows = list(range(len(f)))  # the start each live row descends from
@@ -408,23 +410,25 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
     change = [None] * len(f)
     out = [None] * len(f)
     ended = []  # live rows settled since the stack was last trimmed
-    flat_gradient = GRAD_TOL * GRAD_TOL
 
     def settle(k, nit, success):
         out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
         ended.append(k)
 
     def trimmed(*columns):
-        """The per-row lists, arrays and tuples of stacks without the ended rows."""
+        """The per-row lists, arrays and tuples of stacks (one per side) without the ended rows."""
         keep = [k for k in range(len(rows)) if k not in ended]
         ended.clear()
-        return [
-            [c[k] for k in keep] if isinstance(c, list) else tuple(x[keep] for x in c) if isinstance(c, tuple) else c[keep]
-            for c in columns
-        ]
+
+        def kept(c):
+            if isinstance(c, list):
+                return [c[k] for k in keep]
+            return tuple(x[keep] for x in c) if isinstance(c, tuple) else c[keep]
+
+        return [kept(c) for c in columns]
 
     for k in range(len(f)):
-        if gg[k] < flat_gradient:
+        if gg[k] < GRAD_TOL * GRAD_TOL:
             settle(k, 0, True)
     if ended:
         us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
@@ -466,7 +470,7 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
                     # a stall: converged where the gradient promises less than the
                     # decrease test's tol (roundoff near a smooth minimum), not at a
                     # cusp, where a probability reaches 0 and p^q has an infinite slope
-                    settle(k, it + 1, gg[k] < flat_gradient or gg[k] <= opts.tol * abs(f[k]))
+                    settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= opts.tol * abs(f[k]))
             pending = retry
 
         change = [b - a for a, b in zip(f, f_trial)]
@@ -485,12 +489,12 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
         for k in range(len(rows)):
             # a small decrease after backtracking reflects a poor trial step,
             # not a flat objective, so only a full first step can end the descent
-            if gg[k] < flat_gradient or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
+            if gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
                 settle(k, it + 1, True)
         if ended:
             us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
     for k in range(len(rows)):
-        settle(k, opts.max_iter, gg[k] < flat_gradient)
+        settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
     return out
 
 
