@@ -336,8 +336,6 @@ def _exp_path(u: np.ndarray, k: np.ndarray):
 
 def _flat(xs) -> np.ndarray:
     """Per-side stacks (R, n, n) laid side by side as one (R, sum n^2) stack of vectors."""
-    if len(xs) == 1:
-        return xs[0].reshape(len(xs[0]), -1)
     return np.concatenate([x.reshape(len(x), -1) for x in xs], axis=1)
 
 
