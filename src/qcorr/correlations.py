@@ -2,14 +2,14 @@
 
 A measurement basis on an N-dimensional side is the column set of a unitary
 in U(N).  ``measure_correlations`` searches U(N_A), U(N_B) or their product
-by multistart Riemannian conjugate gradient (Polak-Ribiere+, Armijo line
-search): the disturbance has a closed-form gradient under U -> U exp(iK),
-and each step moves along that exponential.  The starts are the local
-eigenbases of the reduced states (the exact optimum for pure and pseudopure
-states), any caller's warm starts, then Haar-random unitaries.  All starts
-descend in lockstep as one stack (``_lockstep``): every objective, gradient
-and exponential call covers all rows that need it, and no row's descent
-depends on the other rows.  Bases are reported as real
+by multistart Riemannian BFGS (a dense inverse-Hessian estimate per start,
+Armijo line search): the disturbance has a closed-form gradient under
+U -> U exp(iK), and each step moves along that exponential.  The starts are
+the local eigenbases of the reduced states (the exact optimum for pure and
+pseudopure states), any caller's warm starts, then Haar-random unitaries.
+All starts descend in lockstep as one stack (``_lockstep``): every
+objective, gradient and exponential call covers all rows that need it, and
+no row's descent depends on the other rows.  Bases are reported as real
 coefficient vectors on a traceless Hermitian generator basis (N^2 - 1 per
 side), which decode through the matrix exponential.
 
@@ -377,35 +377,75 @@ class LocalSearch:
     success: bool
 
 
+def _bfgs_update(h: np.ndarray, scaled: np.ndarray, s: np.ndarray, y: np.ndarray):
+    """BFGS update of the inverse-Hessian stack ``h`` by the steps s and gradient changes y.
+
+    ``h`` is (R, m, m) on the real view of the ``_flat`` stacks s and y,
+    m = 2 sum n^2, and ``scaled`` marks the rows that have an inverse
+    Hessian; the others hold the identity.  A row is updated when
+    s.y > 1e-12 |s| |y| (a curvature pair the Armijo step alone does not
+    guarantee) and keeps its h otherwise.  At a row's first update h is
+    scaled to (s.y / y.y) I before the update (Nocedal & Wright, eq. 6.20).
+    The update H - rho (s Hy' + Hy s') + (rho^2 y'Hy + rho) s s', rho = 1 / s.y,
+    is taken as H + s w' + w s' with w = rho ((1 + rho y'Hy) s / 2 - Hy), so
+    H stays exactly symmetric.  Each row is computed from that row alone.
+    Returns the new stack and mask; ``h`` is updated in place.
+    """
+    s, y = s.view(float), y.view(float)
+    sy, yy, ss = (np.einsum("ri,ri->r", a, b) for a, b in ((s, y), (y, y), (s, s)))
+    ok = sy > 1e-12 * np.sqrt(ss * yy)
+    if not ok.any():
+        return h, scaled
+    first = ok & ~scaled
+    if first.any():
+        h[first] *= (sy[first] / yy[first])[:, None, None]
+    rows = slice(None) if ok.all() else ok
+    hs, s, y, rho = h[rows], s[rows], y[rows], 1.0 / sy[rows]
+    hy = (hs @ y[:, :, None])[:, :, 0]
+    c = 0.5 * (1.0 + rho * np.einsum("ri,ri->r", y, hy))
+    sw = s[:, :, None] * (rho[:, None] * (c[:, None] * s - hy))[:, None, :]
+    h[rows] = hs + (sw + sw.transpose(0, 2, 1))
+    return h, scaled | ok
+
+
+def _bfgs_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H g row by row: the quasi-Newton direction for the ``_flat`` gradient stack g."""
+    return -(h @ g.view(float)[:, :, None])[:, :, 0].view(complex)
+
+
 def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSearch]:
-    """Riemannian Polak-Ribiere+ conjugate gradient on U(n) (x U(m)), one descent per row.
+    """Riemannian BFGS on U(n) (x U(m)), one descent per row.
 
     ``us`` holds one stack of unitaries per side; row r of the stacks is
     start r, and the r-th LocalSearch returned is its descent.  Steps move
-    along U -> U exp(i t D) with the direction D carried over unchanged in
-    the Lie algebra.  The line search is Armijo backtracking.  Its first
-    trial step is the minimizer of the quadratic through the last two values
-    and the current slope, capped at a rotation by 0.5 rad; each retry is
-    the minimizer of the quadratic through the current value, slope and
-    failed trial, kept within [0.1, 0.5] of the failed step.
+    along U -> U exp(i t D), with D = -H g for the gradient g and an
+    inverse-Hessian estimate H (``_bfgs_update``).  Steps s = t D and
+    gradient changes y are carried over unchanged in the Lie algebra
+    (Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660, 2015).  Until a row
+    has its first curvature pair, H is the identity and its first trial step
+    rotates the bases by 0.5 rad; after that the first trial is the unit
+    step, capped at that rotation.  The line search is Armijo backtracking;
+    each retry is the minimizer of the quadratic through the current value,
+    slope and failed trial, kept within [0.1, 0.5] of the failed step.
 
     The rows descend in lockstep.  Each line-search round makes one stacked
     objective call on the rows whose trial is pending, each iteration one
     stacked gradient call on the rows that accepted a step, and a row leaves
     the stack when a stopping test ends it.  Every row keeps its own step,
-    slope, direction and stopping state under the rules of a lone descent,
-    and every stacked call computes each row from that row alone, so a
-    row's descent does not depend on the other rows.  Gradients and
+    slope, inverse Hessian and stopping state under the rules of a lone
+    descent, and every stacked call computes each row from that row alone,
+    so a row's descent does not depend on the other rows.  Gradients and
     directions are kept ``_flat``, one vector per row over all sides, so an
-    inner product or a direction update is one array operation.
+    inner product or a direction is one array operation.
     """
     f = objective(*us).tolist()
     g = _flat(gradient(*us))
     gg = _inner(g, g)
     d = -g
+    h = np.tile(np.eye(2 * g.shape[1]), (len(f), 1, 1))
+    scaled = np.zeros(len(f), dtype=bool)  # the rows whose h is an inverse Hessian
     rows = list(range(len(f)))  # the start each live row descends from
     nfev = [1] * len(f)
-    change = [None] * len(f)
     out = [None] * len(f)
     ended = []  # live rows settled since the stack was last trimmed
 
@@ -429,20 +469,20 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
         if gg[k] < GRAD_TOL * GRAD_TOL:
             settle(k, 0, True)
     if ended:
-        us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
+        us, g, d, h, scaled, f, gg, nfev, rows = trimmed(us, g, d, h, scaled, f, gg, nfev, rows)
 
     for it in range(opts.max_iter):
         if not rows:
             break
         slope, dd = _inner(d, g), _inner(d, d)
         step = []
-        for k, s in enumerate(slope):
+        for k, (s, unit) in enumerate(zip(slope, scaled.tolist())):
             if s >= 0.0:  # not a descent direction: restart along -g
                 d[k] = -g[k]
                 slope[k] = s = -gg[k]
                 dd[k] = gg[k]
             cap = 0.5 / math.sqrt(dd[k])
-            step.append(cap if change[k] is None else min(cap, 2.0 * change[k] / s))
+            step.append(min(1.0, cap) if unit else cap)
         paths = [_exp_path(u, x) for u, x in zip(us, _sides(d, us))]
         backtracked = [False] * len(rows)
         f_trial = [0.0] * len(rows)
@@ -474,23 +514,22 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
         change = [b - a for a, b in zip(f, f_trial)]
         us, f = trial, f_trial
         if ended:
-            us, g, d, f, gg, nfev, change, rows, backtracked = trimmed(
-                us, g, d, f, gg, nfev, change, rows, backtracked
+            us, g, d, h, scaled, f, gg, nfev, change, rows, backtracked, step = trimmed(
+                us, g, d, h, scaled, f, gg, nfev, change, rows, backtracked, step
             )
             if not rows:
                 break
         g_new = _flat(gradient(*us))
-        gg_new, cross = _inner(g_new, g_new), _inner(g_new, g)
-        beta = np.array([max(0.0, (a - b) / c) for a, b, c in zip(gg_new, cross, gg)])
-        d = beta[:, None] * d - g_new
-        g, gg = g_new, gg_new
+        h, scaled = _bfgs_update(h, scaled, np.array(step)[:, None] * d, g_new - g)
+        g, gg = g_new, _inner(g_new, g_new)
+        d = _bfgs_direction(h, g)
         for k in range(len(rows)):
             # a small decrease after backtracking reflects a poor trial step,
             # not a flat objective, so only a full first step can end the descent
             if gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
                 settle(k, it + 1, True)
         if ended:
-            us, g, d, f, gg, nfev, change, rows = trimmed(us, g, d, f, gg, nfev, change, rows)
+            us, g, d, h, scaled, f, gg, nfev, rows = trimmed(us, g, d, h, scaled, f, gg, nfev, rows)
     for k in range(len(rows)):
         settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
     return out
@@ -520,12 +559,13 @@ def measure_correlations(
 ) -> CorrelationResult:
     """Minimize the local-measurement disturbance over bases on ``side``.
 
-    Multistart Riemannian conjugate gradient over the local unitaries, all
-    restarts in one lockstep descent; deterministic given ``opts.seed``.
-    The starts are the eigenbases of the reduced states, then
-    ``warm_starts`` (generator coefficients, already concatenated for side
-    AB), then Haar-random unitaries.  Raises DimMismatch when a measured
-    side has dimension 1 and BadLength for a warm start of the wrong length.
+    Multistart Riemannian BFGS over the local unitaries, all restarts in one
+    lockstep descent; deterministic given ``opts.seed``.  The starts are the
+    eigenbases of the reduced states, then ``warm_starts`` (generator
+    coefficients, already concatenated for side AB), then Haar-random
+    unitaries, all drawn from one ``default_rng(opts.seed)`` batch.  Raises
+    DimMismatch when a measured side has dimension 1 and BadLength for a
+    warm start of the wrong length.
     """
     if side not in measurement.SIDES:
         raise ValueError(f"side must be one of {measurement.SIDES}")
@@ -551,12 +591,17 @@ def measure_correlations(
             )
         parts = np.split(extra, np.cumsum(sizes)[:-1])
         starts.append([_unitary_from_angles(x, n) for x, n in zip(parts, dims)])
-    if len(starts) < opts.restarts:
-        rng = np.random.default_rng(opts.seed)
-        while len(starts) < opts.restarts:
-            starts.append([linalg.haar_unitary(n, rng) for n in dims])
+    stacks = [np.array(side_us) for side_us in zip(*starts)]
+    haar = opts.restarts - len(starts)
+    if haar > 0:
+        # the stream contract of measurement_pair_spectra: row k of one
+        # standard-normal draw holds what haar_unitary would take for start k,
+        # side by side, so the bases equal a per-start loop bit for bit
+        z = np.random.default_rng(opts.seed).standard_normal((haar, 2 * sum(n * n for n in dims)))
+        parts = np.split(z, np.cumsum([2 * n * n for n in dims])[:-1], axis=1)
+        stacks = [np.concatenate([s, linalg.haar_from_normals(x, n)]) for s, x, n in zip(stacks, parts, dims)]
 
-    runs = _lockstep(objective, gradient, tuple(np.array(side_us) for side_us in zip(*starts)), opts)
+    runs = _lockstep(objective, gradient, tuple(stacks), opts)
     best = min(runs, key=lambda r: r.fun)
     values = [r.fun for r in runs]
     angles = {f"angles_{name.lower()}": _angles_from_unitary(u) for name, u in zip(side, best.unitaries)}
@@ -564,7 +609,7 @@ def measure_correlations(
     return CorrelationResult(
         value=float(best.fun),
         argmin=argmin,
-        restarts_used=len(starts),
+        restarts_used=len(runs),
         iterations=sum(r.nit for r in runs),
         spread=float(max(values) - min(values)),
         converged=best.success,

@@ -226,6 +226,20 @@ class TestRiemannianSearch:
         assert res.nfev >= opts.restarts
         assert res.iterations > 0
 
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_decrease_test_stops_at_the_minimum(self, dims, k):
+        """The default ``tol`` decrease test ends a descent where ``tol = 0`` ends it.
+
+        A descent stops once a full step lowers the value by at most ``tol``
+        times the value; that must not happen before the minimum is reached.
+        """
+        rho = linalg.random_density(dims, np.random.default_rng([dims[0], dims[1], k]))
+        res = measure_correlations(rho, "AB", TS2, OptimizerOptions(restarts=8, seed=k))
+        exact = measure_correlations(rho, "AB", TS2, OptimizerOptions(restarts=8, seed=k, tol=0.0))
+        assert abs(res.value - exact.value) <= 1e-11
+        assert res.grad_norm <= 1e-6
+
     def test_cusp_stall_is_not_converged(self):
         # a rank-2 3x3 state at q = 0.3: restarts stall where a measured
         # probability reaches 0 and p^q has an infinite slope
