@@ -394,17 +394,14 @@ def _bfgs_update(h: np.ndarray, scaled: np.ndarray, s: np.ndarray, y: np.ndarray
     s, y = s.view(float), y.view(float)
     sy, yy, ss = (np.einsum("ri,ri->r", a, b) for a, b in ((s, y), (y, y), (s, s)))
     ok = sy > 1e-12 * np.sqrt(ss * yy)
-    if not ok.any():
-        return h, scaled
     first = ok & ~scaled
-    if first.any():
+    if first.any():  # once per row, so mostly skipped
         h[first] *= (sy[first] / yy[first])[:, None, None]
-    rows = slice(None) if ok.all() else ok
-    hs, s, y, rho = h[rows], s[rows], y[rows], 1.0 / sy[rows]
+    hs, s, y, rho = h[ok], s[ok], y[ok], 1.0 / sy[ok]
     hy = (hs @ y[:, :, None])[:, :, 0]
     c = 0.5 * (1.0 + rho * np.einsum("ri,ri->r", y, hy))
     sw = s[:, :, None] * (rho[:, None] * (c[:, None] * s - hy))[:, None, :]
-    h[rows] = hs + (sw + sw.transpose(0, 2, 1))
+    h[ok] = hs + (sw + sw.transpose(0, 2, 1))
     return h, scaled | ok
 
 
