@@ -3,7 +3,7 @@
 
 Writes results/triangle_scan.csv with the three minimized measures, the
 Delta_0/Delta_1 diagnostics and per-row inequality flags; the footer counts
-violations.  Takes on the order of ten minutes with the default budget.
+violations.  Takes about 20 s with the default budget.
 """
 
 import pathlib

@@ -2,7 +2,6 @@
 
 from .correlations import (
     CorrelationResult,
-    MeasurementParams,
     OptimizerOptions,
     TriangleReport,
     bilocal_decomposition_check,

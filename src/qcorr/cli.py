@@ -207,10 +207,11 @@ def _family_parameter(args):
     )
 
 
-def _angles_str(angles) -> str:
-    if angles is None:
+def _angles_str(basis) -> str:
+    """A basis as its generator coefficients, the ``angles_*`` columns of ``measure``."""
+    if basis is None:
         return ""
-    return ";".join(f"{a:.17g}" for a in angles)
+    return ";".join(f"{a:.17g}" for a in correlations._angles_from_unitary(basis.unitary))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,8 @@ def cmd_measure(args) -> int:
             res.converged,
             res.restarts_used,
             res.iterations,
-            _angles_str(res.argmin.angles_a),
-            _angles_str(res.argmin.angles_b),
+            _angles_str(res.argmin.basis_a),
+            _angles_str(res.argmin.basis_b),
         )
     ]
     write_csv(

@@ -9,9 +9,9 @@ the local eigenbases of the reduced states (the exact optimum for pure and
 pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): every
 objective, gradient and exponential call covers all rows that need it, and
-no row's descent depends on the other rows.  Bases are reported as real
-coefficient vectors on a traceless Hermitian generator basis (N^2 - 1 per
-side), which decode through the matrix exponential.
+no row's descent depends on the other rows.  The argmin and the warm starts
+are ``LocalMeasurement``s; coefficients on a traceless Hermitian generator
+basis (N^2 - 1 per side) only print bases and read them back.
 
 The result is an upper bound, not a certified global minimum.  Each result
 carries its evidence: the spread and basin count over restarts, the
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import linalg, measurement
 from .entropy import (
@@ -93,18 +92,6 @@ def _generators_flat(n: int) -> np.ndarray:
 
 
 def _unitary_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
-    if n == 2:
-        # exp(i (a sx + b sy + c sz)) in closed form; the three generators
-        # returned for n = 2 are exactly the Pauli matrices in that order
-        a, b, c = angles
-        r = math.sqrt(a * a + b * b + c * c)
-        if r == 0.0:
-            return np.eye(2, dtype=complex)
-        f = 1j * math.sin(r) / r
-        cr = math.cos(r)
-        return np.array(
-            [[cr + f * c, f * (a - 1j * b)], [f * (a + 1j * b), cr - f * c]]
-        )
     h = (np.asarray(angles, dtype=float) @ _generators_flat(n)).reshape(n, n)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1.0j * w)) @ v.conj().T
@@ -119,36 +106,17 @@ def decode_basis(angles, n: int) -> ProjectiveBasis:
 
 
 def _angles_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Generator coefficients reproducing u up to an irrelevant global phase."""
+    """Generator coefficients reproducing u up to an irrelevant global phase.
+
+    u is normal: ``eig``'s eigenvectors are orthogonal across eigenvalues,
+    and QR makes them orthonormal inside degenerate clusters too, so Q^dag u Q
+    is diagonal and log u = i Q diag(phases) Q^dag.
+    """
     n = u.shape[0]
-    t, z = schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
-    h = (z * phases) @ z.conj().T
+    q = np.linalg.qr(np.linalg.eig(u)[1])[0]
+    phases = np.angle(np.einsum("ji,jk,ki->i", q.conj(), u, q))
+    h = (q * phases) @ q.conj().T
     return np.real(np.einsum("kij,ji->k", su_generators(n), h)) / 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementParams:
-    """Generator coefficients for the measured side(s)."""
-
-    side: str
-    angles_a: np.ndarray | None = None
-    angles_b: np.ndarray | None = None
-
-    def to_measurement(self) -> LocalMeasurement:
-        basis_a = basis_b = None
-        if self.angles_a is not None:
-            basis_a = decode_basis(self.angles_a, _side_dim(self.angles_a))
-        if self.angles_b is not None:
-            basis_b = decode_basis(self.angles_b, _side_dim(self.angles_b))
-        return LocalMeasurement(self.side, basis_a, basis_b)
-
-
-def _side_dim(angles: np.ndarray) -> int:
-    n = int(round(math.sqrt(angles.size + 1)))
-    if n * n - 1 != angles.size:
-        raise BadLength(f"{angles.size} is not of the form n^2 - 1")
-    return n
 
 
 @dataclass(frozen=True)
@@ -186,11 +154,12 @@ class CorrelationResult:
     best.  ``converged`` and ``grad_norm`` describe the restart that gave
     ``value``: it ended by a stopping test rather than at ``max_iter``, at
     a point with that Riemannian gradient norm.  ``iterations`` and
-    ``nfev`` (objective values) are totals over the restarts.
+    ``nfev`` (objective values) are totals over the restarts.  ``argmin``
+    is the measurement that gave ``value``.
     """
 
     value: float
-    argmin: MeasurementParams
+    argmin: LocalMeasurement
     restarts_used: int
     iterations: int
     spread: float
@@ -310,10 +279,10 @@ def _exp_path(u: np.ndarray, k: np.ndarray):
     length per row.  The exponential is exact up to a global phase per row.
     Each k is diagonalized once, by one stacked ``eigh``, and every step
     reuses u times its eigenbasis, so each trial is one matmul.  For n = 2
-    the closed form of ``_unitary_from_angles`` is used instead: with k0 the
-    traceless part of k and r its norm on the Pauli basis, exp(i t k0) =
-    cos(t r) + i sin(t r) k0 / r.  Its set-up is a loop over the rows, which
-    costs less than array operations on stacks of at most a few rows.
+    the closed form is used instead: with k0 the traceless part of k and r
+    its norm on the Pauli basis, exp(i t k0) = cos(t r) + i sin(t r) k0 / r.
+    Its set-up is a loop over the rows, which costs less than array
+    operations on stacks of at most a few rows.
     """
     if k.shape[-1] == 2:
         r, ik0 = [], []
@@ -558,11 +527,12 @@ def measure_correlations(
 
     Multistart Riemannian BFGS over the local unitaries, all restarts in one
     lockstep descent; deterministic given ``opts.seed``.  The starts are the
-    eigenbases of the reduced states, then ``warm_starts`` (generator
-    coefficients, already concatenated for side AB), then Haar-random
-    unitaries, all drawn from one ``default_rng(opts.seed)`` batch.  Raises
-    DimMismatch when a measured side has dimension 1 and BadLength for a
-    warm start of the wrong length.
+    eigenbases of the reduced states, then ``warm_starts``
+    (``LocalMeasurement``s on ``side``), then Haar-random unitaries, all
+    drawn from one ``default_rng(opts.seed)`` batch.  The result's
+    ``argmin`` is the ``LocalMeasurement`` that gave its value.  Raises
+    DimMismatch when a measured side has dimension 1 or a warm start's basis
+    has the wrong dimension, and ValueError for a warm start on another side.
     """
     if side not in measurement.SIDES:
         raise ValueError(f"side must be one of {measurement.SIDES}")
@@ -579,15 +549,11 @@ def measure_correlations(
     gradient = _gradient_factory(t, side, idx, before)
 
     starts = [[_eigenbasis(rho, k) for k in measured]]
-    sizes = [n * n - 1 for n in dims]
-    for extra in warm_starts:
-        extra = np.asarray(extra, dtype=float)
-        if extra.shape != (sum(sizes),):
-            raise BadLength(
-                f"a side-{side} warm start needs {sum(sizes)} coefficients, got shape {extra.shape}"
-            )
-        parts = np.split(extra, np.cumsum(sizes)[:-1])
-        starts.append([_unitary_from_angles(x, n) for x, n in zip(parts, dims)])
+    for m in warm_starts:
+        if m.side != side:
+            raise ValueError(f"a side-{side} search needs side-{side} warm starts, got side {m.side}")
+        measurement._check_measurement_dims(rho, m)
+        starts.append([getattr(m, f"basis_{name.lower()}").unitary for name in side])
     stacks = [np.array(side_us) for side_us in zip(*starts)]
     haar = opts.restarts - len(starts)
     if haar > 0:
@@ -601,11 +567,10 @@ def measure_correlations(
     runs = _lockstep(objective, gradient, tuple(stacks), opts)
     best = min(runs, key=lambda r: r.fun)
     values = [r.fun for r in runs]
-    angles = {f"angles_{name.lower()}": _angles_from_unitary(u) for name, u in zip(side, best.unitaries)}
-    argmin = MeasurementParams(side, **angles)
+    bases = {f"basis_{name.lower()}": ProjectiveBasis(u) for name, u in zip(side, best.unitaries)}
     return CorrelationResult(
         value=float(best.fun),
-        argmin=argmin,
+        argmin=LocalMeasurement(side, **bases),
         restarts_used=len(runs),
         iterations=sum(r.nit for r in runs),
         spread=float(max(values) - min(values)),
@@ -834,14 +799,11 @@ def triangle_analysis(
     opts = opts or OptimizerOptions()
     res_a = measure_correlations(rho, "A", idx, opts)
     res_b = measure_correlations(rho, "B", idx, opts)
-    warm = np.concatenate([res_a.argmin.angles_a, res_b.argmin.angles_b])
+    basis_a1, basis_b1 = res_a.argmin.basis_a, res_b.argmin.basis_b
+    warm = LocalMeasurement("AB", basis_a1, basis_b1)
     res_ab = measure_correlations(rho, "AB", idx, opts, warm_starts=(warm,))
-
-    basis_a1 = res_a.argmin.to_measurement().basis_a
-    basis_b1 = res_b.argmin.to_measurement().basis_b
-    pair0 = res_ab.argmin.to_measurement()
     delta1 = _delta(rho, basis_a1, basis_b1, idx)
-    delta0 = _delta(rho, pair0.basis_a, pair0.basis_b, idx)
+    delta0 = _delta(rho, res_ab.argmin.basis_a, res_ab.argmin.basis_b, idx)
 
     m_a, m_b, m_ab = res_a.value, res_b.value, res_ab.value
     triangle_holds = m_a + m_b >= m_ab - 1e-8

@@ -17,6 +17,7 @@ TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
 TOL_SCHMIDT = 1e-12
 TOL_UNITARY = 1e-10
+EPS = float(np.finfo(float).eps)  # n EPS (times the largest eigenvalue) is the numerical-rank cut-off
 
 
 class NotSquare(ValueError):
@@ -204,12 +205,16 @@ def eig_hermitian(rho: DensityOperator):
 
 
 def spectrum(rho: DensityOperator) -> np.ndarray:
-    """Eigenvalues only, sorted decreasing and clipped at zero."""
+    """Eigenvalues only, sorted decreasing; those below n eps lambda_max are zeroed.
+
+    That is the numerical-rank cut-off of ``numpy.linalg.matrix_rank``: below
+    it an eigenvalue is roundoff, which at q < 1 would add about p^q to Tr rho^q.
+    """
     try:
-        w = np.linalg.eigvalsh(rho.matrix)
+        w = np.linalg.eigvalsh(rho.matrix)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return np.clip(w[::-1], 0.0, None)
+    return np.where(w < w.size * EPS * w[0], 0.0, w)
 
 
 def hs_norm_sq(a) -> float:

@@ -157,8 +157,9 @@ def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.nd
 
 
 def _flat_spectrum(vals: np.ndarray, stack: tuple) -> np.ndarray:
-    # np.maximum clips negative roundoff as np.clip would, at a third of its call cost
-    return np.maximum(vals.reshape(stack + (-1,)), 0.0)
+    # each row has trace 1, so the numerical-rank cut-off of linalg.spectrum is N eps
+    vals = vals.reshape(stack + (-1,))
+    return np.where(vals < vals.shape[-1] * linalg.EPS, 0.0, vals)
 
 
 def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:

@@ -282,6 +282,17 @@ class TestTriangleScanCommand:
                 m_ab >= max(m_a, m_b) - 1e-8
             )
 
+    def test_documented_run_matches_committed_results(self, tmp_path):
+        """The first states of the default scan reproduce results/triangle_scan.csv."""
+        # each state's five rows depend only on its own state id
+        out = tmp_path / "t.csv"
+        assert run(["triangle-scan", "--seed", "20260810", "--n-states", "3", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        _, committed_header, committed = read_rows(RESULTS / "triangle_scan.csv")
+        assert len(committed) == 200 * 5
+        assert header == committed_header
+        assert rows == committed[:15]
+
 
 class TestErrorsAndDeterminism:
     def test_missing_family_parameter_fails(self, capsys):
@@ -324,13 +335,21 @@ class TestErrorsAndDeterminism:
         assert "entropy" in out
 
     def test_console_entry_point(self):
-        # the child imports this checkout's package, installed or not
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcorr", "entropy", "--family", "isotropic",
-             "--N", "2", "--y", "0.25", "--q", "2", "--s", "1"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_child(["-m", "qcorr", "entropy", "--family", "isotropic",
+                          "--N", "2", "--y", "0.25", "--q", "2", "--s", "1"])
         assert proc.returncode == 0
         assert "# schema_version=1" in proc.stdout
+
+    def test_runtime_needs_numpy_only(self):
+        proc = run_child(["-c", "import sys, qcorr, qcorr.cli; "
+                          "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"])
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"
+
+
+def run_child(args):
+    """Run python with ``args`` in a child that imports this checkout's package, installed or not."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))

@@ -22,8 +22,9 @@ from qcorr.correlations import (
     su_generators,
     triangle_analysis,
 )
-from qcorr.entropy import EntropicIndices, spectral_sum
-from qcorr.linalg import DimMismatch
+from qcorr.entropy import EntropicIndices, spectral_sum, unified_entropy
+from qcorr.linalg import DimMismatch, NotUnitary
+from qcorr.measurement import LocalMeasurement, ProjectiveBasis
 from util import IDX_GRID, bell_density, cc_state, cq_state, pure_density, random_basis
 
 VN = EntropicIndices(1.0, 1.0)
@@ -76,13 +77,31 @@ class TestDecodeBasis:
         )
 
     def test_roundtrip_through_angles(self, rng):
-        for n in (2, 3):
-            u = linalg.haar_unitary(n, rng)
+        # Haar draws, then unitaries whose eigenphases are degenerate, nearly
+        # degenerate or at the branch cut of the logarithm
+        cases = []
+        for n in (2, 3, 4, 6):
+            v = linalg.haar_unitary(n, rng)
+
+            def with_phases(phases):
+                return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+            cases += [linalg.haar_unitary(n, rng) for _ in range(20)] + [
+                np.eye(n),
+                -np.eye(n),
+                np.eye(n)[::-1],
+                with_phases([0.3] * (n // 2) + [-1.2] * (n - n // 2)),
+                with_phases(0.7 + 1e-9 * np.arange(n)),
+                with_phases([(math.pi - 1e-12) * (-1) ** k for k in range(n)]),
+                with_phases([math.pi - 1e-12] * n),
+            ]
+        for u in cases:
+            n = len(u)
             angles = correlations._angles_from_unitary(u)
             u2 = decode_basis(angles, n).unitary
             # same projectors: u2 = u up to a global phase
-            phase = u2[:, 0] @ u[:, 0].conj()
-            assert_allclose(u2, u * (phase / abs(phase)), atol=1e-10)
+            phase = np.vdot(u.ravel(), u2.ravel())
+            assert_allclose(u2, u * (phase / abs(phase)), rtol=0, atol=1e-13)
 
 
 class TestMeasureCorrelations:
@@ -132,19 +151,68 @@ class TestMeasureCorrelations:
         with pytest.raises(ValueError, match="tol"):
             OptimizerOptions(tol=tol)
 
-    @pytest.mark.parametrize("size", [5, 12])
-    def test_warm_start_of_wrong_length_rejected(self, rng, size):
-        # a 2x3 AB search takes 3 + 8 = 11 coefficients
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_warm_start_of_wrong_dimension_rejected(self, rng, n):
+        # a 2x3 AB search takes a qubit basis on A and a qutrit basis on B
         rho = linalg.random_density((2, 3), rng)
-        with pytest.raises(BadLength, match="11 coefficients"):
-            measure_correlations(rho, "AB", TS2, FAST, warm_starts=(np.zeros(size),))
+        warm = LocalMeasurement("AB", ProjectiveBasis(np.eye(2)), ProjectiveBasis(np.eye(n)))
+        with pytest.raises(DimMismatch, match="basis_b has dim"):
+            measure_correlations(rho, "AB", TS2, FAST, warm_starts=(warm,))
+        warm = LocalMeasurement("A", ProjectiveBasis(np.eye(3)))
+        with pytest.raises(DimMismatch, match="basis_a has dim"):
+            measure_correlations(rho, "A", TS2, FAST, warm_starts=(warm,))
+
+    def test_warm_start_of_another_side_rejected(self, rng):
+        rho = linalg.random_density((2, 3), rng)
+        qubit, qutrit = ProjectiveBasis(np.eye(2)), ProjectiveBasis(np.eye(3))
+        wrong = {
+            "A": LocalMeasurement("AB", qubit, qutrit),
+            "B": LocalMeasurement("A", qubit),
+            "AB": LocalMeasurement("B", basis_b=qutrit),
+        }
+        for side, warm in wrong.items():
+            with pytest.raises(ValueError, match=f"side-{side} warm starts"):
+                measure_correlations(rho, side, TS2, FAST, warm_starts=(warm,))
+
+    def test_non_unitary_warm_start_rejected(self, rng):
+        rho = linalg.random_density((2, 2), rng)
+        u = linalg.haar_unitary(2, rng)
+        warm = LocalMeasurement("A", ProjectiveBasis(u))
+        assert measure_correlations(rho, "A", TS2, FAST, warm_starts=(warm,)).restarts_used == FAST.restarts
+        with pytest.raises(NotUnitary):
+            measure_correlations(rho, "A", TS2, FAST, warm_starts=(LocalMeasurement("A", ProjectiveBasis(1.001 * u)),))
 
     def test_deterministic_given_seed(self, rng):
         rho = linalg.random_density((2, 2), rng)
         r1 = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=3, seed=5))
         r2 = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=3, seed=5))
         assert r1.value == r2.value
-        assert np.array_equal(r1.argmin.angles_a, r2.argmin.angles_a)
+        assert np.array_equal(r1.argmin.basis_a.unitary, r2.argmin.basis_a.unitary)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+    def test_argmin_reproduces_value(self, dims):
+        # the reported measurement, evaluated on its own, gives the value
+        rho = linalg.random_density(dims, np.random.default_rng(list(dims)))
+        for side in ("A", "B", "AB"):
+            for q, s in ((0.5, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.5)):
+                idx = EntropicIndices(q, s)
+                res = measure_correlations(rho, side, idx, FAST)
+                assert res.argmin.side == side
+                again = measurement.disturbance(rho, res.argmin, idx).disturbance
+                assert abs(again - res.value) <= 1e-14 * abs(res.value)
+
+    @pytest.mark.parametrize("q", [0.1, 0.2, 0.3])
+    def test_pure_states_at_small_q(self, q):
+        # roundoff eigenvalues of order 1e-17, counted as p^q, once put the
+        # value up to 0.2 below S(rho_A) at q = 0.1
+        rng = np.random.default_rng(11)
+        idx = EntropicIndices(q, 1.0)
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            for _ in range(4):
+                psi = linalg.random_pure(dims, rng)
+                rho = linalg.make_density(np.outer(psi, psi.conj()), dims)
+                exact = unified_entropy(linalg.partial_trace(rho, [0]), idx)
+                assert abs(measure_correlations(rho, "A", idx, FAST).value - exact) <= 1e-12
 
     def test_result_reports_diagnostics(self, rng):
         rho = linalg.random_density((2, 2), rng)
@@ -422,15 +490,14 @@ class TestSandwichBounds:
             rho = linalg.random_density((2, 2), rng)
             res_a = measure_correlations(rho, "A", idx, opts)
             res_b = measure_correlations(rho, "B", idx, opts)
-            warm = np.concatenate([res_a.argmin.angles_a, res_b.argmin.angles_b])
+            basis_a1, basis_b1 = res_a.argmin.basis_a, res_b.argmin.basis_b
+            warm = LocalMeasurement("AB", basis_a1, basis_b1)
             res_ab = measure_correlations(rho, "AB", idx, opts, warm_starts=(warm,))
 
-            pair0 = res_ab.argmin.to_measurement()
+            pair0 = res_ab.argmin
             step_b0, step_a0 = _rescaled_second_steps(rho, pair0.basis_a, pair0.basis_b, idx)
             lower = max(res_a.value + step_b0, res_b.value + step_a0)
 
-            basis_a1 = res_a.argmin.to_measurement().basis_a
-            basis_b1 = res_b.argmin.to_measurement().basis_b
             step_b1, step_a1 = _rescaled_second_steps(rho, basis_a1, basis_b1, idx)
             upper = min(res_a.value + step_b1, res_b.value + step_a1)
 

@@ -149,6 +149,21 @@ class TestEig:
         spec, _ = linalg.eig_hermitian(rho)
         assert_allclose(spec, [0.5, 0.3, 0.2], atol=1e-12)
 
+    def test_spectrum_zeroes_roundoff(self, rng):
+        # eigvalsh leaves roundoff of order 1e-17 where a rotated state has zeros
+        for n in (2, 4, 9):
+            u = linalg.haar_unitary(n, rng)
+            pure = linalg.make_density(np.outer(u[:, 0], u[:, 0].conj()), [n])
+            spec = linalg.spectrum(pure)
+            assert abs(spec[0] - 1.0) < 1e-14
+            assert np.all(spec[1:] == 0.0)
+            # an eigenvalue far above n eps is kept
+            weights = np.zeros(n)
+            weights[:2] = 1.0 - 1e-13, 1e-13
+            spec = linalg.spectrum(linalg.make_density((u * weights) @ u.conj().T, [n]))
+            assert_allclose(spec[1], 1e-13, rtol=1e-2)
+            assert np.all(spec[2:] == 0.0)
+
     def test_reconstruction_roundtrip(self, rng):
         for _ in range(20):
             rho = linalg.random_density(5, rng)

@@ -8,6 +8,7 @@ import pytest
 from qcorr import correlations, families, linalg
 from qcorr.correlations import OptimizerOptions, measure_correlations
 from qcorr.entropy import EntropicIndices, spectral_sum
+from qcorr.measurement import LocalMeasurement, ProjectiveBasis
 
 INDICES = [EntropicIndices(q, s) for q, s in ((0.5, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.5))]
 TS2 = EntropicIndices(2.0, 1.0)
@@ -184,15 +185,22 @@ class TestTotalsOverRows:
         self.check_totals(res, runs)
 
 
+def haar_warm_start(side, dims, seed):
+    """A warm start on ``side`` with Haar-random bases of the given dimensions."""
+    rng = np.random.default_rng(seed)
+    bases = {f"basis_{name.lower()}": ProjectiveBasis(linalg.haar_unitary(n, rng)) for name, n in zip(side, dims)}
+    return LocalMeasurement(side, **bases)
+
+
 def test_side_ab_warm_start_is_row_one(monkeypatch):
     calls = record_rows(monkeypatch)
     rho = linalg.random_density((2, 3), np.random.default_rng(21))
-    warm = np.random.default_rng(22).standard_normal(3 + 8)
+    warm = haar_warm_start("AB", (2, 3), 22)
     measure_correlations(rho, "AB", TS2, OptimizerOptions(restarts=4, seed=5), warm_starts=(warm,))
     (us, _), = calls
     assert [u.shape for u in us] == [(4, 2, 2), (4, 3, 3)]
-    np.testing.assert_array_equal(us[0][1], correlations._unitary_from_angles(warm[:3], 2))
-    np.testing.assert_array_equal(us[1][1], correlations._unitary_from_angles(warm[3:], 3))
+    np.testing.assert_array_equal(us[0][1], warm.basis_a.unitary)
+    np.testing.assert_array_equal(us[1][1], warm.basis_b.unitary)
     np.testing.assert_array_equal(us[0][0], correlations._eigenbasis(rho, 0))
 
 
@@ -223,14 +231,13 @@ def test_haar_starts_match_per_restart_draws(monkeypatch, side):
     calls = record_rows(monkeypatch)
     rho = linalg.random_density((2, 3), np.random.default_rng(31))
     dims = side_dims(rho, side)
-    warm = np.random.default_rng(32).standard_normal(sum(n * n - 1 for n in dims))
+    warm = haar_warm_start(side, dims, 32)
     opts = OptimizerOptions(restarts=8, seed=6)
     measure_correlations(rho, side, TS2, opts, warm_starts=(warm,))
     (us, _), = calls
     rng = np.random.default_rng(opts.seed)
     starts = [[correlations._eigenbasis(rho, k) for k, name in enumerate("AB") if name in side]]
-    parts = np.split(warm, np.cumsum([n * n - 1 for n in dims])[:-1])
-    starts.append([correlations._unitary_from_angles(x, n) for x, n in zip(parts, dims)])
+    starts.append([getattr(warm, f"basis_{name.lower()}").unitary for name in side])
     starts += [[linalg.haar_unitary(n, rng) for n in dims] for _ in range(6)]
     for stack, expected in zip(us, zip(*starts)):
         np.testing.assert_array_equal(stack, np.array(expected))

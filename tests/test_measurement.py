@@ -152,6 +152,19 @@ class TestApplyLocal:
             full = linalg.spectrum(apply_local(rho, m))
             assert_allclose(fast, full, atol=1e-12)
 
+    def test_measured_spectrum_zeroes_roundoff(self, rng):
+        # measuring one side of a pure state leaves rank-one conditional
+        # blocks: N_A or N_B outcomes, and exact zeros in place of roundoff
+        psi = linalg.random_pure((2, 3), rng)
+        rho = linalg.make_density(np.outer(psi, psi.conj()), (2, 3))
+        for m, rank in (
+            (LocalMeasurement("A", basis_a=random_basis(2, rng)), 2),
+            (LocalMeasurement("B", basis_b=random_basis(3, rng)), 3),
+        ):
+            spec = measured_spectrum(rho, m)
+            assert np.all(spec[:rank] > 1e-6)
+            assert np.all(spec[rank:] == 0.0)
+
 
 class TestConditionalDecomposition:
     def test_product_state(self, rng):
