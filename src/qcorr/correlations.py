@@ -7,11 +7,13 @@ Armijo line search): the disturbance has a closed-form gradient under
 U -> U exp(iK), and each step moves along that exponential.  The starts are
 the local eigenbases of the reduced states (the exact optimum for pure and
 pseudopure states), any caller's warm starts, then Haar-random unitaries.
-All starts descend in lockstep as one stack (``_lockstep``): every
-objective, gradient and exponential call covers all rows that need it, and
-no row's descent depends on the other rows.  The argmin and the warm starts
-are ``LocalMeasurement``s; coefficients on a traceless Hermitian generator
-basis (N^2 - 1 per side) only print bases and read them back.
+All starts descend in lockstep as one stack (``_lockstep``): one kernel
+call per line-search round gives the pending rows' values and gradients
+from one measured spectrum, each exponential call covers all rows that need
+it, and no row's descent depends on the other rows.  The argmin and the
+warm starts are ``LocalMeasurement``s; coefficients on a traceless
+Hermitian generator basis (N^2 - 1 per side) only print bases and read
+them back.
 
 The result is an upper bound, not a certified global minimum.  Each result
 carries its evidence: the spread and basin count over restarts, the
@@ -42,6 +44,7 @@ from .measurement import (
     ProjectiveBasis,
     _blocks_side_a,
     _blocks_side_b,
+    _flat_spectrum,
     _purity_ratio_sums,
     _require_bipartite,
     _spectrum_side_a,
@@ -84,16 +87,8 @@ def su_generators(n: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _generators_flat(n: int) -> np.ndarray:
-    out = su_generators(n).reshape(n * n - 1, n * n)
-    out.setflags(write=False)
-    return out
-
-
 def _unitary_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
-    h = (np.asarray(angles, dtype=float) @ _generators_flat(n)).reshape(n, n)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(np.tensordot(np.asarray(angles, dtype=float), su_generators(n), 1))
     return (v * np.exp(1.0j * w)) @ v.conj().T
 
 
@@ -182,25 +177,8 @@ class TriangleReport:
 
 GRAD_TOL = 1e-9  # a descent stops once its Riemannian gradient norm is below this
 BASIN_TOL = 1e-9  # restarts ending this close to the best value count as basin hits
-SLOPE_FLOOR = 1e-16  # probabilities below this are roundoff; the slope is taken here
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 MIN_ANGLE = 1e-12  # a trial step rotating the bases by less than this ends the search
-
-
-def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
-    """Disturbance of the measurement in local bases given as unitaries.
-
-    ``t`` is the state as an (N_A, N_B, N_A, N_B) tensor and ``before`` the
-    spectral sum of its spectrum.  The objective takes one unitary for
-    side A or B and two for side AB, or stacks of them (shape (..., n, n)),
-    and then returns one value per stack row.
-    """
-    spectrum_after = {"A": _spectrum_side_a, "B": _spectrum_side_b, "AB": _spectrum_side_ab}[side]
-
-    def objective(*us):
-        return entropy_change(spectral_sum(spectrum_after(t, *us), idx), before, idx)
-
-    return objective
 
 
 def _slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
@@ -209,11 +187,12 @@ def _slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
     The spectrum fills the last two axes of p (outcomes by conditional
     eigenvalues, or the joint outcome table); any axes before them are stack
     axes.  -(ln p + 1) for von Neumann, else P q p^(q-1) / ((1-q) Tr p^q)
-    with P the purity ratio (1 in the Renyi limit).  Entries below
-    SLOPE_FLOOR, where ln p and, for q < 1, p^(q-1) diverge, are taken at
-    the floor.
+    with P the purity ratio (1 in the Renyi limit).  The value counts
+    entries below the numerical-rank cut-off of ``measurement._flat_spectrum``
+    (N eps for a spectrum of N entries) as zero; there ln p and, for q < 1,
+    p^(q-1) diverge, so the slope takes them at that cut-off.
     """
-    pz = np.maximum(p, SLOPE_FLOOR)
+    pz = np.maximum(p, p.shape[-2] * p.shape[-1] * linalg.EPS)
     if idx.regime is Regime.VON_NEUMANN:
         return -(np.log(pz) + 1.0)
     total = (np.maximum(p, 0.0) ** idx.q).sum(axis=(-2, -1))  # Tr p^q
@@ -226,50 +205,56 @@ def _gradient_from(x: np.ndarray) -> np.ndarray:
     return -1j * (x - dag(x))
 
 
-def _gradient_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
-    """Riemannian gradient of the objective, one Hermitian matrix per side.
+def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
+    """Disturbance and its Riemannian gradient at local bases given as unitaries.
 
-    With W the state in the rotated product basis and F the matrix of the
-    slopes in the measured eigenbasis (diagonal for side AB, block-diagonal
-    over the outcomes for sides A and B), the disturbance changes by
-    Tr(K C), C = -i[W, F], under U -> U exp(iK) on side A; the gradient is
-    the partial trace of C over B, and symmetrically for side B.  Sides A
-    and B start from the value kernel's conditional blocks
-    (``measurement._blocks_side_a/b``); side AB forms W itself, since its
-    value kernel takes the outcome table only.  Like the objective, the
-    gradient takes stacks of unitaries, and each side's matrix then has the
-    same leading stack axes.
+    ``t`` is the state as an (N_A, N_B, N_A, N_B) tensor and ``before`` the
+    spectral sum of its spectrum.  The returned ``evaluate`` takes one stack
+    of unitaries (shape (R, n, n)) for side A or B and two for side AB, and
+    returns one value per row and a tuple of per-side gradient stacks, both
+    from one measured spectrum.  With W the state in the rotated product
+    basis and F the matrix of the slopes in the measured eigenbasis
+    (diagonal for side AB, block-diagonal over the outcomes for sides A and
+    B), the disturbance changes by Tr(K C), C = -i[W, F], under
+    U -> U exp(iK) on side A; the gradient is the partial trace of C over B,
+    and symmetrically for side B.  Sides A and B take one ``eigh`` of the
+    conditional blocks (``measurement._blocks_side_a/b``); side AB forms W
+    and reads the outcome table from its diagonal.
     """
+
+    def measured(lam):
+        value = entropy_change(spectral_sum(_flat_spectrum(lam, lam.shape[:-2]), idx), before, idx)
+        return value, _slope(lam, idx, before)
 
     def conditional(blocks):
         lam, vec = np.linalg.eigh(blocks)
-        g = _slope(lam, idx, before)
-        return (vec * g[..., None, :]) @ dag(vec)
+        value, g = measured(lam)
+        return value, (vec * g[..., None, :]) @ dag(vec)
 
     if side == "A":
-        def gradient(ua):
-            f = conditional(_blocks_side_a(t, ua))
-            return (_gradient_from(dag(ua) @ np.einsum("abce,...ck,...keb->...ak", t, ua, f)),)
+        def evaluate(ua):
+            value, f = conditional(_blocks_side_a(t, ua))
+            return value, (_gradient_from(dag(ua) @ np.einsum("abce,...ck,...keb->...ak", t, ua, f)),)
     elif side == "B":
-        def gradient(ub):
-            f = conditional(_blocks_side_b(t, ub))
-            return (_gradient_from(dag(ub) @ np.einsum("abed,...dl,...lea->...bl", t, ub, f)),)
+        def evaluate(ub):
+            value, f = conditional(_blocks_side_b(t, ub))
+            return value, (_gradient_from(dag(ub) @ np.einsum("abed,...dl,...lea->...bl", t, ub, f)),)
     else:
         na, nb = t.shape[:2]
         rho = t.reshape(na * nb, na * nb)
 
-        def gradient(ua, ub):
+        def evaluate(ua, ub):
             # W = U^dag rho U for U = ua (x) ub, by two matmuls per row: its
             # diagonal is the outcome table, x_A[i, k] = sum_j W[ij, kj] g[k, j]
             # and x_B[j, l] = sum_i W[ij, il] g[i, l]
             u = np.einsum("...ai,...bj->...abij", ua, ub).reshape(ua.shape[:-2] + rho.shape)
             w = (dag(u) @ rho @ u).reshape(ua.shape[:-2] + (na, nb, na, nb))
-            g = _slope(np.einsum("...ijij->...ij", w).real, idx, before)
+            value, g = measured(np.einsum("...ijij->...ij", w).real)
             x_a = np.einsum("...ijkj,...kj->...ik", w, g)
             x_b = np.einsum("...ijil,...il->...jl", w, g)
-            return _gradient_from(x_a), _gradient_from(x_b)
+            return value, (_gradient_from(x_a), _gradient_from(x_b))
 
-    return gradient
+    return evaluate
 
 
 def _exp_path(u: np.ndarray, k: np.ndarray):
@@ -379,12 +364,13 @@ def _bfgs_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -(h @ g.view(float)[:, :, None])[:, :, 0].view(complex)
 
 
-def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSearch]:
+def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     """Riemannian BFGS on U(n) (x U(m)), one descent per row.
 
-    ``us`` holds one stack of unitaries per side; row r of the stacks is
-    start r, and the r-th LocalSearch returned is its descent.  Steps move
-    along U -> U exp(i t D), with D = -H g for the gradient g and an
+    ``evaluate`` is an ``_objective_factory`` function.  ``us`` holds one
+    stack of unitaries per side; row r of the stacks is start r, and the
+    r-th LocalSearch returned is its descent.  Steps move along
+    U -> U exp(i t D), with D = -H g for the gradient g and an
     inverse-Hessian estimate H (``_bfgs_update``).  Steps s = t D and
     gradient changes y are carried over unchanged in the Lie algebra
     (Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660, 2015).  Until a row
@@ -395,17 +381,19 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
     slope and failed trial, kept within [0.1, 0.5] of the failed step.
 
     The rows descend in lockstep.  Each line-search round makes one stacked
-    objective call on the rows whose trial is pending, each iteration one
-    stacked gradient call on the rows that accepted a step, and a row leaves
-    the stack when a stopping test ends it.  Every row keeps its own step,
-    slope, inverse Hessian and stopping state under the rules of a lone
-    descent, and every stacked call computes each row from that row alone,
-    so a row's descent does not depend on the other rows.  Gradients and
-    directions are kept ``_flat``, one vector per row over all sides, so an
-    inner product or a direction is one array operation.
+    ``evaluate`` call on the rows whose trial is pending, which gives their
+    values and their gradients together, so an accepted trial already has
+    its gradient; a rejected trial pays for one it does not use.  The rows
+    that a stopping test ended during an iteration leave the stack together,
+    by one trim, before the next.  Every row keeps its own step, slope,
+    inverse Hessian and stopping state under the rules of a lone descent,
+    and every stacked call computes each row from that row alone, so a row's
+    descent does not depend on the other rows.  Gradients and directions are
+    kept ``_flat``, one vector per row over all sides, so an inner product
+    or a direction is one array operation.
     """
-    f = objective(*us).tolist()
-    g = _flat(gradient(*us))
+    f, g = evaluate(*us)
+    f, g = f.tolist(), _flat(g)
     gg = _inner(g, g)
     d = -g
     h = np.tile(np.eye(2 * g.shape[1]), (len(f), 1, 1))
@@ -419,25 +407,16 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
         out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
         ended.append(k)
 
-    def trimmed(*columns):
-        """The per-row lists, arrays and tuples of stacks (one per side) without the ended rows."""
-        keep = [k for k in range(len(rows)) if k not in ended]
-        ended.clear()
-
-        def kept(c):
-            if isinstance(c, list):
-                return [c[k] for k in keep]
-            return tuple(x[keep] for x in c) if isinstance(c, tuple) else c[keep]
-
-        return [kept(c) for c in columns]
-
     for k in range(len(f)):
         if gg[k] < GRAD_TOL * GRAD_TOL:
             settle(k, 0, True)
-    if ended:
-        us, g, d, h, scaled, f, gg, nfev, rows = trimmed(us, g, d, h, scaled, f, gg, nfev, rows)
 
     for it in range(opts.max_iter):
+        if ended:  # the stack loses the rows that ended in the last iteration
+            keep = [k for k in range(len(rows)) if k not in ended]
+            ended.clear()
+            us, g, d, h, scaled = tuple(u[keep] for u in us), g[keep], d[keep], h[keep], scaled[keep]
+            f, gg, nfev, rows = ([c[k] for k in keep] for c in (f, gg, nfev, rows))
         if not rows:
             break
         slope, dd = _inner(d, g), _inner(d, d)
@@ -452,14 +431,17 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
         paths = [_exp_path(u, x) for u, x in zip(us, _sides(d, us))]
         backtracked = [False] * len(rows)
         f_trial = [0.0] * len(rows)
+        g_new = np.empty_like(g)
         pending = list(range(len(rows)))
         while pending:
             # every row moves by its current step and the pending rows are
             # evaluated; the others repeat the point they already accepted
             steps = np.array(step)
             trial = tuple(path(steps) for path in paths)
+            values, grads = evaluate(*(x.take(pending, axis=0) for x in trial))
+            g_new[pending] = _flat(grads)
             retry = []
-            for k, value in zip(pending, objective(*(x.take(pending, axis=0) for x in trial)).tolist()):
+            for k, value in zip(pending, values.tolist()):
                 nfev[k] += 1
                 f_trial[k] = value
                 if value <= f[k] + ARMIJO * step[k] * slope[k]:
@@ -479,36 +461,31 @@ def _lockstep(objective, gradient, us, opts: OptimizerOptions) -> list[LocalSear
 
         change = [b - a for a, b in zip(f, f_trial)]
         us, f = trial, f_trial
-        if ended:
-            us, g, d, h, scaled, f, gg, nfev, change, rows, backtracked, step = trimmed(
-                us, g, d, h, scaled, f, gg, nfev, change, rows, backtracked, step
-            )
-            if not rows:
-                break
-        g_new = _flat(gradient(*us))
         h, scaled = _bfgs_update(h, scaled, np.array(step)[:, None] * d, g_new - g)
         g, gg = g_new, _inner(g_new, g_new)
         d = _bfgs_direction(h, g)
         for k in range(len(rows)):
             # a small decrease after backtracking reflects a poor trial step,
-            # not a flat objective, so only a full first step can end the descent
-            if gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k])):
+            # not a flat objective, so only a full first step can end the
+            # descent; rows that stalled in the line search have ended already
+            if k not in ended and (
+                gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k]))
+            ):
                 settle(k, it + 1, True)
-        if ended:
-            us, g, d, h, scaled, f, gg, nfev, rows = trimmed(us, g, d, h, scaled, f, gg, nfev, rows)
     for k in range(len(rows)):
-        settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
+        if k not in ended:
+            settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
     return out
 
 
-def minimize(objective, gradient, us, opts: OptimizerOptions) -> LocalSearch:
+def minimize(evaluate, us, opts: OptimizerOptions) -> LocalSearch:
     """One descent from the start ``us`` (one unitary per side).
 
     ``_lockstep`` on a stack of one row, so the same loop as every search.
     ``measure_correlations`` passes all its starts to ``_lockstep`` at once
     and does not call this.
     """
-    return _lockstep(objective, gradient, tuple(np.asarray(u)[None] for u in us), opts)[0]
+    return _lockstep(evaluate, tuple(np.asarray(u)[None] for u in us), opts)[0]
 
 
 def _eigenbasis(rho: DensityOperator, subsystem: int) -> np.ndarray:
@@ -545,8 +522,7 @@ def measure_correlations(
             raise DimMismatch(f"side {'AB'[k]} has dimension 1; there is no basis to measure")
     t = rho.matrix.reshape(na, nb, na, nb)
     before = spectral_sum(linalg.spectrum(rho), idx)
-    objective = _objective_factory(t, side, idx, before)
-    gradient = _gradient_factory(t, side, idx, before)
+    evaluate = _objective_factory(t, side, idx, before)
 
     starts = [[_eigenbasis(rho, k) for k in measured]]
     for m in warm_starts:
@@ -564,7 +540,7 @@ def measure_correlations(
         parts = np.split(z, np.cumsum([2 * n * n for n in dims])[:-1], axis=1)
         stacks = [np.concatenate([s, linalg.haar_from_normals(x, n)]) for s, x, n in zip(stacks, parts, dims)]
 
-    runs = _lockstep(objective, gradient, tuple(stacks), opts)
+    runs = _lockstep(evaluate, tuple(stacks), opts)
     best = min(runs, key=lambda r: r.fun)
     values = [r.fun for r in runs]
     bases = {f"basis_{name.lower()}": ProjectiveBasis(u) for name, u in zip(side, best.unitaries)}

@@ -242,20 +242,20 @@ class TestRiemannianSearch:
         for idx in IDX_GRID:
             before = spectral_sum(linalg.spectrum(rho), idx)
             for side in ("A", "B", "AB"):
-                us = [linalg.haar_unitary(n, rng) for n, name in zip(dims, "AB") if name in side]
-                objective = correlations._objective_factory(t, side, idx, before)
-                grads = correlations._gradient_factory(t, side, idx, before)(*us)
+                us = [linalg.haar_unitary(n, rng)[None] for n, name in zip(dims, "AB") if name in side]
+                evaluate = correlations._objective_factory(t, side, idx, before)
+                grads = evaluate(*us)[1]
                 for k, u in enumerate(us):
-                    h = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+                    h = rng.standard_normal(u.shape[1:]) + 1j * rng.standard_normal(u.shape[1:])
                     h = h + h.conj().T
 
                     def moved(eps):
                         vs = list(us)
                         vs[k] = u @ expm(1j * eps * h)
-                        return objective(*vs)
+                        return evaluate(*vs)[0][0]
 
                     numeric = (moved(1e-6) - moved(-1e-6)) / 2e-6
-                    exact = np.real(np.trace(h @ grads[k]))
+                    exact = np.real(np.trace(h @ grads[k][0]))
                     assert abs(numeric - exact) <= 1e-7 * max(1.0, abs(exact))
 
     def test_gradient_finite_at_zero_probabilities(self, rng):
@@ -264,11 +264,11 @@ class TestRiemannianSearch:
         psi = linalg.random_pure((2, 3), rng)
         rho = pure_density(psi, (2, 3))
         t = rho.matrix.reshape(2, 3, 2, 3)
-        us = [correlations._eigenbasis(rho, k) for k in (0, 1)]
+        us = [correlations._eigenbasis(rho, k)[None] for k in (0, 1)]
         for idx in (VN, EntropicIndices(0.3, 1.0), EntropicIndices(0.5, 0.0)):
             before = spectral_sum(linalg.spectrum(rho), idx)
             for side, sel in (("A", us[:1]), ("B", us[1:]), ("AB", us)):
-                grads = correlations._gradient_factory(t, side, idx, before)(*sel)
+                grads = correlations._objective_factory(t, side, idx, before)(*sel)[1]
                 assert all(np.all(np.isfinite(g)) for g in grads)
 
     @pytest.mark.parametrize("q", [1.0, 2.0])

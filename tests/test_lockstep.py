@@ -1,11 +1,12 @@
 """The lockstep search: every row of a stacked BFGS descent is the descent of its start alone."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from qcorr import correlations, families, linalg
+from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import OptimizerOptions, measure_correlations
 from qcorr.entropy import EntropicIndices, spectral_sum
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
@@ -15,26 +16,23 @@ TS2 = EntropicIndices(2.0, 1.0)
 
 
 def search_problem(rho, side, idx):
-    """The objective and gradient ``measure_correlations`` descends for (rho, side, idx)."""
+    """The value-and-gradient function ``measure_correlations`` descends for (rho, side, idx)."""
     t = rho.matrix.reshape(rho.dims + rho.dims)
     before = spectral_sum(linalg.spectrum(rho), idx)
-    return (
-        correlations._objective_factory(t, side, idx, before),
-        correlations._gradient_factory(t, side, idx, before),
-    )
+    return correlations._objective_factory(t, side, idx, before)
 
 
-def reference_descent(objective, gradient, us, opts):
+def reference_descent(evaluate, us, opts):
     """One restart as a lone Riemannian BFGS descent, with scalar control flow.
 
     The rules of ``_lockstep`` written out for one start, on the same stacked
-    kernels (objective, gradient, ``_exp_path``, ``_inner`` and the BFGS
-    update and direction) on a stack of one row, so its arithmetic is that of
+    kernels (``evaluate``, ``_exp_path``, ``_inner`` and the BFGS update and
+    direction) on a stack of one row, so its arithmetic is that of
     ``minimize`` and the results must be equal.
     """
     us = tuple(u[None] for u in us)
-    f, nfev = objective(*us)[0], 1
-    g = correlations._flat(gradient(*us))
+    f, g = evaluate(*us)
+    f, g, nfev = f[0], correlations._flat(g), 1
     gg = correlations._inner(g, g)[0]
     h, scaled = np.eye(2 * g.shape[1])[None], np.zeros(1, dtype=bool)
 
@@ -56,7 +54,8 @@ def reference_descent(objective, gradient, us, opts):
         backtracked = False
         while True:
             trial = tuple(path(np.array([step])) for path in paths)
-            f_trial = objective(*trial)[0]
+            f_trial, g_trial = evaluate(*trial)
+            f_trial = f_trial[0]
             nfev += 1
             if f_trial <= f + correlations.ARMIJO * step * slope:
                 break
@@ -67,7 +66,7 @@ def reference_descent(objective, gradient, us, opts):
                 flat = gg < correlations.GRAD_TOL * correlations.GRAD_TOL or gg <= opts.tol * abs(f)
                 return result(it + 1, flat, gg)
         change, f, us = f_trial - f, f_trial, trial
-        g_new = correlations._flat(gradient(*us))
+        g_new = correlations._flat(g_trial)
         gg_new = correlations._inner(g_new, g_new)[0]
         h, scaled = correlations._bfgs_update(h, scaled, step * d, g_new - g)
         if not backtracked and -change <= opts.tol * abs(f):
@@ -102,12 +101,12 @@ def random_state(dims):
 def test_minimize_matches_per_restart_loop(state, side, idx, max_iter):
     rho, rng = state(), np.random.default_rng(3)
     opts = OptimizerOptions(restarts=1, max_iter=max_iter)
-    objective, gradient = search_problem(rho, side, idx)
+    evaluate = search_problem(rho, side, idx)
     starts = [[correlations._eigenbasis(rho, k) for k, name in enumerate("AB") if name in side]]
     starts += [[linalg.haar_unitary(n, rng) for n in side_dims(rho, side)] for _ in range(3)]
     for start in starts:
-        run = correlations.minimize(objective, gradient, start, opts)
-        reference = reference_descent(objective, gradient, start, opts)
+        run = correlations.minimize(evaluate, start, opts)
+        reference = reference_descent(evaluate, start, opts)
         assert (run.fun, run.nit, run.nfev, run.success, run.grad_norm) == reference
 
 
@@ -119,8 +118,8 @@ def record_rows(monkeypatch):
     """Collect the per-row results (and inputs) of every lockstep call."""
     calls, lockstep = [], correlations._lockstep
 
-    def spy(objective, gradient, us, opts):
-        runs = lockstep(objective, gradient, us, opts)
+    def spy(evaluate, us, opts):
+        runs = lockstep(evaluate, us, opts)
         calls.append((us, runs))
         return runs
 
@@ -134,12 +133,12 @@ def record_rows(monkeypatch):
 def test_rows_match_lone_descents(dims, side, idx):
     rng = np.random.default_rng([dims[0], dims[1], len(side)])
     rho = linalg.random_density(dims, rng)
-    objective, gradient = search_problem(rho, side, idx)
+    evaluate = search_problem(rho, side, idx)
     starts = [[linalg.haar_unitary(n, rng) for n in side_dims(rho, side)] for _ in range(8)]
     opts = OptimizerOptions(restarts=8)
-    stacked = correlations._lockstep(objective, gradient, tuple(np.array(s) for s in zip(*starts)), opts)
+    stacked = correlations._lockstep(evaluate, tuple(np.array(s) for s in zip(*starts)), opts)
     for start, row in zip(starts, stacked):
-        alone = correlations.minimize(objective, gradient, start, opts)
+        alone = correlations.minimize(evaluate, start, opts)
         assert abs(row.fun - alone.fun) <= 1e-9
 
 
@@ -204,25 +203,54 @@ def test_side_ab_warm_start_is_row_one(monkeypatch):
     np.testing.assert_array_equal(us[0][0], correlations._eigenbasis(rho, 0))
 
 
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("side", ["A", "B", "AB"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_values_match_the_value_kernels(dims, side, rows):
+    """``evaluate``'s values are the value kernels' ``_spectrum_side_*`` then ``disturbance_spectra``."""
+    rng = np.random.default_rng([dims[0], dims[1], len(side), rows])
+    rho = linalg.random_density(dims, rng)
+    t = rho.matrix.reshape(dims + dims)
+    us = [np.array([linalg.haar_unitary(n, rng) for _ in range(rows)]) for n in side_dims(rho, side)]
+    kernel = {"A": measurement._spectrum_side_a, "B": measurement._spectrum_side_b, "AB": measurement._spectrum_side_ab}
+    for idx in INDICES:
+        values, grads = search_problem(rho, side, idx)(*us)
+        expected = measurement.disturbance_spectra(linalg.spectrum(rho), kernel[side](t, *us), idx)
+        np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
+        assert [x.shape for x in grads] == [u.shape for u in us]
+
+
 def test_objective_calls_are_stacked(monkeypatch):
-    """One objective call serves every row still pending in a line-search round."""
-    calls, rows, factory = [0], [0], correlations._objective_factory
+    """One ``evaluate`` call per line-search round, and one at the start, serves every pending row.
 
-    def counting_factory(*args):
-        objective = factory(*args)
+    Rounds are counted from the trial points: each round moves every side
+    once along its ``_exp_path``.  No value-only kernel runs.
+    """
+    counts = collections.Counter()
+    factory, exp_path = correlations._objective_factory, correlations._exp_path
 
-        def counted(*us):
-            calls[0] += 1
-            rows[0] += len(us[0])
-            return objective(*us)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "calls":
+                counts["rows"] += len(args[0])
+            return fn(*args)
 
-        return counted
+        return wrapper
 
-    monkeypatch.setattr(correlations, "_objective_factory", counting_factory)
+    monkeypatch.setattr(correlations, "_objective_factory", lambda *args: counted("calls", factory(*args)))
+    monkeypatch.setattr(correlations, "_exp_path", lambda *args: counted("moves", exp_path(*args)))
+    for module in (correlations, measurement):
+        for name in ("_spectrum_side_a", "_spectrum_side_b", "_spectrum_side_ab"):
+            monkeypatch.setattr(module, name, counted("spectra", getattr(module, name)))
     rho = linalg.random_density((3, 3), np.random.default_rng(8))
-    res = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=8, seed=4))
-    assert rows[0] == res.nfev
-    assert 0 < calls[0] < res.nfev
+    for side in ("A", "B", "AB"):
+        counts.clear()
+        res = measure_correlations(rho, side, TS2, OptimizerOptions(restarts=8, seed=4))
+        assert counts["rows"] == res.nfev
+        assert 0 < counts["calls"] < res.nfev
+        assert counts["calls"] == counts["moves"] // len(side) + 1
+        assert counts["spectra"] == 0
 
 
 @pytest.mark.parametrize("side", ["A", "B", "AB"])
