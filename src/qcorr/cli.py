@@ -174,23 +174,19 @@ def _zip_qs(q_list, s_list):
     return list(zip(q_list, s_list))
 
 
+FAMILY_FLAGS = {"pseudopure": "p", "isotropic": "y", "werner": "x"}  # family -> parameter flag
+
+
 def _family_spec_from_args(args) -> families.FamilySpec:
     n = args.family_n
     if n is None:
         raise ParseError("--family requires --N")
-    if args.family == "pseudopure":
-        if args.p is None:
-            raise ParseError("pseudopure requires --p")
-        return families.FamilySpec("pseudopure", n, n, args.p)
-    if args.family == "isotropic":
-        if args.y is None:
-            raise ParseError("isotropic requires --y")
-        return families.FamilySpec("isotropic", n, n, args.y)
-    if args.family == "werner":
-        if args.x is None:
-            raise ParseError("werner requires --x")
-        return families.FamilySpec("werner", n, n, args.x)
-    raise ParseError(f"unknown family {args.family!r}")
+    if args.family not in FAMILY_FLAGS:
+        raise ParseError(f"unknown family {args.family!r}")
+    value = _family_parameter(args)
+    if value is None:
+        raise ParseError(f"{args.family} requires --{FAMILY_FLAGS[args.family]}")
+    return families.FamilySpec(args.family, n, n, value)
 
 
 def _state_from_args(args) -> DensityOperator:
@@ -202,9 +198,13 @@ def _state_from_args(args) -> DensityOperator:
 
 
 def _family_parameter(args):
-    return {"pseudopure": args.p, "isotropic": args.y, "werner": args.x}.get(
-        getattr(args, "family", None)
-    )
+    flag = FAMILY_FLAGS.get(getattr(args, "family", None))
+    return None if flag is None else getattr(args, flag)
+
+
+def _require_count(value: int, flag: str):
+    if value < 1:
+        raise ParseError(f"{flag} must be >= 1, got {value}")
 
 
 def _angles_str(basis) -> str:
@@ -300,6 +300,7 @@ def cmd_family_curve(args) -> int:
     kind, n = args.family, args.family_n
     if kind is None or n is None:
         raise ParseError("family-curve requires --family and --N")
+    _require_count(args.grid, "--grid")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     cfg = RunConfig(
@@ -337,6 +338,7 @@ def cmd_family_curve(args) -> int:
 
 
 def cmd_fig1(args) -> int:
+    _require_count(args.n_states, "--n-states")
     q_list = _float_list(args.q)
     cfg = RunConfig(
         command="fig1",
@@ -386,6 +388,7 @@ def cmd_ancilla_check(args) -> int:
     dims = _int_list(args.dims)
     if len(dims) != 2:
         raise ParseError("--dims must list exactly two dimensions")
+    _require_count(args.samples, "--samples")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     cfg = RunConfig(
@@ -439,6 +442,7 @@ def cmd_ancilla_check(args) -> int:
 
 
 def cmd_triangle_scan(args) -> int:
+    _require_count(args.n_states, "--n-states")
     pairs = _zip_qs(_float_list(args.q), _float_list(args.s))
     opts_restarts = args.restarts
     cfg = RunConfig(
@@ -495,9 +499,8 @@ def _add_state_source(sub, family_required=False):
     sub.add_argument("--family", choices=families.KINDS,
                      required=family_required, default=None)
     sub.add_argument("--N", dest="family_n", type=int, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--x", type=float, default=None)
-    sub.add_argument("--y", type=float, default=None)
+    for flag in FAMILY_FLAGS.values():
+        sub.add_argument(f"--{flag}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,9 +17,11 @@ them back.
 
 The result is an upper bound, not a certified global minimum.  Each result
 carries its evidence: the spread and basin count over restarts, the
-gradient norm at the argmin, and the evaluation count; the two-qubit grid
-oracle and the measured-qubit closed form at (q, s) = (2, 1) are exact
-checks.
+gradient norm at the argmin, and the evaluation count.  Two oracles check
+it where the measured sides are qubits and the partner has any dimension:
+a Bloch-grid search at any (q, s), and the closed form at (q, s) = (2, 1).
+Outside the search, the grid oracle and the Delta diagnostics take every
+measured spectrum from ``measurement._spectrum_side_a/b/ab``.
 """
 
 from __future__ import annotations
@@ -558,36 +560,25 @@ def measure_correlations(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle for two-qubit states
+# brute-force oracle for measured qubits
 # ---------------------------------------------------------------------------
 
-def _bloch_basis_batch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """All (theta, phi) basis pairs as an array V[g, outcome, component]."""
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    th, ph = th.ravel(), ph.ravel()
+GRID_CHUNK = 1 << 14  # grid points (side AB: basis pairs) per value-kernel call
+
+
+def _bloch_unitaries(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Qubit bases at all (theta, phi) grid points, as a stack of unitaries.
+
+    Column 0 is the Bloch vector (theta, phi), column 1 its antipode.
+    """
+    th, ph = (x.ravel() for x in np.meshgrid(thetas, phis, indexing="ij"))
     c, s, e = np.cos(th / 2), np.sin(th / 2), np.exp(1j * ph)
-    v = np.empty((th.size, 2, 2), dtype=complex)
-    v[:, 0, 0] = c
-    v[:, 0, 1] = s * e
-    v[:, 1, 0] = -s * e.conj()
-    v[:, 1, 1] = c
-    return v
+    return np.stack([np.stack([c, -s * e.conj()], -1), np.stack([s * e, c], -1)], -2)
 
 
-def _eig2x2_batch(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a batch (..., 2, 2) of Hermitian matrices."""
-    tr = np.real(m[..., 0, 0] + m[..., 1, 1])
-    det = np.real(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
-    disc = np.sqrt(np.clip(tr * tr / 4.0 - det, 0.0, None))
-    return np.stack([tr / 2.0 + disc, tr / 2.0 - disc], axis=-1)
-
-
-def _grid_axes(n_theta: int, n_phi: int, window=None):
+def _grid_axes(n_theta: int, n_phi: int, window=(0.0, math.pi, 0.0, 2.0 * math.pi)):
     """Cell-centered grid over the sphere, or over a refinement window."""
-    if window is None:
-        t_lo, t_hi, p_lo, p_hi = 0.0, math.pi, 0.0, 2.0 * math.pi
-    else:
-        t_lo, t_hi, p_lo, p_hi = window
+    t_lo, t_hi, p_lo, p_hi = window
     thetas = t_lo + (np.arange(n_theta) + 0.5) * (t_hi - t_lo) / n_theta
     phis = p_lo + (np.arange(n_phi) + 0.5) * (p_hi - p_lo) / n_phi
     return thetas, phis
@@ -597,36 +588,7 @@ def _window_around(thetas, phis, flat_index):
     it, ip = divmod(int(flat_index), phis.size)
     dt = thetas[1] - thetas[0] if thetas.size > 1 else math.pi
     dp = phis[1] - phis[0] if phis.size > 1 else 2.0 * math.pi
-    return (
-        max(thetas[it] - dt, 0.0),
-        min(thetas[it] + dt, math.pi),
-        phis[ip] - dp,
-        phis[ip] + dp,
-    )
-
-
-def _unilocal_grid_values(t, before, idx, axis, thetas, phis):
-    v = _bloch_basis_batch(thetas, phis)
-    if axis == 0:
-        blocks = np.einsum("gia,abcd,gic->gibd", v.conj(), t, v)
-    else:
-        blocks = np.einsum("gjb,abcd,gjd->gjac", v.conj(), t, v)
-    eigs = _eig2x2_batch(blocks).reshape(v.shape[0], 4)
-    return disturbance_spectra(before, eigs, idx)
-
-
-def _bilocal_grid_values(t, before, idx, ta, pa, tb, pb, chunk=2048):
-    va = _bloch_basis_batch(ta, pa)
-    vb = _bloch_basis_batch(tb, pb)
-    cond_b = np.einsum("hjb,abcd,hjd->hjac", vb.conj(), t, vb)
-    out = np.empty((va.shape[0], vb.shape[0]))
-    for lo in range(0, va.shape[0], chunk):
-        hi = min(lo + chunk, va.shape[0])
-        probs = np.real(
-            np.einsum("gia,hjac,gic->ghij", va[lo:hi].conj(), cond_b, va[lo:hi])
-        ).reshape(hi - lo, vb.shape[0], 4)
-        out[lo:hi] = disturbance_spectra(before, probs, idx)
-    return out
+    return max(thetas[it] - dt, 0.0), min(thetas[it] + dt, math.pi), phis[ip] - dp, phis[ip] + dp
 
 
 def grid_oracle_qubit(
@@ -635,43 +597,44 @@ def grid_oracle_qubit(
     idx: EntropicIndices,
     resolution: tuple[int, int] = (64, 128),
 ) -> float:
-    """Brute-force disturbance minimum over Bloch-angle grids (two qubits).
+    """Brute-force disturbance minimum over Bloch-angle grids of the measured qubits.
 
-    Upper-bounds the true minimum; the grid is refined once around the best
-    cell.  For side AB the per-sphere resolution is reduced by 4x to keep the
-    product grid tractable.
+    Every measured side must be a qubit (DimMismatch otherwise); the partner
+    may have any dimension.  Values come from ``measurement._spectrum_side_*``
+    on stacks of grid bases (side AB: every pair), and the grid is refined
+    once around the best cell, so the result upper-bounds the minimum.  Side
+    AB takes a quarter of the per-sphere resolution to keep the product grid
+    tractable.  Raises ValueError for a resolution entry below 1.
     """
-    if rho.dims != (2, 2):
-        raise DimMismatch(f"grid oracle needs dims (2, 2), got {rho.dims}")
     if side not in measurement.SIDES:
         raise ValueError(f"side must be one of {measurement.SIDES}")
+    if min(resolution) < 1:
+        raise ValueError(f"resolution entries must be >= 1, got {resolution}")
+    na, nb = _require_bipartite(rho)
+    if any((na, nb)["AB".index(name)] != 2 for name in side):
+        raise DimMismatch(f"side {side} must measure qubits only, got dims {rho.dims}")
     n_theta, n_phi = resolution
+    if side == "AB":
+        n_theta, n_phi = max(n_theta // 4, 8), max(n_phi // 4, 16)
+    kernel = {"A": _spectrum_side_a, "B": _spectrum_side_b, "AB": _spectrum_side_ab}[side]
     before = linalg.spectrum(rho)
-    t = rho.matrix.reshape(2, 2, 2, 2)
+    t = rho.matrix.reshape(na, nb, na, nb)
 
-    if side in ("A", "B"):
-        axis = 0 if side == "A" else 1
-        thetas, phis = _grid_axes(n_theta, n_phi)
-        values = _unilocal_grid_values(t, before, idx, axis, thetas, phis)
-        best = float(values.min())
-        window = _window_around(thetas, phis, values.argmin())
-        thetas, phis = _grid_axes(n_theta, n_phi, window)
-        refined = _unilocal_grid_values(t, before, idx, axis, thetas, phis)
-        return min(best, float(refined.min()))
+    def values(axes):
+        # every combination of the measured sides' grid bases, GRID_CHUNK at a time
+        us = [_bloch_unitaries(*a) for a in axes]
+        shape = tuple(len(u) for u in us)
+        points = np.indices(shape).reshape(len(us), -1)
+        return np.concatenate([
+            disturbance_spectra(before, kernel(t, *(u[k[lo:lo + GRID_CHUNK]] for u, k in zip(us, points))), idx)
+            for lo in range(0, points.shape[1], GRID_CHUNK)
+        ]).reshape(shape)
 
-    nt = max(n_theta // 4, 8)
-    nph = max(n_phi // 4, 16)
-    ta, pa = _grid_axes(nt, nph)
-    tb, pb = _grid_axes(nt, nph)
-    values = _bilocal_grid_values(t, before, idx, ta, pa, tb, pb)
-    best = float(values.min())
-    ia, ib = np.unravel_index(values.argmin(), values.shape)
-    win_a = _window_around(ta, pa, ia)
-    win_b = _window_around(tb, pb, ib)
-    ta, pa = _grid_axes(nt, nph, win_a)
-    tb, pb = _grid_axes(nt, nph, win_b)
-    refined = _bilocal_grid_values(t, before, idx, ta, pa, tb, pb)
-    return min(best, float(refined.min()))
+    axes = [_grid_axes(n_theta, n_phi)] * len(side)
+    coarse = values(axes)
+    cells = np.unravel_index(coarse.argmin(), coarse.shape)
+    axes = [_grid_axes(n_theta, n_phi, _window_around(*a, c)) for a, c in zip(axes, cells)]
+    return min(float(coarse.min()), float(values(axes).min()))
 
 
 def qubit_oracle(rho: DensityOperator, side: str) -> float:
@@ -749,17 +712,17 @@ def bilocal_decomposition_check(
 
 
 def _delta(rho, basis_a, basis_b, idx) -> float:
-    """D_AB(pair) - P_B * D_A(post_B) - P_A * D_B(post_A) for one basis pair."""
-    m_a = LocalMeasurement("A", basis_a=basis_a)
-    m_b = LocalMeasurement("B", basis_b=basis_b)
-    m_ab = LocalMeasurement("AB", basis_a=basis_a, basis_b=basis_b)
-    post_a = measurement.apply_local(rho, m_a)
-    post_b = measurement.apply_local(rho, m_b)
-    return (
-        disturbance(rho, m_ab, idx).disturbance
-        - purity_ratio(rho, m_b, idx) * disturbance(post_b, m_a, idx).disturbance
-        - purity_ratio(rho, m_a, idx) * disturbance(post_a, m_b, idx).disturbance
-    )
+    """D_AB(pair) - P_B * D_A(post_B) - P_A * D_B(post_A) for one basis pair.
+
+    Measuring A after B, or B after A, leaves the bilocal spectrum, so each
+    term is an ``entropy_change`` between two of the pair's spectral sums.
+    """
+    sums = spectral_sums(_pair_spectra(rho, basis_a.unitary, basis_b.unitary), idx)
+    value = entropy_change(sums["after_ab"], sums["before"], idx)
+    for first in ("after_b", "after_a"):
+        ratio = _purity_ratio_sums(sums[first], sums["before"], idx)
+        value -= ratio * entropy_change(sums["after_ab"], sums[first], idx)
+    return float(value)
 
 
 def triangle_analysis(
@@ -789,12 +752,29 @@ def triangle_analysis(
     return TriangleReport(m_a, m_b, m_ab, delta0, delta1, triangle_holds, dadb_holds)
 
 
+def _pair_spectra(rho: DensityOperator, ua: np.ndarray, ub: np.ndarray) -> dict:
+    """Spectra of rho and after measuring A in ua, B in ub, and both.
+
+    ``ua`` and ``ub`` are one unitary per side or stacks of them with the
+    same leading axes; the input spectrum is shared.
+    """
+    na, nb = _require_bipartite(rho)
+    t = rho.matrix.reshape(na, nb, na, nb)
+    return {
+        "before": linalg.spectrum(rho),
+        "after_a": _spectrum_side_a(t, ua),
+        "after_b": _spectrum_side_b(t, ub),
+        "after_ab": _spectrum_side_ab(t, ua, ub),
+    }
+
+
 def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     """Post-measurement spectra for Haar-random local measurement pairs.
 
     Returns the shared input spectrum and, per trial, the spectra after the
-    A measurement, the B measurement, and both.  These depend only on the
-    state and the drawn bases, so one batch serves every entropic index.
+    A measurement, the B measurement, and both (``_pair_spectra``).  These
+    depend only on the state and the drawn bases, so one batch serves every
+    entropic index.
 
     Stream contract: all Ginibre entries come from one standard-normal draw
     whose row k holds the numbers that ``linalg.haar_unitary(na, rng)`` and
@@ -809,13 +789,7 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     z = np.random.default_rng(seed).standard_normal((trials, 2 * (na * na + nb * nb)))
     ua = linalg.haar_from_normals(z[:, : 2 * na * na], na)
     ub = linalg.haar_from_normals(z[:, 2 * na * na :], nb)
-    t = rho.matrix.reshape(na, nb, na, nb)
-    return {
-        "before": linalg.spectrum(rho),
-        "after_a": _spectrum_side_a(t, ua),
-        "after_b": _spectrum_side_b(t, ub),
-        "after_ab": _spectrum_side_ab(t, ua, ub),
-    }
+    return _pair_spectra(rho, ua, ub)
 
 
 def spectral_sums(spectra: dict, idx: EntropicIndices) -> dict:

@@ -294,6 +294,28 @@ class TestTriangleScanCommand:
         assert rows == committed[:15]
 
 
+# the configurations of scripts/run_ancilla_check.py and scripts/run_family_curves.py
+DOCUMENTED_RUNS = [
+    ("ancilla_check.csv", ["ancilla-check", "--q", "2", "--s", "1", "--samples", "20", "--seed", "20260810"]),
+] + [
+    (f"{family}_q{q}_s{s}.csv", ["family-curve", "--family", family, "--N", "2", "--q", q, "--s", s,
+                                 "--grid", "11", "--restarts", "8", "--seed", "20260810"])
+    for family in ("pseudopure", "isotropic", "werner")
+    for q, s in (("1", "1"), ("2", "1"))
+]
+
+
+@pytest.mark.parametrize("name,args", DOCUMENTED_RUNS, ids=[name for name, _ in DOCUMENTED_RUNS])
+def test_documented_run_reproduces_committed_csv(name, args, tmp_path):
+    out = tmp_path / name
+    assert run(args + ["--out", str(out)]) == 0
+
+    def body(path):
+        return [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
+
+    assert body(out) == body(RESULTS / name)
+
+
 class TestErrorsAndDeterminism:
     def test_missing_family_parameter_fails(self, capsys):
         assert run(["measure", "--family", "pseudopure", "--N", "2",
@@ -321,6 +343,20 @@ class TestErrorsAndDeterminism:
         captured = capsys.readouterr()
         assert "finite" in captured.err
         assert "value=" not in captured.out
+
+    @pytest.mark.parametrize("line", [
+        "fig1 --n-states -3",
+        "fig1 --n-states 0",
+        "triangle-scan --n-states -2",
+        "ancilla-check --samples -1",
+        "family-curve --family werner --N 2 --grid -1",
+        "family-curve --family werner --N 2 --grid 0",
+    ], ids=lambda line: "_".join(line.split()))
+    def test_counts_below_one_fail(self, line, tmp_path, capsys):
+        args, out = line.split(), tmp_path / "out.csv"
+        assert run(args + ["--seed", "1", "--out", str(out)]) == 1
+        assert f"error: {args[-2]} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_restarts_fail(self, capsys):
         assert run(["measure", "--family", "werner", "--N", "2", "--x", "1",

@@ -382,9 +382,32 @@ class TestGridOracle:
         got = grid_oracle_qubit(bell_density(), "AB", VN, resolution=(32, 64))
         assert abs(got - math.log(2)) < 1e-4
 
-    def test_rejects_non_two_qubit(self, rng):
-        with pytest.raises(DimMismatch):
-            grid_oracle_qubit(linalg.random_density((2, 3), rng), "A", TS2)
+    def test_rejects_measured_qutrit(self, rng):
+        for dims, side in (((3, 2), "A"), ((2, 3), "B"), ((2, 3), "AB")):
+            with pytest.raises(DimMismatch):
+                grid_oracle_qubit(linalg.random_density(dims, rng), side, TS2)
+
+    @pytest.mark.parametrize("side", measurement.SIDES)
+    def test_rejects_empty_resolution(self, rng, side):
+        rho = linalg.random_density((2, 2), rng)
+        for resolution in ((0, 128), (64, 0), (-1, 128)):
+            with pytest.raises(ValueError, match="resolution"):
+                grid_oracle_qubit(rho, side, TS2, resolution)
+
+    @pytest.mark.parametrize("side", measurement.SIDES)
+    def test_chunks_do_not_change_the_value(self, rng, side, monkeypatch):
+        rho = linalg.random_density((2, 2), rng)
+        whole = grid_oracle_qubit(rho, side, TS2, (32, 64))
+        monkeypatch.setattr(correlations, "GRID_CHUNK", 1000)
+        assert abs(grid_oracle_qubit(rho, side, TS2, (32, 64)) - whole) <= 1e-15
+
+    @pytest.mark.parametrize("dims,side", [((2, 3), "A"), ((3, 2), "B"), ((2, 4), "A")])
+    def test_qudit_partner_matches_qubit_oracle(self, rng, dims, side):
+        # the grid upper-bounds the exact measured-qubit value and lands close to it
+        for _ in range(3):
+            rho = linalg.random_density(dims, rng)
+            exact = qubit_oracle(rho, side)
+            assert exact - 1e-12 <= grid_oracle_qubit(rho, side, TS2) <= exact + 1e-6
 
     def test_agrees_with_optimizer_on_random_states(self, rng):
         for _ in range(50):
@@ -392,6 +415,18 @@ class TestGridOracle:
             found = measure_correlations(rho, "A", TS2, FAST).value
             oracle = grid_oracle_qubit(rho, "A", TS2)
             assert abs(found - oracle) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "side,resolution,states,tol", [("B", (64, 128), 20, 1e-4), ("AB", (32, 64), 10, 2e-3)]
+    )
+    def test_other_sides_agree_with_optimizer(self, rng, side, resolution, states, tol):
+        # no grid point beats the search; the coarse side-AB grid ends up to
+        # 9.6e-4 above it on these states
+        for _ in range(states):
+            rho = linalg.random_density((2, 2), rng)
+            found = measure_correlations(rho, side, TS2, FAST).value
+            oracle = grid_oracle_qubit(rho, side, TS2, resolution)
+            assert -1e-9 <= oracle - found <= tol
 
 
 class TestEntanglementLowerBound:
@@ -478,6 +513,33 @@ def _rescaled_second_steps(rho, basis_a, basis_b, idx):
         * measurement.disturbance(post_b, m_a, idx).disturbance
     )
     return after_a, after_b
+
+
+class TestDelta:
+    """``_delta`` from the pair's spectra against the state-level expression."""
+
+    @staticmethod
+    def state_level(rho, basis_a, basis_b, idx):
+        pair = LocalMeasurement("AB", basis_a, basis_b)
+        step_a, step_b = _rescaled_second_steps(rho, basis_a, basis_b, idx)
+        return measurement.disturbance(rho, pair, idx).disturbance - step_b - step_a
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("idx", [VN, EntropicIndices(2.0, 0.0), TS2, EntropicIndices(3.0, 0.5)])
+    def test_matches_state_level_expression(self, rng, dims, idx):
+        for _ in range(5):
+            rho = linalg.random_density(dims, rng)
+            ba, bb = random_basis(dims[0], rng), random_basis(dims[1], rng)
+            got = correlations._delta(rho, ba, bb, idx)
+            assert abs(got - self.state_level(rho, ba, bb, idx)) <= 1e-13
+
+    def test_pure_state_small_q(self, rng):
+        idx = EntropicIndices(0.3, 1.0)
+        for dims in ((2, 2), (2, 3)):
+            rho = pure_density(linalg.random_pure(dims[0] * dims[1], rng), dims)
+            ba, bb = random_basis(dims[0], rng), random_basis(dims[1], rng)
+            got = correlations._delta(rho, ba, bb, idx)
+            assert abs(got - self.state_level(rho, ba, bb, idx)) <= 1e-13
 
 
 class TestSandwichBounds:
