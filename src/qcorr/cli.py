@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,38 +34,20 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one CLI invocation; written into the CSV metadata."""
+def _config(command: str, **fields) -> str:
+    """Echo of one CLI invocation, the ``config:`` line of the CSV metadata.
 
-    command: str
-    q: tuple = ()
-    s: tuple = ()
-    dims: tuple = ()
-    seed: int | None = None
-    trials: int | None = None
-    restarts: int | None = None
-    samples: int | None = None
-    n_states: int | None = None
-    grid: int | None = None
-    side: str | None = None
-    family: str | None = None
-    family_n: int | None = None
-    family_parameter: float | None = None
-    ancilla_dim: int | None = None
-    ancilla: str | None = None
-    grouping: str | None = None
-    state_file: str | None = None
-
-    def echo(self) -> str:
-        parts = []
-        for key, value in sorted(asdict(self).items()):
-            if value is None or value == ():
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(_fmt(v) for v in value)
-            parts.append(f"{key}={_fmt(value)}")
-        return "config: " + " ".join(parts)
+    Fields are sorted by name; None and empty tuples are skipped, and a
+    tuple is written comma-joined.
+    """
+    parts = []
+    for key, value in sorted(dict(fields, command=command).items()):
+        if value is None or value == ():
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(_fmt(v) for v in value)
+        parts.append(f"{key}={_fmt(value)}")
+    return "config: " + " ".join(parts)
 
 
 def _fmt(value) -> str:
@@ -150,11 +131,14 @@ def write_state_file(path, rho: DensityOperator):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise ParseError(f"bad number list {text!r}") from exc
+    if not values:
+        raise ParseError(f"{flag} lists no numbers")
+    return values
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -202,6 +186,17 @@ def _family_parameter(args):
     return None if flag is None else getattr(args, flag)
 
 
+def _source_fields(args) -> dict:
+    """The ``config:`` fields naming where the state came from."""
+    return dict(family=args.family, family_n=args.family_n, family_parameter=_family_parameter(args),
+                state_file=args.state_file)
+
+
+def _search_fields(args) -> dict:
+    """The ``config:`` fields of a search at one index pair."""
+    return dict(q=(args.q_scalar,), s=(args.s_scalar,), seed=args.seed, restarts=args.restarts)
+
+
 def _require_count(value: int, flag: str):
     if value < 1:
         raise ParseError(f"{flag} must be >= 1, got {value}")
@@ -220,16 +215,13 @@ def _angles_str(basis) -> str:
 
 def cmd_entropy(args) -> int:
     rho = _state_from_args(args)
-    pairs = _zip_qs(_float_list(args.q), _float_list(args.s))
-    cfg = RunConfig(
-        command="entropy",
+    pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
+    cfg = _config(
+        "entropy",
         q=tuple(p[0] for p in pairs),
         s=tuple(p[1] for p in pairs),
         dims=rho.dims,
-        family=getattr(args, "family", None),
-        family_n=getattr(args, "family_n", None),
-        family_parameter=_family_parameter(args),
-        state_file=getattr(args, "state_file", None),
+        **_source_fields(args),
     )
     rows = []
     for q, s in pairs:
@@ -239,7 +231,7 @@ def cmd_entropy(args) -> int:
         )
     write_csv(
         args.out,
-        [cfg.echo()],
+        [cfg],
         ["q", "s", "regime", "entropy", "max_entropy"],
         rows,
     )
@@ -250,18 +242,12 @@ def cmd_measure(args) -> int:
     rho = _state_from_args(args)
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
-    cfg = RunConfig(
-        command="measure",
-        q=(args.q_scalar,),
-        s=(args.s_scalar,),
+    cfg = _config(
+        "measure",
         dims=rho.dims,
-        seed=args.seed,
-        restarts=args.restarts,
         side=args.side,
-        family=getattr(args, "family", None),
-        family_n=getattr(args, "family_n", None),
-        family_parameter=_family_parameter(args),
-        state_file=getattr(args, "state_file", None),
+        **_search_fields(args),
+        **_source_fields(args),
     )
     res = measure_correlations(rho, args.side, idx, opts)
     rows = [
@@ -280,7 +266,7 @@ def cmd_measure(args) -> int:
     ]
     write_csv(
         args.out,
-        [cfg.echo()],
+        [cfg],
         ["side", "q", "s", "value", "spread", "converged", "restarts", "iterations",
          "angles_a", "angles_b"],
         rows,
@@ -303,16 +289,13 @@ def cmd_family_curve(args) -> int:
     _require_count(args.grid, "--grid")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
-    cfg = RunConfig(
-        command="family-curve",
-        q=(args.q_scalar,),
-        s=(args.s_scalar,),
-        seed=args.seed,
-        restarts=args.restarts,
+    cfg = _config(
+        "family-curve",
         grid=args.grid,
         side=args.side,
         family=kind,
         family_n=n,
+        **_search_fields(args),
     )
     header = ["parameter", "closed_form", "optimizer_value", "abs_diff"]
     if kind == "werner":
@@ -333,15 +316,16 @@ def cmd_family_curve(args) -> int:
             printed = families.werner_printed_form(n, float(value), idx)
             row += [printed, printed - closed]
         rows.append(tuple(row))
-    write_csv(args.out, [cfg.echo()], header, rows)
+    write_csv(args.out, [cfg], header, rows)
     return 0
 
 
 def cmd_fig1(args) -> int:
     _require_count(args.n_states, "--n-states")
-    q_list = _float_list(args.q)
-    cfg = RunConfig(
-        command="fig1",
+    _require_count(args.trials, "--trials")
+    q_list = _float_list(args.q, "--q")
+    cfg = _config(
+        "fig1",
         q=q_list,
         seed=args.seed,
         trials=args.trials,
@@ -367,7 +351,7 @@ def cmd_fig1(args) -> int:
     n_violated = sum(1 for r in rows if r[4])
     write_csv(
         args.out,
-        [cfg.echo()],
+        [cfg],
         ["state_id", "family", "q", "min_difference", "violated"],
         rows,
         [f"summary: rows={len(rows)} violations={n_violated}"],
@@ -391,17 +375,14 @@ def cmd_ancilla_check(args) -> int:
     _require_count(args.samples, "--samples")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
-    cfg = RunConfig(
-        command="ancilla-check",
-        q=(args.q_scalar,),
-        s=(args.s_scalar,),
+    cfg = _config(
+        "ancilla-check",
         dims=dims,
-        seed=args.seed,
-        restarts=args.restarts,
         samples=args.samples,
         ancilla_dim=args.ancilla_dim,
         ancilla=args.ancilla,
         grouping=args.grouping,
+        **_search_fields(args),
     )
     rows = []
     for sample_id in range(args.samples):
@@ -434,7 +415,7 @@ def cmd_ancilla_check(args) -> int:
         )
     write_csv(
         args.out,
-        [cfg.echo()],
+        [cfg],
         ["sample_id", "d_before", "d_after_ancilla", "rescaled_diff", "unrescaled_diff"],
         rows,
     )
@@ -443,10 +424,10 @@ def cmd_ancilla_check(args) -> int:
 
 def cmd_triangle_scan(args) -> int:
     _require_count(args.n_states, "--n-states")
-    pairs = _zip_qs(_float_list(args.q), _float_list(args.s))
+    pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
     opts_restarts = args.restarts
-    cfg = RunConfig(
-        command="triangle-scan",
+    cfg = _config(
+        "triangle-scan",
         q=tuple(p[0] for p in pairs),
         s=tuple(p[1] for p in pairs),
         seed=args.seed,
@@ -481,7 +462,7 @@ def cmd_triangle_scan(args) -> int:
     ]
     write_csv(
         args.out,
-        [cfg.echo()],
+        [cfg],
         ["state_id", "q", "s", "m_a", "m_b", "m_ab", "delta0", "delta1",
          "triangle_holds", "sandwich_holds", "ordering_holds"],
         rows,

@@ -45,13 +45,13 @@ from .measurement import (
     LocalMeasurement,
     ProjectiveBasis,
     _blocks_side_a,
-    _blocks_side_b,
     _flat_spectrum,
     _purity_ratio_sums,
     _require_bipartite,
     _spectrum_side_a,
     _spectrum_side_ab,
     _spectrum_side_b,
+    _swap_sides,
     disturbance,
     disturbance_spectra,
     purity_ratio,
@@ -216,12 +216,13 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
     returns one value per row and a tuple of per-side gradient stacks, both
     from one measured spectrum.  With W the state in the rotated product
     basis and F the matrix of the slopes in the measured eigenbasis
-    (diagonal for side AB, block-diagonal over the outcomes for sides A and
-    B), the disturbance changes by Tr(K C), C = -i[W, F], under
-    U -> U exp(iK) on side A; the gradient is the partial trace of C over B,
-    and symmetrically for side B.  Sides A and B take one ``eigh`` of the
-    conditional blocks (``measurement._blocks_side_a/b``); side AB forms W
-    and reads the outcome table from its diagonal.
+    (diagonal for side AB, block-diagonal over the outcomes for side A),
+    the disturbance changes by Tr(K C), C = -i[W, F], under U -> U exp(iK)
+    on side A; the gradient is the partial trace of C over B.  Side A takes
+    one ``eigh`` of the conditional blocks (``measurement._blocks_side_a``),
+    and side B is side A of the swapped tensor, built once here.  Side AB
+    forms W and reads the outcome table from its diagonal, with one
+    gradient per side.
     """
 
     def measured(lam):
@@ -233,14 +234,13 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
         value, g = measured(lam)
         return value, (vec * g[..., None, :]) @ dag(vec)
 
-    if side == "A":
-        def evaluate(ua):
-            value, f = conditional(_blocks_side_a(t, ua))
-            return value, (_gradient_from(dag(ua) @ np.einsum("abce,...ck,...keb->...ak", t, ua, f)),)
-    elif side == "B":
-        def evaluate(ub):
-            value, f = conditional(_blocks_side_b(t, ub))
-            return value, (_gradient_from(dag(ub) @ np.einsum("abed,...dl,...lea->...bl", t, ub, f)),)
+    if side != "AB":
+        if side == "B":
+            t = np.ascontiguousarray(_swap_sides(t))
+
+        def evaluate(u):
+            value, f = conditional(_blocks_side_a(t, u))
+            return value, (_gradient_from(dag(u) @ np.einsum("abce,...ck,...keb->...ak", t, u, f)),)
     else:
         na, nb = t.shape[:2]
         rho = t.reshape(na * nb, na * nb)
@@ -263,28 +263,10 @@ def _exp_path(u: np.ndarray, k: np.ndarray):
     """steps -> u exp(i step k), row by row, for stacks u and k of shape (R, n, n).
 
     ``u`` holds unitaries, ``k`` Hermitian directions and ``steps`` one step
-    length per row.  The exponential is exact up to a global phase per row.
-    Each k is diagonalized once, by one stacked ``eigh``, and every step
-    reuses u times its eigenbasis, so each trial is one matmul.  For n = 2
-    the closed form is used instead: with k0 the traceless part of k and r
-    its norm on the Pauli basis, exp(i t k0) = cos(t r) + i sin(t r) k0 / r.
-    Its set-up is a loop over the rows, which costs less than array
-    operations on stacks of at most a few rows.
+    length per row.  Every dimension takes the same route: each k is
+    diagonalized once, by one stacked ``eigh``, and every step reuses u
+    times its eigenbasis, so each trial is one matmul.
     """
-    if k.shape[-1] == 2:
-        r, ik0 = [], []
-        for (x, _), (z, y) in k.tolist():
-            c = 0.5 * (x - y).real
-            r.append(math.hypot(abs(z), c))
-            f = 1j / r[-1] if r[-1] else 0.0
-            ik0.append([[f * c, f * z.conjugate()], [f * z, -f * c]])
-        r, uk = np.array(r), u @ np.array(ik0)
-
-        def path(steps):
-            angle = (steps * r)[:, None, None]
-            return np.cos(angle) * u + np.sin(angle) * uk
-
-        return path
     w, v = np.linalg.eigh(k)
     uv, vh, iw = u @ v, dag(v), 1j * w
     return lambda steps: (uv * np.exp(steps[:, None] * iw)[:, None, :]) @ vh
@@ -535,12 +517,8 @@ def measure_correlations(
     stacks = [np.array(side_us) for side_us in zip(*starts)]
     haar = opts.restarts - len(starts)
     if haar > 0:
-        # the stream contract of measurement_pair_spectra: row k of one
-        # standard-normal draw holds what haar_unitary would take for start k,
-        # side by side, so the bases equal a per-start loop bit for bit
-        z = np.random.default_rng(opts.seed).standard_normal((haar, 2 * sum(n * n for n in dims)))
-        parts = np.split(z, np.cumsum([2 * n * n for n in dims])[:-1], axis=1)
-        stacks = [np.concatenate([s, linalg.haar_from_normals(x, n)]) for s, x, n in zip(stacks, parts, dims)]
+        drawn = linalg.haar_batch(np.random.default_rng(opts.seed), haar, dims)
+        stacks = [np.concatenate([s, u]) for s, u in zip(stacks, drawn)]
 
     runs = _lockstep(evaluate, tuple(stacks), opts)
     best = min(runs, key=lambda r: r.fun)
@@ -653,9 +631,8 @@ def qubit_oracle(rho: DensityOperator, side: str) -> float:
     if (na if side == "A" else nb) != 2:
         raise DimMismatch(f"side {side} must be a qubit, got dims {rho.dims}")
     t = rho.matrix.reshape(na, nb, na, nb)
-    # R_i = Tr_A[(sigma_i (x) I) rho] for side A, the mirror image for side B
-    spec = "xca,abcd->xbd" if side == "A" else "xdb,abcd->xac"
-    r = np.einsum(spec, su_generators(2), t)
+    # R_i = Tr_A[(sigma_i (x) I) rho]; side B is side A of the swapped tensor
+    r = np.einsum("xca,abcd->xbd", su_generators(2), t if side == "A" else _swap_sides(t))
     m = np.real(np.einsum("xij,yji->xy", r, r))
     geometric = 0.5 * (np.trace(m) - np.linalg.eigvalsh(m)[-1])
     return float(geometric / np.real(np.vdot(rho.matrix, rho.matrix)))
@@ -774,22 +751,15 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     Returns the shared input spectrum and, per trial, the spectra after the
     A measurement, the B measurement, and both (``_pair_spectra``).  These
     depend only on the state and the drawn bases, so one batch serves every
-    entropic index.
-
-    Stream contract: all Ginibre entries come from one standard-normal draw
-    whose row k holds the numbers that ``linalg.haar_unitary(na, rng)`` and
-    then ``haar_unitary(nb, rng)`` would take for trial k.  The bases, and so
-    the spectra, equal those of a per-trial loop alternating the two calls,
-    bit for bit; one batched QR per side and one stacked spectrum call per
-    side replace that loop.
+    entropic index.  The bases come from one ``linalg.haar_batch`` over
+    (N_A, N_B), so they equal a per-trial loop alternating
+    ``haar_unitary(na)`` and ``haar_unitary(nb)`` bit for bit, and one
+    stacked spectrum call per side replaces that loop.
     """
     na, nb = _require_bipartite(rho)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z = np.random.default_rng(seed).standard_normal((trials, 2 * (na * na + nb * nb)))
-    ua = linalg.haar_from_normals(z[:, : 2 * na * na], na)
-    ub = linalg.haar_from_normals(z[:, 2 * na * na :], nb)
-    return _pair_spectra(rho, ua, ub)
+    return _pair_spectra(rho, *linalg.haar_batch(np.random.default_rng(seed), trials, (na, nb)))
 
 
 def spectral_sums(spectra: dict, idx: EntropicIndices) -> dict:

@@ -57,6 +57,8 @@ class FamilySpec:
             raise BadParameter("side dimensions must be >= 1")
         if self.kind in ("isotropic", "werner") and self.n_a != self.n_b:
             raise BadParameter(f"{self.kind} states need n_a == n_b")
+        if self.kind in ("isotropic", "werner") and self.n_a < 2:
+            raise BadParameter(f"{self.kind} states need N >= 2, got N = {self.n_a}")
         p = self.parameter
         if self.kind == "pseudopure" and not 0.0 <= p <= 1.0:
             raise BadParameter(f"pseudopure parameter must be in [0, 1], got {p}")

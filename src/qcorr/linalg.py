@@ -241,9 +241,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
 
     Consumes 2 n^2 standard normals from ``rng``: the n x n real parts in
-    row-major order, then the imaginary parts.  ``haar_from_normals`` on the
-    same numbers returns the same unitary bit for bit, so k calls here equal
-    one batched call on a ``rng.standard_normal((k, 2 * n * n))`` draw.
+    row-major order, then the imaginary parts (``haar_batch``'s stream).
     """
     if n < 1:
         raise DimMismatch("dimension must be >= 1")
@@ -264,6 +262,19 @@ def haar_from_normals(z: np.ndarray, n: int) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
     return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_batch(rng: np.random.Generator, count: int, dims) -> list:
+    """``count`` Haar unitaries for each dimension in ``dims``, one stack per dimension.
+
+    Stream contract: one ``rng.standard_normal((count, sum 2 n^2))`` draw,
+    whose row k holds side by side what ``haar_unitary(n, rng)`` would take
+    for each n of ``dims`` in turn in round k.  The stacks equal such a loop
+    bit for bit; one batched QR per dimension replaces it.
+    """
+    sizes = [2 * n * n for n in dims]
+    z = rng.standard_normal((count, sum(sizes)))
+    return [haar_from_normals(x, n) for x, n in zip(np.split(z, np.cumsum(sizes)[:-1], axis=1), dims)]
 
 
 def random_density(dims, rng: np.random.Generator) -> DensityOperator:

@@ -3,7 +3,8 @@
 A complete rank-one measurement is represented by the unitary whose columns
 are the measured basis; applying it without postselection dephases the state
 in that basis.  Local measurements act on one block of a bipartite split
-(sides "A", "B") or on both ("AB").  The disturbance of a measurement is the
+(sides "A", "B") or on both ("AB"); side B is measured as side A of the
+state with its sides exchanged.  The disturbance of a measurement is the
 entropy increase it causes, rescaled by the generalized purity (Tr rho^q)^s.
 It is ``entropy.entropy_change`` applied to the ``entropy.spectral_sum`` of
 the spectra after and before, for one pair of spectra or for stacks of them.
@@ -145,8 +146,9 @@ def _blocks_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
     return np.einsum("...ai,abcd,...ci->...ibd", ua.conj(), t, ua)
 
 
-def _blocks_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    return np.einsum("...bj,abcd,...dj->...jac", ub.conj(), t, ub)
+def _swap_sides(t: np.ndarray) -> np.ndarray:
+    """The state tensor with its sides exchanged: side B of t is side A of the result."""
+    return t.transpose(1, 0, 3, 2)
 
 
 def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -172,7 +174,8 @@ def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_b(t, ub)), ub.shape[:-2])
+    """Spectrum after measuring side B: side A of the swapped tensor."""
+    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(_swap_sides(t), ub)), ub.shape[:-2])
 
 
 def _spectrum_side_ab(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -206,11 +209,9 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
         probs = _joint_probabilities(t, m.basis_a.unitary, m.basis_b.unitary)
         return ConditionalDecomposition("AB", np.clip(probs, 0.0, None), ())
     if m.side == "A":
-        blocks = _blocks_side_a(t, m.basis_a.unitary)
-        cond_dims = (nb,)
-    else:
-        blocks = _blocks_side_b(t, m.basis_b.unitary)
-        cond_dims = (na,)
+        blocks, cond_dims = _blocks_side_a(t, m.basis_a.unitary), (nb,)
+    else:  # side A of the swapped tensor
+        blocks, cond_dims = _blocks_side_a(_swap_sides(t), m.basis_b.unitary), (na,)
     probs = np.clip(np.real(np.trace(blocks, axis1=1, axis2=2)), 0.0, None)
     conditionals = []
     for blk, p in zip(blocks, probs):

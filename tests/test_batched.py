@@ -98,10 +98,14 @@ class TestHaarStream:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacked_draw_equals_sequential_calls(self, n):
-        r1, r2 = np.random.default_rng([n, 2]), np.random.default_rng([n, 2])
-        sequential = np.array([linalg.haar_unitary(n, r1) for _ in range(100)])
-        stacked = linalg.haar_from_normals(r2.standard_normal((100, 2 * n * n)), n)
-        assert same_bits(stacked, sequential)
+        """``haar_batch`` equals rounds of ``haar_unitary`` calls over its dims, one stack per dim."""
+        for dims in ((n,), (n, 5 - n)):
+            r1, r2 = np.random.default_rng([n, 2]), np.random.default_rng([n, 2])
+            rounds = [[linalg.haar_unitary(m, r1) for m in dims] for _ in range(100)]
+            stacks = linalg.haar_batch(r2, 100, dims)
+            assert len(stacks) == len(dims)
+            for stack, sequential in zip(stacks, zip(*rounds)):
+                assert same_bits(stack, np.array(sequential))
 
 
 class TestStackedSpectra:

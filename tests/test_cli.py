@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -35,6 +36,11 @@ def read_rows(path):
 
 def cell(header, row, name):
     return row[header.index(name)]
+
+
+def config_line(path):
+    """The ``# config:`` metadata line of a CSV file."""
+    return next(line for line in path.read_text().splitlines() if line.startswith("# config:"))
 
 
 class TestStateFile:
@@ -194,6 +200,7 @@ class TestFig1Command:
         committed = body(RESULTS / "fig1.csv")
         assert len(committed) == 1 + 20 * 2 * 14
         assert body(out) == committed
+        assert config_line(out) == config_line(RESULTS / "fig1.csv")
 
     def test_seed_changes_draws(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -292,6 +299,8 @@ class TestTriangleScanCommand:
         assert len(committed) == 200 * 5
         assert header == committed_header
         assert rows == committed[:15]
+        committed_config = config_line(RESULTS / "triangle_scan.csv")
+        assert config_line(out) == committed_config.replace(" n_states=200 ", " n_states=3 ")
 
 
 # the configurations of scripts/run_ancilla_check.py and scripts/run_family_curves.py
@@ -314,6 +323,7 @@ def test_documented_run_reproduces_committed_csv(name, args, tmp_path):
         return [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
 
     assert body(out) == body(RESULTS / name)
+    assert config_line(out) == config_line(RESULTS / name)
 
 
 class TestErrorsAndDeterminism:
@@ -351,12 +361,29 @@ class TestErrorsAndDeterminism:
         "ancilla-check --samples -1",
         "family-curve --family werner --N 2 --grid -1",
         "family-curve --family werner --N 2 --grid 0",
+        "fig1 --trials 0",
+        "fig1 --q ,",
+        "triangle-scan --q 1 --s ''",
+        "triangle-scan --s 1 --q ''",
+        "entropy --family werner --N 2 --x 0 --q ,",
     ], ids=lambda line: "_".join(line.split()))
     def test_counts_below_one_fail(self, line, tmp_path, capsys):
-        args, out = line.split(), tmp_path / "out.csv"
-        assert run(args + ["--seed", "1", "--out", str(out)]) == 1
-        assert f"error: {args[-2]} must be >= 1" in capsys.readouterr().err
+        """A count below 1, or an empty --q or --s list, is a named error and writes no file."""
+        args, out = shlex.split(line), tmp_path / "out.csv"
+        seed = [] if args[0] == "entropy" else ["--seed", "1"]
+        assert run(args + seed + ["--out", str(out)]) == 1
+        flag, value = args[-2:]
+        rule = "must be >= 1" if value.lstrip("-").isdigit() else "lists no numbers"
+        assert f"error: {flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "family-curve --family werner --N 1 --grid 2 --seed 1",
+        "measure --family isotropic --N 1 --y 1 --seed 1",
+    ], ids=lambda line: "_".join(line.split()[:3]))
+    def test_single_level_symmetric_family_fails(self, line, capsys):
+        assert run(line.split()) == 1
+        assert "states need N >= 2, got N = 1" in capsys.readouterr().err
 
     def test_zero_restarts_fail(self, capsys):
         assert run(["measure", "--family", "werner", "--N", "2", "--x", "1",

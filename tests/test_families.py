@@ -49,6 +49,12 @@ class TestFamilySpec:
         with pytest.raises(BadParameter):
             FamilySpec("werner", 2, 3, 0.0)
 
+    @pytest.mark.parametrize("kind,value", [("werner", 0.5), ("isotropic", 1.0)])
+    def test_symmetric_families_need_two_levels(self, kind, value):
+        # the mixing weights divide by N^3 - N (werner) and N^2 - 1 (isotropic)
+        with pytest.raises(BadParameter, match="N >= 2"):
+            FamilySpec(kind, 1, 1, value)
+
     def test_psi_validation(self):
         with pytest.raises(BadParameter):
             families.build(FamilySpec("pseudopure", 2, 2, 0.5, psi=np.ones(4)))

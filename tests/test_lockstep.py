@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import OptimizerOptions, measure_correlations
@@ -255,7 +256,11 @@ def test_objective_calls_are_stacked(monkeypatch):
 
 @pytest.mark.parametrize("side", ["A", "B", "AB"])
 def test_haar_starts_match_per_restart_draws(monkeypatch, side):
-    """One standard-normal draw gives the Haar starts of a per-start ``haar_unitary`` loop."""
+    """The Haar starts are one ``linalg.haar_batch`` draw from ``default_rng(seed)``.
+
+    ``haar_batch`` equals a per-start loop of ``haar_unitary`` calls
+    (``test_batched.py``), so the starts do too.
+    """
     calls = record_rows(monkeypatch)
     rho = linalg.random_density((2, 3), np.random.default_rng(31))
     dims = side_dims(rho, side)
@@ -263,12 +268,35 @@ def test_haar_starts_match_per_restart_draws(monkeypatch, side):
     opts = OptimizerOptions(restarts=8, seed=6)
     measure_correlations(rho, side, TS2, opts, warm_starts=(warm,))
     (us, _), = calls
-    rng = np.random.default_rng(opts.seed)
     starts = [[correlations._eigenbasis(rho, k) for k, name in enumerate("AB") if name in side]]
     starts.append([getattr(warm, f"basis_{name.lower()}").unitary for name in side])
-    starts += [[linalg.haar_unitary(n, rng) for n in dims] for _ in range(6)]
-    for stack, expected in zip(us, zip(*starts)):
-        np.testing.assert_array_equal(stack, np.array(expected))
+    haar = linalg.haar_batch(np.random.default_rng(opts.seed), 6, dims)
+    for stack, expected, drawn in zip(us, zip(*starts), haar):
+        np.testing.assert_array_equal(stack, np.concatenate([np.array(expected), drawn]))
+
+
+@pytest.mark.parametrize("idx", INDICES, ids=str)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_side_b_is_side_a_of_the_swapped_state(dims, idx):
+    """A side-B search equals a side-A search on the state with its subsystems exchanged."""
+    rho = linalg.random_density(dims, np.random.default_rng([41, *dims]))
+    opts = OptimizerOptions(restarts=8, seed=3)
+    side_b = measure_correlations(rho, "B", idx, opts).value
+    swapped = measure_correlations(linalg.permute_subsystems(rho, [1, 0]), "A", idx, opts).value
+    assert abs(side_b - swapped) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exp_path_is_the_matrix_exponential(n):
+    """``_exp_path(u, k)(steps)`` is u exp(i step k) row by row, global phase included."""
+    rng = np.random.default_rng([43, n])
+    u = linalg.haar_from_normals(rng.standard_normal((6, 2 * n * n)), n)
+    z = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    k = z + linalg.dag(z)
+    steps = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0])
+    moved = correlations._exp_path(u, k)(steps)
+    for row, step in enumerate(steps):
+        np.testing.assert_allclose(moved[row], u[row] @ expm(1j * step * k[row]), rtol=0.0, atol=1e-13)
 
 
 def record_bfgs(monkeypatch):
