@@ -372,6 +372,8 @@ def cmd_ancilla_check(args) -> int:
     dims = _int_list(args.dims)
     if len(dims) != 2:
         raise ParseError("--dims must list exactly two dimensions")
+    _require_count(min(dims), "--dims entries")
+    _require_count(args.ancilla_dim, "--ancilla-dim")
     _require_count(args.samples, "--samples")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)

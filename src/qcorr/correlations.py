@@ -15,6 +15,13 @@ warm starts are ``LocalMeasurement``s; coefficients on a traceless
 Hermitian generator basis (N^2 - 1 per side) only print bases and read
 them back.
 
+A basis is a unitary up to column phases: U -> U exp(iD), D diagonal,
+leaves every projector and so the disturbance unchanged.  The search thus
+runs on U(N)/U(1)^N, whose tangent directions are the zero-diagonal
+Hermitian K = sum_j c_j B_j on the orthonormal basis B_j = G_j / sqrt 2 of
+the N(N - 1) off-diagonal generators (``_tangent_basis``), with |c| = |K|_F.
+Gradients, directions and BFGS pairs are real rows c, the sides side by side.
+
 The result is an upper bound, not a certified global minimum.  Each result
 carries its evidence: the spread and basin count over restarts, the
 gradient norm at the argmin, and the evaluation count.  Two oracles check
@@ -87,6 +94,22 @@ def su_generators(n: int) -> np.ndarray:
     out = np.array(gens)
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tangent_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_j = G_j / sqrt 2 over the off-diagonal ``su_generators(n)``, flattened (K = c @ B), and 2 B^* transposed."""
+    basis = su_generators(n)[: n * (n - 1)].reshape(n * (n - 1), n * n) / math.sqrt(2.0)
+    readout = np.ascontiguousarray(2.0 * basis.conj().T)
+    for a in (basis, readout):
+        a.setflags(write=False)
+    return basis, readout
+
+
+def _coordinates(x: np.ndarray) -> np.ndarray:
+    """c_j = 2 Im Tr(B_j x), the coordinates of -i(x - x^dag), as one contiguous row per matrix of x."""
+    n = x.shape[-1]
+    return np.ascontiguousarray((x.reshape(len(x), n * n) @ _tangent_basis(n)[1]).imag)
 
 
 def _unitary_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
@@ -202,27 +225,23 @@ def _slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
     return scale[..., None, None] * pz ** (idx.q - 1.0)
 
 
-def _gradient_from(x: np.ndarray) -> np.ndarray:
-    """-i (x - x^dag): the gradient Tr_B(-i[W, F]) from x = Tr_B(W F), W in the rotated basis."""
-    return -1j * (x - dag(x))
-
-
 def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
     """Disturbance and its Riemannian gradient at local bases given as unitaries.
 
     ``t`` is the state as an (N_A, N_B, N_A, N_B) tensor and ``before`` the
     spectral sum of its spectrum.  The returned ``evaluate`` takes one stack
     of unitaries (shape (R, n, n)) for side A or B and two for side AB, and
-    returns one value per row and a tuple of per-side gradient stacks, both
-    from one measured spectrum.  With W the state in the rotated product
-    basis and F the matrix of the slopes in the measured eigenbasis
+    returns one value per row and one real (R, sum n(n - 1)) gradient stack,
+    both from one measured spectrum.  With W the state in the rotated
+    product basis and F the matrix of the slopes in the measured eigenbasis
     (diagonal for side AB, block-diagonal over the outcomes for side A),
     the disturbance changes by Tr(K C), C = -i[W, F], under U -> U exp(iK)
-    on side A; the gradient is the partial trace of C over B.  Side A takes
+    on side A; the gradient is the partial trace of C over B, which has no
+    diagonal, read off as ``_coordinates`` of x = Tr_B(W F).  Side A takes
     one ``eigh`` of the conditional blocks (``measurement._blocks_side_a``),
     and side B is side A of the swapped tensor, built once here.  Side AB
-    forms W and reads the outcome table from its diagonal, with one
-    gradient per side.
+    forms W and reads the outcome table from its diagonal, with side A's
+    coordinates before side B's.
     """
 
     def measured(lam):
@@ -240,7 +259,7 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
 
         def evaluate(u):
             value, f = conditional(_blocks_side_a(t, u))
-            return value, (_gradient_from(dag(u) @ np.einsum("abce,...ck,...keb->...ak", t, u, f)),)
+            return value, _coordinates(dag(u) @ np.einsum("abce,...ck,...keb->...ak", t, u, f))
     else:
         na, nb = t.shape[:2]
         rho = t.reshape(na * nb, na * nb)
@@ -254,47 +273,26 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
             value, g = measured(np.einsum("...ijij->...ij", w).real)
             x_a = np.einsum("...ijkj,...kj->...ik", w, g)
             x_b = np.einsum("...ijil,...il->...jl", w, g)
-            return value, (_gradient_from(x_a), _gradient_from(x_b))
+            return value, np.concatenate([_coordinates(x_a), _coordinates(x_b)], axis=1)
 
     return evaluate
 
 
-def _exp_path(u: np.ndarray, k: np.ndarray):
-    """steps -> u exp(i step k), row by row, for stacks u and k of shape (R, n, n).
+def _exp_path(u: np.ndarray, c: np.ndarray):
+    """steps -> u exp(i step K), row by row, with K = c @ B on ``_tangent_basis``.
 
-    ``u`` holds unitaries, ``k`` Hermitian directions and ``steps`` one step
-    length per row.  Every dimension takes the same route: each k is
-    diagonalized once, by one stacked ``eigh``, and every step reuses u
-    times its eigenbasis, so each trial is one matmul.
+    ``u`` holds unitaries, ``c`` one direction per row and ``steps`` one
+    step length per row.  Each K is diagonalized once, by one stacked
+    ``eigh``, and every step reuses u times its eigenbasis: one matmul.
     """
-    w, v = np.linalg.eigh(k)
+    w, v = np.linalg.eigh((c @ _tangent_basis(u.shape[-1])[0]).reshape(u.shape))
     uv, vh, iw = u @ v, dag(v), 1j * w
     return lambda steps: (uv * np.exp(steps[:, None] * iw)[:, None, :]) @ vh
 
 
-def _flat(xs) -> np.ndarray:
-    """Per-side stacks (R, n, n) laid side by side as one (R, sum n^2) stack of vectors."""
-    return np.concatenate([x.reshape(len(x), -1) for x in xs], axis=1)
-
-
-def _sides(x: np.ndarray, us) -> list:
-    """The per-side matrices of a ``_flat`` stack, shaped like the stacks in ``us``."""
-    out, lo = [], 0
-    for u in us:
-        hi = lo + u.shape[-1] ** 2
-        out.append(x[:, lo:hi].reshape(u.shape))
-        lo = hi
-    return out
-
-
 def _inner(x: np.ndarray, y: np.ndarray) -> list:
-    """Re Tr(x^dag y) summed over the sides, one float per row of two ``_flat`` stacks.
-
-    That is the dot product of the rows' real and imaginary parts.  Each
-    row's sum runs over that row alone, so it has the same bits whatever the
-    other rows hold.
-    """
-    return np.einsum("ri,ri->r", x.view(float), y.view(float)).tolist()
+    """Tr(K_x K_y) over the sides, per row of two coordinate stacks, each from that row alone."""
+    return np.einsum("ri,ri->r", x, y).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,18 +316,18 @@ class LocalSearch:
 def _bfgs_update(h: np.ndarray, scaled: np.ndarray, s: np.ndarray, y: np.ndarray):
     """BFGS update of the inverse-Hessian stack ``h`` by the steps s and gradient changes y.
 
-    ``h`` is (R, m, m) on the real view of the ``_flat`` stacks s and y,
-    m = 2 sum n^2, and ``scaled`` marks the rows that have an inverse
-    Hessian; the others hold the identity.  A row is updated when
-    s.y > 1e-12 |s| |y| (a curvature pair the Armijo step alone does not
-    guarantee) and keeps its h otherwise.  At a row's first update h is
-    scaled to (s.y / y.y) I before the update (Nocedal & Wright, eq. 6.20).
+    ``h`` is (R, m, m) on the coordinate rows s and y, m = sum n(n - 1), so
+    it holds no phase direction, where the objective is flat.  ``scaled``
+    marks the rows that have an inverse Hessian; the others hold the
+    identity.  A row is updated when s.y > 1e-12 |s| |y| (a curvature pair
+    the Armijo step alone does not guarantee) and keeps its h otherwise.
+    At a row's first update h is scaled to (s.y / y.y) I before the update
+    (Nocedal & Wright, eq. 6.20).
     The update H - rho (s Hy' + Hy s') + (rho^2 y'Hy + rho) s s', rho = 1 / s.y,
     is taken as H + s w' + w s' with w = rho ((1 + rho y'Hy) s / 2 - Hy), so
     H stays exactly symmetric.  Each row is computed from that row alone.
     Returns the new stack and mask; ``h`` is updated in place.
     """
-    s, y = s.view(float), y.view(float)
     sy, yy, ss = (np.einsum("ri,ri->r", a, b) for a, b in ((s, y), (y, y), (s, s)))
     ok = sy > 1e-12 * np.sqrt(ss * yy)
     first = ok & ~scaled
@@ -344,8 +342,8 @@ def _bfgs_update(h: np.ndarray, scaled: np.ndarray, s: np.ndarray, y: np.ndarray
 
 
 def _bfgs_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """-H g row by row: the quasi-Newton direction for the ``_flat`` gradient stack g."""
-    return -(h @ g.view(float)[:, :, None])[:, :, 0].view(complex)
+    """-H g row by row: the quasi-Newton direction for the coordinate gradient stack g."""
+    return -(h @ g[:, :, None])[:, :, 0]
 
 
 def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
@@ -355,12 +353,15 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     stack of unitaries per side; row r of the stacks is start r, and the
     r-th LocalSearch returned is its descent.  Steps move along
     U -> U exp(i t D), with D = -H g for the gradient g and an
-    inverse-Hessian estimate H (``_bfgs_update``).  Steps s = t D and
+    inverse-Hessian estimate H (``_bfgs_update``), all on the coordinates of
+    ``_tangent_basis``, one row over all sides.  The gradient has no phase
+    part, and BFGS from a multiple of I never gains one, so leaving the
+    phases out moves no iterate in exact arithmetic.  Steps s = t D and
     gradient changes y are carried over unchanged in the Lie algebra
     (Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660, 2015).  Until a row
     has its first curvature pair, H is the identity and its first trial step
-    rotates the bases by 0.5 rad; after that the first trial is the unit
-    step, capped at that rotation.  The line search is Armijo backtracking;
+    rotates the bases by 0.5 rad (|D| = |K|_F); after that the first trial
+    is the unit step, capped at that rotation.  The line search is Armijo backtracking;
     each retry is the minimizer of the quadratic through the current value,
     slope and failed trial, kept within [0.1, 0.5] of the failed step.
 
@@ -372,15 +373,15 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     by one trim, before the next.  Every row keeps its own step, slope,
     inverse Hessian and stopping state under the rules of a lone descent,
     and every stacked call computes each row from that row alone, so a row's
-    descent does not depend on the other rows.  Gradients and directions are
-    kept ``_flat``, one vector per row over all sides, so an inner product
-    or a direction is one array operation.
+    descent does not depend on the other rows.
     """
     f, g = evaluate(*us)
-    f, g = f.tolist(), _flat(g)
+    f = f.tolist()
     gg = _inner(g, g)
     d = -g
-    h = np.tile(np.eye(2 * g.shape[1]), (len(f), 1, 1))
+    h = np.tile(np.eye(g.shape[1]), (len(f), 1, 1))
+    ends = np.cumsum([u.shape[-1] * (u.shape[-1] - 1) for u in us]).tolist()
+    parts = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
     scaled = np.zeros(len(f), dtype=bool)  # the rows whose h is an inverse Hessian
     rows = list(range(len(f)))  # the start each live row descends from
     nfev = [1] * len(f)
@@ -412,7 +413,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
                 dd[k] = gg[k]
             cap = 0.5 / math.sqrt(dd[k])
             step.append(min(1.0, cap) if unit else cap)
-        paths = [_exp_path(u, x) for u, x in zip(us, _sides(d, us))]
+        paths = [_exp_path(u, d[:, part]) for u, part in zip(us, parts)]
         backtracked = [False] * len(rows)
         f_trial = [0.0] * len(rows)
         g_new = np.empty_like(g)
@@ -423,7 +424,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
             steps = np.array(step)
             trial = tuple(path(steps) for path in paths)
             values, grads = evaluate(*(x.take(pending, axis=0) for x in trial))
-            g_new[pending] = _flat(grads)
+            g_new[pending] = grads
             retry = []
             for k, value in zip(pending, values.tolist()):
                 nfev[k] += 1

@@ -69,12 +69,12 @@ class EntropicIndices:
 def _positive_sums(p: np.ndarray, term):
     """sum(term(row[row > 0])) over the last axis of p, added as a 1-D np.sum would.
 
-    Rows of a stack are grouped by their count of positive entries and each
-    group is summed over a (rows, count) array, which numpy adds in the same
-    order as a 1-D array of that length.  Zero padding would change that
-    order once a row is longer than eight.
+    NaN counts as positive, so it reaches the sum.  Rows of a stack are
+    grouped by their count of positive entries and each group is summed over
+    a (rows, count) array, which numpy adds in the same order as a 1-D array
+    of that length.  Zero padding would change that order past eight.
     """
-    positive = p > 0.0
+    positive = ~(p <= 0.0)
     if p.size and positive.all():
         return term(p).sum(axis=-1)
     if not positive.any(axis=-1).all():

@@ -95,10 +95,13 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
-    """Raise NotUnitary unless u^dag u = I entrywise within tol."""
+    """Raise NotUnitary unless u is finite (NaN > tol is False) and u^dag u = I entrywise within tol."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitary(f"expected a square matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        i, j = divmod(int(np.isfinite(u).argmin()), len(u))
+        raise NotUnitary(f"entry ({i}, {j}) is not finite: {u[i, j]}")
     dev = np.max(np.abs(dag(u) @ u - np.eye(u.shape[0])))
     if dev > tol:
         raise NotUnitary(f"deviation from unitarity {dev:.3e} exceeds {tol:.1e}")

@@ -113,28 +113,21 @@ def dephase(rho: DensityOperator, basis: ProjectiveBasis) -> DensityOperator:
     return DensityOperator(0.5 * (mat + dag(mat)), rho.dims)
 
 
-def _dephase_side(mat: np.ndarray, na: int, nb: int, axis: int, u: np.ndarray) -> np.ndarray:
-    """Dephase one tensor factor of a bipartite matrix in basis u."""
-    t = mat.reshape(na, nb, na, nb)
-    if axis == 0:
-        t = np.einsum("ai,abcd,ck->ibkd", u.conj(), t, u)
-        t = t * np.eye(na)[:, None, :, None]
-        t = np.einsum("ai,ibkd,ck->abcd", u, t, u.conj())
-    else:
-        t = np.einsum("bj,abcd,dl->ajcl", u.conj(), t, u)
-        t = t * np.eye(nb)[None, :, None, :]
-        t = np.einsum("bj,ajcl,dl->abcd", u, t, u.conj())
-    return t.reshape(na * nb, na * nb)
+def _dephase_side_a(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The state tensor t with side A dephased in basis u."""
+    t = np.einsum("ai,abcd,ck->ibkd", u.conj(), t, u) * np.eye(len(u))[:, None, :, None]
+    return np.einsum("ai,ibkd,ck->abcd", u, t, u.conj())
 
 
 def apply_local(rho: DensityOperator, m: LocalMeasurement) -> DensityOperator:
-    """Post-measurement state for a local measurement without postselection."""
+    """Post-measurement state without postselection; side B is side A of the swapped tensor."""
     na, nb = _check_measurement_dims(rho, m)
-    mat = rho.matrix
+    t = rho.matrix.reshape(na, nb, na, nb)
     if m.side in ("A", "AB"):
-        mat = _dephase_side(mat, na, nb, 0, m.basis_a.unitary)
+        t = _dephase_side_a(t, m.basis_a.unitary)
     if m.side in ("B", "AB"):
-        mat = _dephase_side(mat, na, nb, 1, m.basis_b.unitary)
+        t = _swap_sides(_dephase_side_a(_swap_sides(t), m.basis_b.unitary))
+    mat = t.reshape(na * nb, na * nb)
     return DensityOperator(0.5 * (mat + dag(mat)), rho.dims)
 
 

@@ -377,6 +377,16 @@ class TestErrorsAndDeterminism:
         assert f"error: {flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, flag", [
+        ("ancilla-check --ancilla-dim 0 --samples 1 --seed 1", "--ancilla-dim"),
+        ("ancilla-check --dims 0,2 --samples 1 --seed 1", "--dims"),
+    ], ids=["ancilla-dim", "dims"])
+    def test_ancilla_check_dimensions_below_one_fail(self, line, flag, capsys):
+        """Each dimension error names its flag."""
+        assert run(line.split()) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and "must be >= 1" in err
+
     @pytest.mark.parametrize("line", [
         "family-curve --family werner --N 1 --grid 2 --seed 1",
         "measure --family isotropic --N 1 --y 1 --seed 1",

@@ -182,6 +182,14 @@ class TestMeasureCorrelations:
         with pytest.raises(NotUnitary):
             measure_correlations(rho, "A", TS2, FAST, warm_starts=(LocalMeasurement("A", ProjectiveBasis(1.001 * u)),))
 
+    def test_non_finite_warm_start_rejected(self, rng):
+        # once a NaN basis reached the search as "spectrum has no positive weight"
+        rho = linalg.random_density((2, 2), rng)
+        u = linalg.haar_unitary(2, rng)
+        u[1, 0] = np.nan
+        with pytest.raises(NotUnitary, match=r"entry \(1, 0\) is not finite"):
+            measure_correlations(rho, "A", TS2, FAST, warm_starts=(LocalMeasurement("A", ProjectiveBasis(u)),))
+
     def test_deterministic_given_seed(self, rng):
         rho = linalg.random_density((2, 2), rng)
         r1 = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=3, seed=5))
@@ -244,8 +252,13 @@ class TestRiemannianSearch:
             for side in ("A", "B", "AB"):
                 us = [linalg.haar_unitary(n, rng)[None] for n, name in zip(dims, "AB") if name in side]
                 evaluate = correlations._objective_factory(t, side, idx, before)
-                grads = evaluate(*us)[1]
+                coords, lo = evaluate(*us)[1][0], 0
                 for k, u in enumerate(us):
+                    # the coordinate gradient as a matrix, against a full
+                    # Hermitian direction: its diagonal only rephases the basis
+                    n = u.shape[-1]
+                    grad = (coords[lo:lo + n * (n - 1)] @ correlations._tangent_basis(n)[0]).reshape(n, n)
+                    lo += n * (n - 1)
                     h = rng.standard_normal(u.shape[1:]) + 1j * rng.standard_normal(u.shape[1:])
                     h = h + h.conj().T
 
@@ -255,7 +268,7 @@ class TestRiemannianSearch:
                         return evaluate(*vs)[0][0]
 
                     numeric = (moved(1e-6) - moved(-1e-6)) / 2e-6
-                    exact = np.real(np.trace(h @ grads[k][0]))
+                    exact = np.real(np.trace(h @ grad))
                     assert abs(numeric - exact) <= 1e-7 * max(1.0, abs(exact))
 
     def test_gradient_finite_at_zero_probabilities(self, rng):
@@ -269,7 +282,8 @@ class TestRiemannianSearch:
             before = spectral_sum(linalg.spectrum(rho), idx)
             for side, sel in (("A", us[:1]), ("B", us[1:]), ("AB", us)):
                 grads = correlations._objective_factory(t, side, idx, before)(*sel)[1]
-                assert all(np.all(np.isfinite(g)) for g in grads)
+                assert grads.shape == (1, sum(u.shape[-1] * (u.shape[-1] - 1) for u in sel))
+                assert np.all(np.isfinite(grads))
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_qudit_values_match_long_search(self, q):

@@ -15,6 +15,7 @@ from qcorr.entropy import (
     check_schur_concavity,
     max_entropy,
     relative_entropy,
+    spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
 )
@@ -70,6 +71,19 @@ class TestSpectrumEntropy:
         # S_(2,0)(3/4, 1/4) = -ln(10/16) = ln 1.6
         got = unified_entropy_spectrum([0.75, 0.25], EntropicIndices(2, 0))
         assert_allclose(got, math.log(1.6), atol=1e-12)
+
+    @pytest.mark.parametrize("idx", [EntropicIndices(1.0, 1.0), EntropicIndices(2.0, 0.0), EntropicIndices(2.0, 1.0),
+                                     EntropicIndices(0.5, 1.0)], ids=lambda i: i.regime.value + f"-q{i.q:g}")
+    def test_nan_entries_propagate(self, idx):
+        # p > 0 is False for NaN, so a NaN entry was once dropped like a zero
+        assert math.isnan(spectral_sum([0.5, math.nan, 0.5], idx))
+        assert math.isnan(unified_entropy_spectrum([math.nan, 1.0], idx))
+        stack = np.array([[0.5, math.nan, 0.5], [0.5, 0.5, 0.0], [math.nan, math.nan, math.nan], [1.0, 0.0, 0.0]])
+        sums = spectral_sum(stack, idx)
+        assert np.isnan(sums).tolist() == [True, False, True, False]
+        assert sums[1] == spectral_sum([0.5, 0.5], idx) and sums[3] == spectral_sum([1.0], idx)
+        nested = spectral_sum(stack.reshape(2, 2, 3), idx)
+        assert np.isnan(nested).tolist() == [[True, False], [True, False]]
 
     def test_zero_entries_ignored(self):
         idx = EntropicIndices(0.5, 1.0)

@@ -29,13 +29,14 @@ def reference_descent(evaluate, us, opts):
     The rules of ``_lockstep`` written out for one start, on the same stacked
     kernels (``evaluate``, ``_exp_path``, ``_inner`` and the BFGS update and
     direction) on a stack of one row, so its arithmetic is that of
-    ``minimize`` and the results must be equal.
+    ``minimize`` and the results must be equal.  Gradients and directions
+    are coordinate rows, each side's columns in turn.
     """
     us = tuple(u[None] for u in us)
     f, g = evaluate(*us)
-    f, g, nfev = f[0], correlations._flat(g), 1
+    f, nfev = f[0], 1
     gg = correlations._inner(g, g)[0]
-    h, scaled = np.eye(2 * g.shape[1])[None], np.zeros(1, dtype=bool)
+    h, scaled = np.eye(g.shape[1])[None], np.zeros(1, dtype=bool)
 
     def result(nit, success, grad2):
         return (f, nit, nfev, success, math.sqrt(grad2))
@@ -51,7 +52,7 @@ def reference_descent(evaluate, us, opts):
         # the first trial rotates by 0.5 rad until the row has an inverse
         # Hessian, then it is the unit step within that cap
         step = min(1.0, 0.5 / dnorm) if scaled[0] else 0.5 / dnorm
-        paths = [correlations._exp_path(u, x) for u, x in zip(us, correlations._sides(d, us))]
+        paths = [correlations._exp_path(u, x) for u, x in zip(us, side_columns(d, us))]
         backtracked = False
         while True:
             trial = tuple(path(np.array([step])) for path in paths)
@@ -66,8 +67,7 @@ def reference_descent(evaluate, us, opts):
             if not step * dnorm >= correlations.MIN_ANGLE:
                 flat = gg < correlations.GRAD_TOL * correlations.GRAD_TOL or gg <= opts.tol * abs(f)
                 return result(it + 1, flat, gg)
-        change, f, us = f_trial - f, f_trial, trial
-        g_new = correlations._flat(g_trial)
+        change, f, us, g_new = f_trial - f, f_trial, trial, g_trial
         gg_new = correlations._inner(g_new, g_new)[0]
         h, scaled = correlations._bfgs_update(h, scaled, step * d, g_new - g)
         if not backtracked and -change <= opts.tol * abs(f):
@@ -75,6 +75,17 @@ def reference_descent(evaluate, us, opts):
         d = correlations._bfgs_direction(h, g_new)
         g, gg = g_new, gg_new
     return result(opts.max_iter, gg < correlations.GRAD_TOL * correlations.GRAD_TOL, gg)
+
+
+def side_columns(c, us):
+    """Each side's columns of the coordinate rows c, for the unitary stacks ``us``."""
+    ends = np.cumsum([u.shape[-1] * (u.shape[-1] - 1) for u in us])
+    return np.split(c, ends[:-1], axis=1)
+
+
+def tangent_matrices(c, n):
+    """K = sum_j c_j B_j for each coordinate row of c (side dimension n)."""
+    return (c @ correlations._tangent_basis(n)[0]).reshape(len(c), n, n)
 
 
 def rank_two_state():
@@ -218,7 +229,48 @@ def test_values_match_the_value_kernels(dims, side, rows):
         values, grads = search_problem(rho, side, idx)(*us)
         expected = measurement.disturbance_spectra(linalg.spectrum(rho), kernel[side](t, *us), idx)
         np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
-        assert [x.shape for x in grads] == [u.shape for u in us]
+        assert grads.dtype == float and grads.shape == (rows, sum(u.shape[-1] * (u.shape[-1] - 1) for u in us))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tangent_basis_is_orthonormal_on_the_zero_diagonal_hermitian_matrices(n):
+    """B_j = G_j / sqrt 2 over the off-diagonal generators: Tr(B_j B_k) = delta_jk, n(n - 1) of them.
+
+    Any zero-diagonal Hermitian K has coordinates c with c @ B = K and
+    |c| = |K|_F, and ``_coordinates`` reads them back from x = iK/2, whose
+    -i(x - x^dag) is K.
+    """
+    basis, _ = correlations._tangent_basis(n)
+    mats = basis.reshape(-1, n, n)
+    assert len(mats) == n * (n - 1)
+    np.testing.assert_allclose(basis @ basis.conj().T, np.eye(n * (n - 1)), rtol=0.0, atol=1e-15)
+    assert np.all(mats == linalg.dag(mats))
+    assert np.all(np.einsum("jaa->ja", mats) == 0.0)
+    rng = np.random.default_rng([47, n])
+    z = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    k = z + linalg.dag(z)
+    k[:, np.arange(n), np.arange(n)] = 0.0
+    c = correlations._coordinates(0.5j * k)
+    back = correlations._coordinates(0.5j * tangent_matrices(c, n))
+    np.testing.assert_allclose(tangent_matrices(c, n), k, rtol=0.0, atol=1e-15 * np.abs(k).max())
+    np.testing.assert_allclose(back, c, rtol=0.0, atol=1e-15 * np.abs(c).max())
+    np.testing.assert_allclose(np.linalg.norm(c, axis=1), np.linalg.norm(k, axis=(1, 2)), rtol=1e-15)
+
+
+@pytest.mark.parametrize("idx", INDICES, ids=str)
+@pytest.mark.parametrize("side", ["A", "B", "AB"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_phases_leave_the_value_unchanged(dims, side, idx):
+    """U -> U exp(i eps D), D diagonal, rephases the basis and keeps the value: no coordinate needs it."""
+    rng = np.random.default_rng([53, *dims, len(side)])
+    rho = linalg.random_density(dims, rng)
+    evaluate = search_problem(rho, side, idx)
+    us = [np.array([linalg.haar_unitary(n, rng) for _ in range(4)]) for n in side_dims(rho, side)]
+    values = evaluate(*us)[0]
+    for k, u in enumerate(us):
+        moved = list(us)
+        moved[k] = u * np.exp(0.3j * rng.standard_normal((4, 1, u.shape[-1])))
+        np.testing.assert_allclose(evaluate(*moved)[0], values, rtol=0.0, atol=1e-14)
 
 
 def test_objective_calls_are_stacked(monkeypatch):
@@ -288,13 +340,13 @@ def test_side_b_is_side_a_of_the_swapped_state(dims, idx):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_exp_path_is_the_matrix_exponential(n):
-    """``_exp_path(u, k)(steps)`` is u exp(i step k) row by row, global phase included."""
+    """``_exp_path(u, c)(steps)`` is u exp(i step K), K = c @ B, row by row, global phase included."""
     rng = np.random.default_rng([43, n])
     u = linalg.haar_from_normals(rng.standard_normal((6, 2 * n * n)), n)
-    z = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
-    k = z + linalg.dag(z)
+    c = rng.standard_normal((6, n * (n - 1)))
+    k = tangent_matrices(c, n)
     steps = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0])
-    moved = correlations._exp_path(u, k)(steps)
+    moved = correlations._exp_path(u, c)(steps)
     for row, step in enumerate(steps):
         np.testing.assert_allclose(moved[row], u[row] @ expm(1j * step * k[row]), rtol=0.0, atol=1e-13)
 
@@ -315,7 +367,6 @@ def record_bfgs(monkeypatch):
 
 def textbook_bfgs(h, scaled, s, y):
     """Nocedal & Wright's inverse update (6.17), with H0 = (s.y / y.y) I (6.20), one row."""
-    s, y = s.view(float), y.view(float)
     if s @ y <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
         return h, scaled
     if not scaled:
@@ -327,12 +378,12 @@ def textbook_bfgs(h, scaled, s, y):
 def test_bfgs_update_is_the_textbook_update():
     # rows: first update, later update, negative curvature, zero step
     rng = np.random.default_rng(41)
-    m = 5
-    s = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
-    y = s + 0.3 * (rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m)))
+    m = 12  # 3x3 side AB: 6 coordinates per side
+    s = rng.standard_normal((4, m))
+    y = s + 0.3 * rng.standard_normal((4, m))
     y[2], s[3] = -s[2], 0.0
-    a = rng.standard_normal((2 * m, 2 * m))
-    h = np.stack([np.eye(2 * m), a @ a.T + np.eye(2 * m), np.eye(2 * m), np.eye(2 * m)])
+    a = rng.standard_normal((m, m))
+    h = np.stack([np.eye(m), a @ a.T + np.eye(m), np.eye(m), np.eye(m)])
     scaled = np.array([False, True, False, True])
     expected = [textbook_bfgs(h[k], scaled[k], s[k], y[k]) for k in range(4)]
     h_new, scaled_new = correlations._bfgs_update(h.copy(), scaled, s, y)
@@ -340,7 +391,7 @@ def test_bfgs_update_is_the_textbook_update():
     for k, (h_k, _) in enumerate(expected):
         np.testing.assert_allclose(h_new[k], h_k, rtol=1e-12, atol=1e-12 * np.abs(h_k).max())
     for k in (0, 1):  # the secant equation H y = s
-        np.testing.assert_allclose(h_new[k] @ y[k].view(float), s[k].view(float), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(h_new[k] @ y[k], s[k], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("side", ["A", "B", "AB"])
@@ -355,16 +406,21 @@ def test_bfgs_state_stays_symmetric_with_hermitian_directions(monkeypatch, side)
 
     monkeypatch.setattr(correlations, "_bfgs_direction", spy)
     rho = linalg.random_density((2, 3), np.random.default_rng(51))
-    shapes = [np.empty((1, n, n)) for n in side_dims(rho, side)]
+    dims = side_dims(rho, side)
+    m = sum(n * (n - 1) for n in dims)
     res = measure_correlations(rho, side, EntropicIndices(1.0, 1.0), OptimizerOptions(restarts=8, seed=7))
     assert res.converged and updates and directions
     for _, _, _, _, h, scaled in updates:
+        assert h.shape[1:] == (m, m)
         np.testing.assert_array_equal(h, h.transpose(0, 2, 1))
         assert np.all(np.linalg.eigvalsh(h[scaled]) > 0.0)
     for d in directions:
-        for row in d:
-            for x in correlations._sides(row[None], shapes):
-                assert np.abs(x - linalg.dag(x)).max() <= 1e-12 * np.abs(x).max()
+        # a real coordinate row names a Hermitian, zero-diagonal K on each side
+        assert d.dtype == float and d.shape[1] == m and np.isfinite(d).all()
+        for c, n in zip(side_columns(d, [np.empty((n, n)) for n in dims]), dims):
+            x = tangent_matrices(c, n)
+            np.testing.assert_array_equal(x, linalg.dag(x))
+            assert np.all(np.einsum("raa->ra", x) == 0.0)
 
 
 def test_update_skipped_without_curvature(monkeypatch):
@@ -373,9 +429,8 @@ def test_update_skipped_without_curvature(monkeypatch):
     measure_correlations(rank_two_state(), "A", EntropicIndices(0.3, 1.0), OptimizerOptions(restarts=8, seed=3))
     skipped = 0
     for h, scaled, s, y, h_new, scaled_new in updates:
-        sv, yv = s.view(float), y.view(float)
-        sy = np.einsum("ri,ri->r", sv, yv)
-        skip = sy <= 1e-12 * np.linalg.norm(sv, axis=1) * np.linalg.norm(yv, axis=1)
+        sy = np.einsum("ri,ri->r", s, y)
+        skip = sy <= 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
         np.testing.assert_array_equal(h_new[skip], h[skip])
         assert (scaled_new[skip] == scaled[skip]).all() and scaled_new[~skip].all()
         skipped += skip.sum()

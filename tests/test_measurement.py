@@ -35,6 +35,18 @@ class TestBasisTypes:
         with pytest.raises(linalg.NotUnitary):
             ProjectiveBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("entry, bad", [((0, 0), math.nan), ((1, 1), math.nan), ((0, 1), math.inf)])
+    def test_rejects_non_finite_entries(self, entry, bad):
+        # NaN > tol is False, so the unitarity deviation alone let NaN through
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        with pytest.raises(linalg.NotUnitary, match=rf"entry \({entry[0]}, {entry[1]}\) is not finite"):
+            ProjectiveBasis(u)
+        with pytest.raises(linalg.NotUnitary, match="not finite"):
+            LocalMeasurement("A", basis_a=ProjectiveBasis(u))
+        with pytest.raises(linalg.NotUnitary, match=r"entry \(0, 0\) is not finite"):
+            ProjectiveBasis(np.full((2, 2), math.nan))
+
     def test_projector_completeness(self, rng):
         basis = random_basis(3, rng)
         total = sum(
