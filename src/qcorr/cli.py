@@ -165,6 +165,7 @@ def _family_spec_from_args(args) -> families.FamilySpec:
     n = args.family_n
     if n is None:
         raise ParseError("--family requires --N")
+    _require_count(n, "--N")
     if args.family not in FAMILY_FLAGS:
         raise ParseError(f"unknown family {args.family!r}")
     value = _family_parameter(args)
@@ -239,6 +240,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    _require_count(args.restarts, "--restarts")
     rho = _state_from_args(args)
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
@@ -286,7 +288,9 @@ def cmd_family_curve(args) -> int:
     kind, n = args.family, args.family_n
     if kind is None or n is None:
         raise ParseError("family-curve requires --family and --N")
+    _require_count(n, "--N")
     _require_count(args.grid, "--grid")
+    _require_count(args.restarts, "--restarts")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     cfg = _config(
@@ -375,6 +379,7 @@ def cmd_ancilla_check(args) -> int:
     _require_count(min(dims), "--dims entries")
     _require_count(args.ancilla_dim, "--ancilla-dim")
     _require_count(args.samples, "--samples")
+    _require_count(args.restarts, "--restarts")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     cfg = _config(
@@ -426,6 +431,7 @@ def cmd_ancilla_check(args) -> int:
 
 def cmd_triangle_scan(args) -> int:
     _require_count(args.n_states, "--n-states")
+    _require_count(args.restarts, "--restarts")
     pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
     opts_restarts = args.restarts
     cfg = _config(

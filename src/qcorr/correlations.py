@@ -42,8 +42,9 @@ import numpy as np
 from . import linalg, measurement
 from .entropy import (
     EntropicIndices,
-    Regime,
     entropy_change,
+    purity_ratio_sums,
+    spectral_slope,
     spectral_sum,
     unified_entropy_spectrum,
 )
@@ -53,7 +54,6 @@ from .measurement import (
     ProjectiveBasis,
     _blocks_side_a,
     _flat_spectrum,
-    _purity_ratio_sums,
     _require_bipartite,
     _spectrum_side_a,
     _spectrum_side_ab,
@@ -141,19 +141,17 @@ def _angles_from_unitary(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Search budget: ``restarts`` descents, each stopped by ``tol`` or ``max_iter``.
+    """Search budget: ``restarts`` descents, each stopped by a test or at ``max_iter``.
 
     A descent stops when its Riemannian gradient norm falls below GRAD_TOL,
     when an iteration that took its first trial step lowers the value by no
-    more than ``tol`` times the value, when no step rotating the bases by
-    more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
-    Raises ValueError for restarts < 1, max_iter < 0, or a tol that is
-    negative or NaN (either would switch the decrease test off).
+    more than DECREASE_TOL times the value, when no step rotating the bases
+    by more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
+    Raises ValueError for restarts < 1 or max_iter < 0.
     """
 
     restarts: int = 32
     seed: int = 0
-    tol: float = 1e-10
     max_iter: int = 2000
 
     def __post_init__(self):
@@ -161,8 +159,6 @@ class OptimizerOptions:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be a number >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,27 +198,9 @@ class TriangleReport:
 
 GRAD_TOL = 1e-9  # a descent stops once its Riemannian gradient norm is below this
 BASIN_TOL = 1e-9  # restarts ending this close to the best value count as basin hits
+DECREASE_TOL = 1e-10  # a full first step lowering the value by at most this fraction ends a descent
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 MIN_ANGLE = 1e-12  # a trial step rotating the bases by less than this ends the search
-
-
-def _slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
-    """dD/dp, the disturbance's derivative by each probability of the spectrum p.
-
-    The spectrum fills the last two axes of p (outcomes by conditional
-    eigenvalues, or the joint outcome table); any axes before them are stack
-    axes.  -(ln p + 1) for von Neumann, else P q p^(q-1) / ((1-q) Tr p^q)
-    with P the purity ratio (1 in the Renyi limit).  The value counts
-    entries below the numerical-rank cut-off of ``measurement._flat_spectrum``
-    (N eps for a spectrum of N entries) as zero; there ln p and, for q < 1,
-    p^(q-1) diverge, so the slope takes them at that cut-off.
-    """
-    pz = np.maximum(p, p.shape[-2] * p.shape[-1] * linalg.EPS)
-    if idx.regime is Regime.VON_NEUMANN:
-        return -(np.log(pz) + 1.0)
-    total = (np.maximum(p, 0.0) ** idx.q).sum(axis=(-2, -1))  # Tr p^q
-    scale = idx.q / (1.0 - idx.q) * _purity_ratio_sums(np.log(total), before, idx) / total
-    return scale[..., None, None] * pz ** (idx.q - 1.0)
 
 
 def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
@@ -246,7 +224,7 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
 
     def measured(lam):
         value = entropy_change(spectral_sum(_flat_spectrum(lam, lam.shape[:-2]), idx), before, idx)
-        return value, _slope(lam, idx, before)
+        return value, spectral_slope(lam, idx, before)
 
     def conditional(blocks):
         lam, vec = np.linalg.eigh(blocks)
@@ -300,9 +278,10 @@ class LocalSearch:
     """Outcome of one restart: the value ``fun`` at ``unitaries``.
 
     ``success`` is true when a stopping test ended the restart: a gradient
-    norm below GRAD_TOL, a relative decrease below ``tol``, or a line search
-    that stalls where the squared gradient norm is at most ``tol`` times the
-    value.  It is false at ``max_iter`` and at stalls with a larger gradient.
+    norm below GRAD_TOL, a relative decrease below DECREASE_TOL, or a line
+    search that stalls where the squared gradient norm is at most
+    DECREASE_TOL times the value.  It is false at ``max_iter`` and at
+    stalls with a larger gradient.
     """
 
     fun: float
@@ -438,10 +417,10 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
                 if step[k] * math.sqrt(dd[k]) >= MIN_ANGLE:
                     retry.append(k)
                 else:
-                    # a stall: converged where the gradient promises less than the
-                    # decrease test's tol (roundoff near a smooth minimum), not at a
-                    # cusp, where a probability reaches 0 and p^q has an infinite slope
-                    settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= opts.tol * abs(f[k]))
+                    # a stall: converged where the gradient promises less than
+                    # DECREASE_TOL of the value (roundoff near a smooth minimum), not at
+                    # a cusp, where a probability reaches 0 and p^q has an infinite slope
+                    settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k]))
             pending = retry
 
         change = [b - a for a, b in zip(f, f_trial)]
@@ -454,7 +433,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
             # not a flat objective, so only a full first step can end the
             # descent; rows that stalled in the line search have ended already
             if k not in ended and (
-                gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= opts.tol * abs(f[k]))
+                gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= DECREASE_TOL * abs(f[k]))
             ):
                 settle(k, it + 1, True)
     for k in range(len(rows)):
@@ -698,7 +677,7 @@ def _delta(rho, basis_a, basis_b, idx) -> float:
     sums = spectral_sums(_pair_spectra(rho, basis_a.unitary, basis_b.unitary), idx)
     value = entropy_change(sums["after_ab"], sums["before"], idx)
     for first in ("after_b", "after_a"):
-        ratio = _purity_ratio_sums(sums[first], sums["before"], idx)
+        ratio = purity_ratio_sums(sums[first], sums["before"], idx)
         value -= ratio * entropy_change(sums["after_ab"], sums[first], idx)
     return float(value)
 
@@ -788,7 +767,7 @@ def contractivity_min_from_spectra(spectra: dict, idx: EntropicIndices, sums=Non
     before, after_b = sums["before"], sums["after_b"]
     d_a = entropy_change(sums["after_a"], before, idx, expm1=np.expm1)
     d_a_post_b = entropy_change(sums["after_ab"], after_b, idx)
-    p_b = _purity_ratio_sums(after_b, before, idx)
+    p_b = purity_ratio_sums(after_b, before, idx)
     return float(np.min(d_a - p_b * d_a_post_b))
 
 

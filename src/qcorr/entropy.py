@@ -9,8 +9,11 @@ Every entropy, entropy difference and disturbance in the package goes
 through two array functions over the last axis: ``spectral_sum`` reduces a
 spectrum (or a stack of them) to the sum its entropy is built from, and
 ``entropy_change`` maps two such sums to the purity-rescaled entropy
-change.  ``entropy_change`` is the package's one map from the von Neumann,
-Renyi and unified regimes to values.
+change.  Beside them, ``purity_ratio_sums`` maps two sums to the purity
+ratio, and ``spectral_slope`` differentiates the disturbance by each entry
+of a spectrum.  These four kernels are the package's one switch between
+the von Neumann, Renyi and unified regimes: no other module branches on
+``Regime``.
 """
 
 from __future__ import annotations
@@ -145,6 +148,37 @@ def entropy_change(after_sum, before_sum, idx: EntropicIndices, expm1=math.expm1
 def _series(d, x, idx: EntropicIndices):
     """Leading terms of expm1(x) / ((1-q) s) in x = s d, for |x| below 1e-12."""
     return d / (1.0 - idx.q) * (1.0 + 0.5 * x)
+
+
+def purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
+    """exp(s (after_sum - before_sum)) from two spectral_sum values.
+
+    In the unified regime the sums are log power sums and this is
+    ((Tr after^q) / (Tr before^q))^s; the factor is identically 1 in the
+    limit regimes, where the measures carry no purity rescaling.
+    """
+    if idx.regime is not Regime.UNIFIED:
+        return 1.0
+    return np.exp(idx.s * (after_sum - before_sum))
+
+
+def spectral_slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
+    """dD/dp, the derivative of D = entropy_change(spectral_sum(p), before) by each entry of p.
+
+    The spectrum fills the last two axes of p (outcomes by conditional
+    eigenvalues, or the joint outcome table); any axes before them are stack
+    axes.  -(ln p + 1) for von Neumann, else P q p^(q-1) / ((1-q) Tr p^q)
+    with P the purity ratio (1 in the Renyi limit).  The value counts
+    entries below the numerical-rank cut-off of ``measurement._flat_spectrum``
+    (N eps for a spectrum of N entries) as zero; there ln p and, for q < 1,
+    p^(q-1) diverge, so the slope takes them at that cut-off.
+    """
+    pz = np.maximum(p, p.shape[-2] * p.shape[-1] * linalg.EPS)
+    if idx.regime is Regime.VON_NEUMANN:
+        return -(np.log(pz) + 1.0)
+    total = (np.maximum(p, 0.0) ** idx.q).sum(axis=(-2, -1))  # Tr p^q
+    scale = idx.q / (1.0 - idx.q) * purity_ratio_sums(np.log(total), before, idx) / total
+    return scale[..., None, None] * pz ** (idx.q - 1.0)
 
 
 def unified_entropy_spectrum(p, idx: EntropicIndices):

@@ -8,7 +8,9 @@ These serve as oracles for the numerical optimizer.
 
 The printed closed form for Werner states circulating in the literature
 disagrees with the direct spectral computation (see werner_printed_form);
-the spectrum-derived value is the one used as an oracle.
+the spectrum-derived value is the one used as an oracle.  Every value here,
+printed forms included, is ``measurement.disturbance_spectra`` of two
+spectra, so this module does not branch on the regime.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .entropy import EntropicIndices, Regime, entropy_change
+from .entropy import REGIME_TOL, EntropicIndices
 from .linalg import DensityOperator
 from .measurement import disturbance_spectra
 
@@ -70,6 +72,8 @@ class FamilySpec:
             )
         if self.psi is not None and self.kind != "pseudopure":
             raise BadParameter("psi only applies to pseudopure states")
+        if self.psi is not None and not np.isfinite(np.asarray(self.psi, dtype=complex)).all():
+            raise BadParameter("psi has a NaN or infinite entry")
 
 
 def maximally_entangled(n_a: int, n_b: int | None = None) -> np.ndarray:
@@ -192,28 +196,14 @@ def werner_spectrum_form(n: int, x: float, idx: EntropicIndices) -> float:
     return disturbance_spectra(before, after, idx)
 
 
-def _power_sum(terms, q: float) -> float:
-    """sum of c * b^q over (coefficient, base) pairs, with 0^q := 0."""
-    return float(sum(c * b**q for c, b in terms if b > 0.0))
+def _printed_spectrum(terms) -> np.ndarray:
+    """Trace-one spectrum from (count, base) pairs: ``count`` entries in proportion to ``base``.
 
-
-def _power_sum_dq(terms, q: float) -> float:
-    """d/dq of _power_sum: sum of c * b^q * ln(b)."""
-    return float(sum(c * b**q * math.log(b) for c, b in terms if b > 0.0))
-
-
-def _ratio_closed_form(num_terms, den_terms, idx: EntropicIndices) -> float:
-    """((num(q)/den(q))^s - 1) / ((1-q)s) with the regime limits.
-
-    num and den are power sums over (coefficient, base) pairs, and each
-    enters ``entropy_change`` as its log; the von Neumann limit takes -d/dq
-    of that log at q = 1 instead (valid whenever num(1) = den(1)).
+    A printed ratio num(q) / den(q) of sums of count * base^q has
+    num(1) = den(1), so normalizing both by that sum leaves it unchanged.
     """
-    if idx.regime is Regime.VON_NEUMANN:
-        sums = [-_power_sum_dq(t, 1.0) / _power_sum(t, 1.0) for t in (num_terms, den_terms)]
-    else:
-        sums = [math.log(_power_sum(t, idx.q)) for t in (num_terms, den_terms)]
-    return entropy_change(*sums, idx)
+    counts, bases = (np.array(column) for column in zip(*terms))
+    return np.repeat(bases / np.sum(counts * bases), counts)
 
 
 def werner_printed_form(n: int, x: float, idx: EntropicIndices) -> float:
@@ -225,18 +215,13 @@ def werner_printed_form(n: int, x: float, idx: EntropicIndices) -> float:
     """
     FamilySpec("werner", n, n, x)
     # num = 2 [ (N-1)^q (x+1)^q + (N-1)(N-x)^q ]
-    num_terms = [
-        (2.0, (n - 1) * (x + 1.0)),
-        (2.0 * (n - 1), float(n - x)),
-    ]
+    num_terms = [(2, (n - 1) * (x + 1.0)), (2 * (n - 1), float(n - x))]
     # den = 2 (N-1)^q (x+1)^q
     #       + (N-1) [ (N-x+Nx/2-1/2)^q + (N-x-Nx/2+1/2)^q ]
     den_terms = [
-        (2.0, (n - 1) * (x + 1.0)),
-        (float(n - 1), n - x + n * x / 2.0 - 0.5),
-        (float(n - 1), n - x - n * x / 2.0 + 0.5),
+        (2, (n - 1) * (x + 1.0)), (n - 1, n - x + n * x / 2.0 - 0.5), (n - 1, n - x - n * x / 2.0 + 0.5)
     ]
-    return _ratio_closed_form(num_terms, den_terms, idx)
+    return disturbance_spectra(_printed_spectrum(den_terms), _printed_spectrum(num_terms), idx)
 
 
 def isotropic_specializations(n: int, p: float, q: float) -> tuple[float, float]:
@@ -248,15 +233,14 @@ def isotropic_specializations(n: int, p: float, q: float) -> tuple[float, float]
     from the general expression at s = 1 instead.
     """
     FamilySpec("pseudopure", n, n, p)
-    if abs(q - 1.0) <= 1e-8:
+    if abs(q - 1.0) <= REGIME_TOL:
         raise BadParameter("specializations are for q != 1; use the general form")
     lam = np.full(n, 1.0 / n)
     before, after = _pseudopure_spectra(n * n, p, lam)
     tsallis = disturbance_spectra(before, after, EntropicIndices(q, 1.0))
-    num_terms = [(float(n), 1.0 - p + n * p), (float(n * n - n), 1.0 - p)]
-    den_terms = [(1.0, 1.0 - p + n * n * p), (float(n * n - 1), 1.0 - p)]
-    renyi = entropy_change(
-        math.log(_power_sum(num_terms, q)), math.log(_power_sum(den_terms, q)),
-        EntropicIndices(q, 0.0),
+    num_terms = [(n, 1.0 - p + n * p), (n * n - n, 1.0 - p)]
+    den_terms = [(1, 1.0 - p + n * n * p), (n * n - 1, 1.0 - p)]
+    renyi = disturbance_spectra(
+        _printed_spectrum(den_terms), _printed_spectrum(num_terms), EntropicIndices(q, 0.0)
     )
     return tsallis, renyi

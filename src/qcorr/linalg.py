@@ -227,11 +227,13 @@ def hs_norm_sq(a) -> float:
 
 
 def schmidt(psi, dims) -> SchmidtDecomposition:
-    """Schmidt decomposition of a unit vector on dims [N_A, N_B]."""
+    """Schmidt decomposition of a unit vector on dims [N_A, N_B]; NotFinite for a NaN or inf entry."""
     psi = np.asarray(psi, dtype=complex).ravel()
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2 or psi.size != dims[0] * dims[1]:
         raise DimMismatch(f"vector of size {psi.size} does not split as {dims}")
+    if not np.isfinite(psi).all():
+        raise NotFinite("vector has a NaN or infinite entry")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise NotNormalized(f"norm {np.linalg.norm(psi):.12f} != 1")
     u, sv, vh = np.linalg.svd(psi.reshape(dims), full_matrices=True)

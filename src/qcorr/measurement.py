@@ -7,9 +7,9 @@ in that basis.  Local measurements act on one block of a bipartite split
 state with its sides exchanged.  The disturbance of a measurement is the
 entropy increase it causes, rescaled by the generalized purity (Tr rho^q)^s.
 It is ``entropy.entropy_change`` applied to the ``entropy.spectral_sum`` of
-the spectra after and before, for one pair of spectra or for stacks of them.
-The rescale factor and the purity ratio are identically 1 in the von Neumann
-and Renyi limit regimes.
+the spectra after and before, for one pair of spectra or for stacks of them,
+and the rescale factor and the purity ratio come from
+``entropy.purity_ratio_sums``; this module does not branch on the regime.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from . import linalg
 from .entropy import (
     EntropicIndices,
-    Regime,
     entropy_change,
+    purity_ratio_sums,
     spectral_sum,
     unified_entropy_spectrum,
 )
@@ -216,27 +216,15 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
     return ConditionalDecomposition(m.side, probs, tuple(conditionals))
 
 
-def _purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
-    """exp(s (after_sum - before_sum)) from two spectral_sum values.
-
-    In the unified regime the sums are log power sums and this is
-    ((Tr after^q) / (Tr before^q))^s; the factor is identically 1 in the
-    limit regimes, where the measures carry no purity rescaling.
-    """
-    if idx.regime is not Regime.UNIFIED:
-        return 1.0
-    return np.exp(idx.s * (after_sum - before_sum))
-
-
 def rescale_factor(before_spectrum: np.ndarray, idx: EntropicIndices) -> float:
     """The divisor (Tr rho^q)^s; identically 1 in the limit regimes."""
-    return float(_purity_ratio_sums(spectral_sum(before_spectrum, idx), 0.0, idx))
+    return float(purity_ratio_sums(spectral_sum(before_spectrum, idx), 0.0, idx))
 
 
 def purity_ratio_spectra(before: np.ndarray, after: np.ndarray, idx: EntropicIndices) -> float:
     """((Tr after^q) / (Tr before^q))^s; identically 1 in the limit regimes."""
     return float(
-        _purity_ratio_sums(spectral_sum(after, idx), spectral_sum(before, idx), idx)
+        purity_ratio_sums(spectral_sum(after, idx), spectral_sum(before, idx), idx)
     )
 
 

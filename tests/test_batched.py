@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr import linalg, measurement
+from qcorr import entropy, linalg, measurement
 from qcorr.correlations import contractivity_min_from_spectra, measurement_pair_spectra
 from qcorr.entropy import EntropicIndices, entropy_change, spectral_sum
 from qcorr.measurement import disturbance_spectra, purity_ratio_spectra
@@ -277,7 +277,7 @@ class TestPurityRatio:
     def test_contractivity_p_b_equals_per_row_ratio(self, idx, dims, rank):
         rho = rank_deficient(dims, rank, np.random.default_rng([59, rank, *dims]))
         spectra = measurement_pair_spectra(rho, 200, 61)
-        p_b = measurement._purity_ratio_sums(
+        p_b = entropy.purity_ratio_sums(
             spectral_sum(spectra["after_b"], idx), spectral_sum(spectra["before"], idx), idx
         )
         per_row = [purity_ratio_spectra(spectra["before"], b, idx) for b in spectra["after_b"]]

@@ -366,6 +366,12 @@ class TestErrorsAndDeterminism:
         "triangle-scan --q 1 --s ''",
         "triangle-scan --s 1 --q ''",
         "entropy --family werner --N 2 --x 0 --q ,",
+        "measure --family werner --N 2 --x 1 --restarts 0",
+        "triangle-scan --restarts 0",
+        "ancilla-check --samples 1 --restarts 0",
+        "family-curve --family werner --N 2 --grid 2 --restarts 0",
+        "family-curve --family werner --grid 2 --N 0",
+        "measure --family werner --x 1 --N 0",
     ], ids=lambda line: "_".join(line.split()))
     def test_counts_below_one_fail(self, line, tmp_path, capsys):
         """A count below 1, or an empty --q or --s list, is a named error and writes no file."""

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from qcorr.entropy import (
     PreconditionUnmet,
     Regime,
     check_schur_concavity,
+    entropy_change,
     max_entropy,
     relative_entropy,
+    spectral_slope,
     spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
@@ -90,6 +93,48 @@ class TestSpectrumEntropy:
         a = unified_entropy_spectrum([0.6, 0.4, 0.0, 0.0], idx)
         b = unified_entropy_spectrum([0.6, 0.4], idx)
         assert_allclose(a, b, atol=1e-14)
+
+
+class TestSpectralSlope:
+    @pytest.mark.parametrize("idx", [EntropicIndices(1.0, 1.0), EntropicIndices(2.0, 0.0), EntropicIndices(0.5, 0.0),
+                                     EntropicIndices(2.0, 1.0), EntropicIndices(0.5, 1.0), EntropicIndices(3.0, 0.5)],
+                             ids=lambda i: i.regime.value + f"-q{i.q:g}-s{i.s:g}")
+    def test_matches_central_differences(self, idx):
+        # the spectrum fills the last two axes; the first is a stack axis
+        rng = np.random.default_rng(67)
+        p = rng.dirichlet(np.ones(6), 3).reshape(3, 2, 3)
+        before = spectral_sum(rng.dirichlet(np.ones(6)), idx)
+        slope = spectral_slope(p, idx, before)
+        assert slope.shape == p.shape
+
+        def value(row):
+            return entropy_change(spectral_sum(row.ravel(), idx), before, idx)
+
+        for r, i, j in np.ndindex(p.shape):
+            h = 1e-6 * p[r, i, j]
+            up, down = p[r].copy(), p[r].copy()
+            up[i, j] += h
+            down[i, j] -= h
+            numeric = (value(up) - value(down)) / (2.0 * h)
+            assert abs(slope[r, i, j] - numeric) <= 1e-7 * max(1.0, abs(numeric))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qcorr"
+
+
+def test_only_entropy_refers_to_regime_members():
+    # one regime switch: every other module calls entropy's kernels, and
+    # re-exporting the enum or printing idx.regime.value is not a branch
+    files = sorted(SRC.glob("*.py"))
+    assert SRC / "entropy.py" in files
+    offenders = [
+        f"{path.name}:{number}"
+        for path in files
+        if path.name != "entropy.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "Regime." in line
+    ]
+    assert offenders == []
 
 
 class TestStateEntropy:

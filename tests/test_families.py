@@ -59,6 +59,12 @@ class TestFamilySpec:
         with pytest.raises(BadParameter):
             families.build(FamilySpec("pseudopure", 2, 2, 0.5, psi=np.ones(4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_psi_rejected(self, bad):
+        # a NaN norm passes the unit-norm test, so psi is checked entry by entry
+        with pytest.raises(BadParameter, match="psi"):
+            FamilySpec("pseudopure", 2, 2, 0.5, psi=np.array([bad, 0.0, 0.0, 1.0]))
+
 
 class TestBuild:
     def test_pseudopure_white_noise_limit(self):
@@ -196,6 +202,21 @@ class TestWernerForms:
             for dq in (1e-5, -1e-5):
                 near = werner_printed_form(2, x, EntropicIndices(1.0 + dq, 0.0))
                 assert abs(near - vn_value) < 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_printed_form_matches_printed_expression(self, n):
+        # literal published ratio, evaluated directly for generic (q, s)
+        for q, s in ((2.0, 1.0), (3.0, 0.5), (2.0, 0.0), (0.5, 1.0)):
+            for x in (-0.7, 0.1, 0.6, 1.0):
+                num = 2 * (((n - 1) * (x + 1)) ** q + (n - 1) * (n - x) ** q)
+                den = 2 * ((n - 1) * (x + 1)) ** q + (n - 1) * (
+                    (n - x + n * x / 2 - 0.5) ** q + (n - x - n * x / 2 + 0.5) ** q
+                )
+                if abs(s) < 1e-8:
+                    literal = math.log(num / den) / (1 - q)
+                else:
+                    literal = ((num / den) ** s - 1) / ((1 - q) * s)
+                assert abs(werner_printed_form(n, x, EntropicIndices(q, s)) - literal) < 1e-12
 
     def test_printed_form_disagrees_at_singlet(self):
         printed = werner_printed_form(2, -1.0, VN)

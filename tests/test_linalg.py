@@ -227,6 +227,13 @@ class TestSchmidt:
         assert_allclose(dec.basis_a.conj().T @ dec.basis_a, np.eye(2), atol=1e-12)
         assert_allclose(dec.basis_b.conj().T @ dec.basis_b, np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        # |norm - 1| > tol is False for a NaN norm, so the norm test alone
+        # lets a NaN vector through to the SVD
+        with pytest.raises(linalg.NotFinite):
+            linalg.schmidt([bad, 0.0, 0.0, 1.0], (2, 2))
+
     def test_not_normalized(self):
         with pytest.raises(linalg.NotNormalized):
             linalg.schmidt(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2))

@@ -65,12 +65,12 @@ def reference_descent(evaluate, us, opts):
             curvature = f_trial - f - slope * step
             step = min(max(-0.5 * slope * step * step / curvature, 0.1 * step), 0.5 * step)
             if not step * dnorm >= correlations.MIN_ANGLE:
-                flat = gg < correlations.GRAD_TOL * correlations.GRAD_TOL or gg <= opts.tol * abs(f)
+                flat = gg < correlations.GRAD_TOL * correlations.GRAD_TOL or gg <= correlations.DECREASE_TOL * abs(f)
                 return result(it + 1, flat, gg)
         change, f, us, g_new = f_trial - f, f_trial, trial, g_trial
         gg_new = correlations._inner(g_new, g_new)[0]
         h, scaled = correlations._bfgs_update(h, scaled, step * d, g_new - g)
-        if not backtracked and -change <= opts.tol * abs(f):
+        if not backtracked and -change <= correlations.DECREASE_TOL * abs(f):
             return result(it + 1, True, gg_new)
         d = correlations._bfgs_direction(h, g_new)
         g, gg = g_new, gg_new
