@@ -203,6 +203,12 @@ def _require_count(value: int, flag: str):
         raise ParseError(f"{flag} must be >= 1, got {value}")
 
 
+def _search_options(args) -> tuple[EntropicIndices, OptimizerOptions]:
+    """The index pair and search budget of a one-search command; --restarts below 1 is an error."""
+    _require_count(args.restarts, "--restarts")
+    return EntropicIndices(args.q_scalar, args.s_scalar), OptimizerOptions(restarts=args.restarts, seed=args.seed)
+
+
 def _angles_str(basis) -> str:
     """A basis as its generator coefficients, the ``angles_*`` columns of ``measure``."""
     if basis is None:
@@ -240,10 +246,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _require_count(args.restarts, "--restarts")
+    idx, opts = _search_options(args)
     rho = _state_from_args(args)
-    idx = EntropicIndices(args.q_scalar, args.s_scalar)
-    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     cfg = _config(
         "measure",
         dims=rho.dims,
@@ -290,9 +294,7 @@ def cmd_family_curve(args) -> int:
         raise ParseError("family-curve requires --family and --N")
     _require_count(n, "--N")
     _require_count(args.grid, "--grid")
-    _require_count(args.restarts, "--restarts")
-    idx = EntropicIndices(args.q_scalar, args.s_scalar)
-    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    idx, opts = _search_options(args)
     cfg = _config(
         "family-curve",
         grid=args.grid,
@@ -379,9 +381,7 @@ def cmd_ancilla_check(args) -> int:
     _require_count(min(dims), "--dims entries")
     _require_count(args.ancilla_dim, "--ancilla-dim")
     _require_count(args.samples, "--samples")
-    _require_count(args.restarts, "--restarts")
-    idx = EntropicIndices(args.q_scalar, args.s_scalar)
-    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    idx, opts = _search_options(args)
     cfg = _config(
         "ancilla-check",
         dims=dims,
@@ -432,14 +432,14 @@ def cmd_ancilla_check(args) -> int:
 def cmd_triangle_scan(args) -> int:
     _require_count(args.n_states, "--n-states")
     _require_count(args.restarts, "--restarts")
+    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
-    opts_restarts = args.restarts
     cfg = _config(
         "triangle-scan",
         q=tuple(p[0] for p in pairs),
         s=tuple(p[1] for p in pairs),
         seed=args.seed,
-        restarts=opts_restarts,
+        restarts=args.restarts,
         n_states=args.n_states,
         dims=(2, 2),
     )
@@ -447,9 +447,7 @@ def cmd_triangle_scan(args) -> int:
     for state_id in range(args.n_states):
         rho = linalg.random_density((2, 2), np.random.default_rng([args.seed, state_id]))
         for q, s in pairs:
-            idx = EntropicIndices(q, s)
-            opts = OptimizerOptions(restarts=opts_restarts, seed=args.seed)
-            report = correlations.triangle_analysis(rho, idx, opts)
+            report = correlations.triangle_analysis(rho, EntropicIndices(q, s), opts)
             ordering_holds = report.m_ab >= max(report.m_a, report.m_b) - 1e-8
             rows.append(
                 (
@@ -492,6 +490,15 @@ def _add_state_source(sub, family_required=False):
         sub.add_argument(f"--{flag}", type=float, default=None)
 
 
+def _add_search_flags(sub, q=1.0, s=1.0, restarts=8):
+    """--q and --s (one index pair), --restarts, --seed and --out of a one-search command."""
+    sub.add_argument("--q", dest="q_scalar", type=float, default=q)
+    sub.add_argument("--s", dest="s_scalar", type=float, default=s)
+    sub.add_argument("--restarts", type=int, default=restarts)
+    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--out", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcorr",
@@ -509,22 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("measure", help="minimized correlation measure of a state")
     _add_state_source(p)
     p.add_argument("--side", choices=measurement.SIDES, default="AB")
-    p.add_argument("--q", dest="q_scalar", type=float, default=1.0)
-    p.add_argument("--s", dest="s_scalar", type=float, default=1.0)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_search_flags(p, restarts=16)
     p.set_defaults(func=cmd_measure)
 
     p = subs.add_parser("family-curve", help="closed form vs optimizer over a parameter grid")
     _add_state_source(p, family_required=True)
     p.add_argument("--side", choices=measurement.SIDES, default="A")
-    p.add_argument("--q", dest="q_scalar", type=float, default=1.0)
-    p.add_argument("--s", dest="s_scalar", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=5)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_family_curve)
 
     p = subs.add_parser("fig1", help="contractivity sweep over random states and measurements")
@@ -541,11 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ancilla", choices=("mixed", "pure", "mmix"), default="mixed")
     p.add_argument("--grouping", choices=("a-bc", "b-ac"), default="a-bc")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--q", dest="q_scalar", type=float, default=2.0)
-    p.add_argument("--s", dest="s_scalar", type=float, default=1.0)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_search_flags(p, q=2.0)
     p.set_defaults(func=cmd_ancilla_check)
 
     p = subs.add_parser("triangle-scan", help="triangle/ordering inequalities on random states")
@@ -565,8 +560,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, ValueError, OSError, OverflowError) as exc:
+        kind = "float overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
 
 

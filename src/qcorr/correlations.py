@@ -9,11 +9,11 @@ the local eigenbases of the reduced states (the exact optimum for pure and
 pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
-from one measured spectrum, each exponential call covers all rows that need
-it, and no row's descent depends on the other rows.  The argmin and the
-warm starts are ``LocalMeasurement``s; coefficients on a traceless
-Hermitian generator basis (N^2 - 1 per side) only print bases and read
-them back.
+from one measured spectrum, and each exponential call covers all rows that
+need it; a row's descent is its lone descent up to last bits.  The argmin
+and the warm starts are ``LocalMeasurement``s; coefficients on a traceless
+Hermitian generator basis (N^2 - 1 per side) only print bases and read them
+back.
 
 A basis is a unitary up to column phases: U -> U exp(iD), D diagonal,
 leaves every projector and so the disturbance unchanged.  The search thus
@@ -347,12 +347,15 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     The rows descend in lockstep.  Each line-search round makes one stacked
     ``evaluate`` call on the rows whose trial is pending, which gives their
     values and their gradients together, so an accepted trial already has
-    its gradient; a rejected trial pays for one it does not use.  The rows
-    that a stopping test ended during an iteration leave the stack together,
-    by one trim, before the next.  Every row keeps its own step, slope,
-    inverse Hessian and stopping state under the rules of a lone descent,
-    and every stacked call computes each row from that row alone, so a row's
-    descent does not depend on the other rows.
+    its gradient; a rejected trial pays for one it does not use.  Every row
+    keeps its own step, slope, inverse Hessian and stopping state under the
+    rules of a lone descent.  Each iteration first settles, in this order,
+    the rows whose gradient norm is below GRAD_TOL, whose last full first
+    step lowered the value by at most DECREASE_TOL of it, or that ran
+    ``max_iter`` iterations, and trims them off the stack together with the
+    rows whose line search stalled; the last pass only settles.  numpy's 2-D
+    matmuls take another path for a one-row stack, so a row can differ from
+    its lone descent in the last bits, and then also in ``nit``.
     """
     f, g = evaluate(*us)
     f = f.tolist()
@@ -364,23 +367,24 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     scaled = np.zeros(len(f), dtype=bool)  # the rows whose h is an inverse Hessian
     rows = list(range(len(f)))  # the start each live row descends from
     nfev = [1] * len(f)
+    decreased = [False] * len(f)  # the row's last full first step met the decrease test
     out = [None] * len(f)
-    ended = []  # live rows settled since the stack was last trimmed
+    ended = set()  # live rows settled since the stack was last trimmed
 
     def settle(k, nit, success):
         out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
-        ended.append(k)
+        ended.add(k)
 
-    for k in range(len(f)):
-        if gg[k] < GRAD_TOL * GRAD_TOL:
-            settle(k, 0, True)
-
-    for it in range(opts.max_iter):
-        if ended:  # the stack loses the rows that ended in the last iteration
+    for it in range(opts.max_iter + 1):
+        for k in range(len(rows)):  # the rows in ended stalled in the last line search
+            stopped = gg[k] < GRAD_TOL * GRAD_TOL or decreased[k]
+            if k not in ended and (stopped or it == opts.max_iter):
+                settle(k, it, stopped)
+        if ended:  # the stack loses the rows that ended
             keep = [k for k in range(len(rows)) if k not in ended]
             ended.clear()
             us, g, d, h, scaled = tuple(u[keep] for u in us), g[keep], d[keep], h[keep], scaled[keep]
-            f, gg, nfev, rows = ([c[k] for k in keep] for c in (f, gg, nfev, rows))
+            f, gg, nfev, rows, decreased = ([c[k] for k in keep] for c in (f, gg, nfev, rows, decreased))
         if not rows:
             break
         slope, dd = _inner(d, g), _inner(d, d)
@@ -423,22 +427,13 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
                     settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k]))
             pending = retry
 
-        change = [b - a for a, b in zip(f, f_trial)]
+        # a small decrease after backtracking reflects a poor trial step, not
+        # a flat objective, so only a full first step can end the descent
+        decreased = [not back and f0 - f1 <= DECREASE_TOL * abs(f1) for f0, f1, back in zip(f, f_trial, backtracked)]
         us, f = trial, f_trial
         h, scaled = _bfgs_update(h, scaled, np.array(step)[:, None] * d, g_new - g)
         g, gg = g_new, _inner(g_new, g_new)
         d = _bfgs_direction(h, g)
-        for k in range(len(rows)):
-            # a small decrease after backtracking reflects a poor trial step,
-            # not a flat objective, so only a full first step can end the
-            # descent; rows that stalled in the line search have ended already
-            if k not in ended and (
-                gg[k] < GRAD_TOL * GRAD_TOL or (not backtracked[k] and -change[k] <= DECREASE_TOL * abs(f[k]))
-            ):
-                settle(k, it + 1, True)
-    for k in range(len(rows)):
-        if k not in ended:
-            settle(k, opts.max_iter, gg[k] < GRAD_TOL * GRAD_TOL)
     return out
 
 

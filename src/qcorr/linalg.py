@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
 TOL_SCHMIDT = 1e-12
@@ -94,8 +93,8 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
-    """Raise NotUnitary unless u is finite (NaN > tol is False) and u^dag u = I entrywise within tol."""
+def check_unitary(u: np.ndarray) -> None:
+    """Raise NotUnitary unless u is finite (NaN passes any bound test) and u^dag u = I entrywise within TOL_UNITARY."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitary(f"expected a square matrix, got shape {u.shape}")
@@ -103,8 +102,8 @@ def check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
         i, j = divmod(int(np.isfinite(u).argmin()), len(u))
         raise NotUnitary(f"entry ({i}, {j}) is not finite: {u[i, j]}")
     dev = np.max(np.abs(dag(u) @ u - np.eye(u.shape[0])))
-    if dev > tol:
-        raise NotUnitary(f"deviation from unitarity {dev:.3e} exceeds {tol:.1e}")
+    if dev > TOL_UNITARY:
+        raise NotUnitary(f"deviation from unitarity {dev:.3e} exceeds {TOL_UNITARY:.1e}")
 
 
 def make_density(matrix, dims) -> DensityOperator:

@@ -401,6 +401,24 @@ class TestErrorsAndDeterminism:
         assert run(line.split()) == 1
         assert "states need N >= 2, got N = 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "entropy --q 400 --s -5",
+        "measure --side A --q 400 --s -5 --seed 1",
+    ], ids=["entropy", "measure"])
+    def test_float_overflow_is_a_named_error(self, line, tmp_path):
+        """exp(s d) beyond the float range ends in one error line naming the overflow, not a traceback.
+
+        Run in a child: numpy's overflow RuntimeWarnings on the way are errors under pytest.
+        """
+        path = tmp_path / "state.txt"
+        write_state_file(path, linalg.random_density((2, 2), np.random.default_rng(3)))
+        command, *flags = line.split()
+        proc = run_child(["-m", "qcorr", command, "--state-file", str(path), *flags])
+        assert proc.returncode == 1
+        assert "error: float overflow: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_zero_restarts_fail(self, capsys):
         assert run(["measure", "--family", "werner", "--N", "2", "--x", "1",
                     "--q", "2", "--s", "1", "--restarts", "0", "--seed", "1"]) == 1

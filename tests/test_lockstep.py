@@ -1,4 +1,4 @@
-"""The lockstep search: every row of a stacked BFGS descent is the descent of its start alone."""
+"""The lockstep search: every row of a stacked BFGS descent follows the rules of its start's lone descent."""
 
 import collections
 import math
@@ -120,6 +120,14 @@ def test_minimize_matches_per_restart_loop(state, side, idx, max_iter):
         run = correlations.minimize(evaluate, start, opts)
         reference = reference_descent(evaluate, start, opts)
         assert (run.fun, run.nit, run.nfev, run.success, run.grad_norm) == reference
+        # the boundaries of the one site that settles stops: no iteration,
+        # one, and the caps just before and at the run's own end, where the
+        # cap and the test that ended the run fire in the same pass
+        for cap in (0, 1, run.nit - 1, run.nit):
+            capped = OptimizerOptions(restarts=1, max_iter=max(cap, 0))
+            short = correlations.minimize(evaluate, start, capped)
+            reference = reference_descent(evaluate, start, capped)
+            assert (short.fun, short.nit, short.nfev, short.success, short.grad_norm) == reference
 
 
 def side_dims(rho, side):
@@ -451,3 +459,41 @@ def test_line_search_work_per_iteration(dims, side, q):
     opts = OptimizerOptions(restarts=8, seed=1)
     res = measure_correlations(rho, side, EntropicIndices(q, 1.0), opts)
     assert res.nfev <= 1.5 * res.iterations + opts.restarts
+
+
+def planted_state(dims, side, rng):
+    """A mixed state whose disturbance is 0 in a basis planted on ``side``, with I/N on each measured side.
+
+    Sides A and B: classical on the measured side in a Haar-random basis,
+    sum_i P_i (x) rho_i / N with random mixed rho_i.  Side AB: classical on
+    both, diagonal in a Haar-random product basis, with a joint outcome
+    table whose marginals are uniform.  The reduced state of a measured side
+    is I/N, so its eigenbasis start is not the planted basis.
+    """
+    na, nb = dims
+    if side != "AB":
+        n, m = (na, nb) if side == "A" else (nb, na)
+        u = linalg.haar_unitary(n, rng)
+        mat = sum(np.kron(np.outer(u[:, i], u[:, i].conj()), linalg.random_density(m, rng).matrix) for i in range(n))
+        rho = linalg.make_density(mat / n, (n, m))
+        return rho if side == "A" else linalg.permute_subsystems(rho, [1, 0])
+    x = rng.uniform(-1.0, 1.0, dims)
+    x -= x.mean(axis=0) + x.mean(axis=1)[:, None] - x.mean()  # zero row and column sums
+    table = (1.0 + x / 4.0) / (na * nb)  # |x| <= 4, so every entry is positive
+    u = np.kron(linalg.haar_unitary(na, rng), linalg.haar_unitary(nb, rng))
+    return linalg.make_density((u * table.ravel()) @ u.conj().T, dims)
+
+
+@pytest.mark.parametrize("side", ["A", "B", "AB"])
+@pytest.mark.parametrize("dims", [(3, 3), (3, 2), (4, 2)])
+def test_planted_basis_is_found_on_mixed_qudit_states(dims, side):
+    """The search reaches the exact minimum 0 of a state with a planted undisturbed basis."""
+    rng = np.random.default_rng([dims[0], dims[1], len(side), 5])
+    rho = planted_state(dims, side, rng)
+    for k, name in enumerate("AB"):
+        if name in side:
+            reduced = linalg.partial_trace(rho, [k]).matrix
+            np.testing.assert_allclose(reduced, np.eye(dims[k]) / dims[k], rtol=0.0, atol=1e-15)
+    for idx in INDICES:
+        res = measure_correlations(rho, side, idx, OptimizerOptions(restarts=8, seed=1))
+        assert abs(res.value) <= 1e-12, (idx, res.value)
