@@ -11,6 +11,7 @@ from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import OptimizerOptions, measure_correlations
 from qcorr.entropy import EntropicIndices, spectral_sum
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
+from util import cc_state, cq_state
 
 INDICES = [EntropicIndices(q, s) for q, s in ((0.5, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.5))]
 TS2 = EntropicIndices(2.0, 1.0)
@@ -473,15 +474,11 @@ def planted_state(dims, side, rng):
     na, nb = dims
     if side != "AB":
         n, m = (na, nb) if side == "A" else (nb, na)
-        u = linalg.haar_unitary(n, rng)
-        mat = sum(np.kron(np.outer(u[:, i], u[:, i].conj()), linalg.random_density(m, rng).matrix) for i in range(n))
-        rho = linalg.make_density(mat / n, (n, m))
+        rho = cq_state(rng, n, m, probs=np.full(n, 1.0 / n))
         return rho if side == "A" else linalg.permute_subsystems(rho, [1, 0])
     x = rng.uniform(-1.0, 1.0, dims)
     x -= x.mean(axis=0) + x.mean(axis=1)[:, None] - x.mean()  # zero row and column sums
-    table = (1.0 + x / 4.0) / (na * nb)  # |x| <= 4, so every entry is positive
-    u = np.kron(linalg.haar_unitary(na, rng), linalg.haar_unitary(nb, rng))
-    return linalg.make_density((u * table.ravel()) @ u.conj().T, dims)
+    return cc_state(rng, na, nb, probs=((1.0 + x / 4.0) / (na * nb)).ravel())  # |x| <= 4: every entry positive
 
 
 @pytest.mark.parametrize("side", ["A", "B", "AB"])

@@ -37,10 +37,11 @@ def random_basis(n, rng) -> measurement.ProjectiveBasis:
     return measurement.ProjectiveBasis(linalg.haar_unitary(n, rng))
 
 
-def cc_state(rng, na=2, nb=2) -> linalg.DensityOperator:
-    """Classical-classical state: random product-basis diagonal."""
+def cc_state(rng, na=2, nb=2, probs=None) -> linalg.DensityOperator:
+    """Classical-classical state: a product-basis diagonal, random unless ``probs`` (na * nb entries) is given."""
     ua, ub = linalg.haar_unitary(na, rng), linalg.haar_unitary(nb, rng)
-    probs = rng.dirichlet(np.ones(na * nb))
+    if probs is None:
+        probs = rng.dirichlet(np.ones(na * nb))
     u = np.kron(ua, ub)
     return linalg.make_density((u * probs) @ u.conj().T, (na, nb))
 
