@@ -166,8 +166,6 @@ def _family_spec_from_args(args) -> families.FamilySpec:
     if n is None:
         raise ParseError("--family requires --N")
     _require_count(n, "--N")
-    if args.family not in FAMILY_FLAGS:
-        raise ParseError(f"unknown family {args.family!r}")
     value = _family_parameter(args)
     if value is None:
         raise ParseError(f"{args.family} requires --{FAMILY_FLAGS[args.family]}")
@@ -203,10 +201,10 @@ def _require_count(value: int, flag: str):
         raise ParseError(f"{flag} must be >= 1, got {value}")
 
 
-def _search_options(args) -> tuple[EntropicIndices, OptimizerOptions]:
-    """The index pair and search budget of a one-search command; --restarts below 1 is an error."""
+def _search_options(args) -> OptimizerOptions:
+    """The search budget that --restarts and --seed set; --restarts below 1 is an error."""
     _require_count(args.restarts, "--restarts")
-    return EntropicIndices(args.q_scalar, args.s_scalar), OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    return OptimizerOptions(restarts=args.restarts, seed=args.seed)
 
 
 def _angles_str(basis) -> str:
@@ -246,8 +244,9 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    idx, opts = _search_options(args)
+    opts = _search_options(args)
     rho = _state_from_args(args)
+    idx = EntropicIndices(args.q_scalar, args.s_scalar)
     cfg = _config(
         "measure",
         dims=rho.dims,
@@ -294,7 +293,8 @@ def cmd_family_curve(args) -> int:
         raise ParseError("family-curve requires --family and --N")
     _require_count(n, "--N")
     _require_count(args.grid, "--grid")
-    idx, opts = _search_options(args)
+    opts = _search_options(args)
+    idx = EntropicIndices(args.q_scalar, args.s_scalar)
     cfg = _config(
         "family-curve",
         grid=args.grid,
@@ -381,7 +381,8 @@ def cmd_ancilla_check(args) -> int:
     _require_count(min(dims), "--dims entries")
     _require_count(args.ancilla_dim, "--ancilla-dim")
     _require_count(args.samples, "--samples")
-    idx, opts = _search_options(args)
+    opts = _search_options(args)
+    idx = EntropicIndices(args.q_scalar, args.s_scalar)
     cfg = _config(
         "ancilla-check",
         dims=dims,
@@ -431,8 +432,7 @@ def cmd_ancilla_check(args) -> int:
 
 def cmd_triangle_scan(args) -> int:
     _require_count(args.n_states, "--n-states")
-    _require_count(args.restarts, "--restarts")
-    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    opts = _search_options(args)
     pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
     cfg = _config(
         "triangle-scan",
@@ -490,10 +490,10 @@ def _add_state_source(sub, family_required=False):
         sub.add_argument(f"--{flag}", type=float, default=None)
 
 
-def _add_search_flags(sub, q=1.0, s=1.0, restarts=8):
+def _add_search_flags(sub, q=1.0, restarts=8):
     """--q and --s (one index pair), --restarts, --seed and --out of a one-search command."""
     sub.add_argument("--q", dest="q_scalar", type=float, default=q)
-    sub.add_argument("--s", dest="s_scalar", type=float, default=s)
+    sub.add_argument("--s", dest="s_scalar", type=float, default=1.0)
     sub.add_argument("--restarts", type=int, default=restarts)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--out", default=None)
