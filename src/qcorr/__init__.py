@@ -6,7 +6,6 @@ from .correlations import (
     TriangleReport,
     bilocal_decomposition_check,
     contractivity_probe,
-    decode_basis,
     entanglement_lower_bound,
     grid_oracle_qubit,
     measure_correlations,

@@ -22,7 +22,7 @@ from .correlations import OptimizerOptions, measure_correlations
 from .entropy import EntropicIndices, max_entropy, unified_entropy
 from .linalg import DensityOperator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 FIG1_DEFAULT_Q = (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
 TRIANGLE_DEFAULT_Q = (1.0, 2.0, 0.5, 2.0, 3.0)
@@ -207,11 +207,11 @@ def _search_options(args) -> OptimizerOptions:
     return OptimizerOptions(restarts=args.restarts, seed=args.seed)
 
 
-def _angles_str(basis) -> str:
-    """A basis as its generator coefficients, the ``angles_*`` columns of ``measure``."""
+def _basis_str(basis) -> str:
+    """A ``basis_*`` column of ``measure``: the unitary's entries row-major, each real then imaginary part."""
     if basis is None:
         return ""
-    return ";".join(f"{a:.17g}" for a in correlations._angles_from_unitary(basis.unitary))
+    return ";".join(f"{x:.17g}" for x in np.ascontiguousarray(basis.unitary, dtype=complex).view(float).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +263,20 @@ def cmd_measure(args) -> int:
             res.value,
             res.spread,
             res.converged,
+            res.grad_norm,
+            res.basin_hits,
             res.restarts_used,
             res.iterations,
-            _angles_str(res.argmin.basis_a),
-            _angles_str(res.argmin.basis_b),
+            res.nfev,
+            _basis_str(res.argmin.basis_a),
+            _basis_str(res.argmin.basis_b),
         )
     ]
     write_csv(
         args.out,
         [cfg],
-        ["side", "q", "s", "value", "spread", "converged", "restarts", "iterations",
-         "angles_a", "angles_b"],
+        ["side", "q", "s", "value", "spread", "converged", "grad_norm", "basin_hits", "restarts",
+         "iterations", "nfev", "basis_a", "basis_b"],
         rows,
     )
     return 0

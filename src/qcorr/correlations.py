@@ -10,10 +10,10 @@ pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
 from one measured spectrum, and each exponential call covers all rows that
-need it; a row's descent is its lone descent up to last bits.  The argmin
-and the warm starts are ``LocalMeasurement``s; coefficients on a traceless
-Hermitian generator basis (N^2 - 1 per side) only print bases and read them
-back.
+need it; a row's descent is its lone descent up to last bits.  A basis is
+carried as its unitary throughout: the starts, the argmin and the warm
+starts are ``LocalMeasurement``s, and ``qcorr measure`` prints the argmin's
+unitary entries.
 
 A basis is a unitary up to column phases: U -> U exp(iD), D diagonal,
 leaves every projector and so the disturbance unchanged.  The search thus
@@ -66,10 +66,6 @@ from .measurement import (
 )
 
 
-class BadLength(ValueError):
-    pass
-
-
 @functools.lru_cache(maxsize=None)
 def su_generators(n: int) -> np.ndarray:
     """Generalized Gell-Mann basis of traceless Hermitian n x n matrices.
@@ -112,31 +108,10 @@ def _coordinates(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((x.reshape(len(x), n * n) @ _tangent_basis(n)[1]).imag)
 
 
+# kept only for perfbench/spans.py, which binds it as correlations.decode
 def _unitary_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
     w, v = np.linalg.eigh(np.tensordot(np.asarray(angles, dtype=float), su_generators(n), 1))
     return (v * np.exp(1.0j * w)) @ v.conj().T
-
-
-def decode_basis(angles, n: int) -> ProjectiveBasis:
-    """Exponential map from generator coefficients to a measurement basis."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (n * n - 1,):
-        raise BadLength(f"need {n * n - 1} coefficients for dimension {n}, got {angles.shape}")
-    return ProjectiveBasis(_unitary_from_angles(angles, n))
-
-
-def _angles_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Generator coefficients reproducing u up to an irrelevant global phase.
-
-    u is normal: ``eig``'s eigenvectors are orthogonal across eigenvalues,
-    and QR makes them orthonormal inside degenerate clusters too, so Q^dag u Q
-    is diagonal and log u = i Q diag(phases) Q^dag.
-    """
-    n = u.shape[0]
-    q = np.linalg.qr(np.linalg.eig(u)[1])[0]
-    phases = np.angle(np.einsum("ji,jk,ki->i", q.conj(), u, q))
-    h = (q * phases) @ q.conj().T
-    return np.real(np.einsum("kij,ji->k", su_generators(n), h)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -147,7 +122,9 @@ class OptimizerOptions:
     when an iteration that took its first trial step lowers the value by no
     more than DECREASE_TOL times the value, when no step rotating the bases
     by more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
-    Raises ValueError for restarts < 1 or max_iter < 0.
+    Whichever stops it, it succeeds only at a stationary point
+    (``LocalSearch.success``).  Raises ValueError for restarts < 1 or
+    max_iter < 0.
     """
 
     restarts: int = 32
@@ -168,10 +145,10 @@ class CorrelationResult:
     ``spread`` is the range of the final values over all restarts and
     ``basin_hits`` the number of restarts ending within BASIN_TOL of the
     best.  ``converged`` and ``grad_norm`` describe the restart that gave
-    ``value``: it ended by a stopping test rather than at ``max_iter``, at
-    a point with that Riemannian gradient norm.  ``iterations`` and
-    ``nfev`` (objective values) are totals over the restarts.  ``argmin``
-    is the measurement that gave ``value``.
+    ``value``: it ended at a stationary point (``LocalSearch.success``),
+    with that Riemannian gradient norm.  ``iterations`` and ``nfev``
+    (objective values) are totals over the restarts.  ``argmin`` is the
+    measurement that gave ``value``.
     """
 
     value: float
@@ -277,11 +254,12 @@ def _inner(x: np.ndarray, y: np.ndarray) -> list:
 class LocalSearch:
     """Outcome of one restart: the value ``fun`` at ``unitaries``.
 
-    ``success`` is true when a stopping test ended the restart: a gradient
-    norm below GRAD_TOL, a relative decrease below DECREASE_TOL, or a line
-    search that stalls where the squared gradient norm is at most
-    DECREASE_TOL times the value.  It is false at ``max_iter`` and at
-    stalls with a larger gradient.
+    ``success`` is stationarity at the end point, by one rule whichever test
+    stopped the restart (gradient, decrease, stall or ``max_iter``): the
+    gradient norm is below GRAD_TOL, or its square is at most DECREASE_TOL
+    times |fun| (roundoff near a smooth minimum).  A decrease test or a stall
+    at a cusp, where a measured probability reaches 0 and p^q has an
+    infinite slope at q < 1, is not a success.
     """
 
     fun: float
@@ -371,15 +349,15 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     out = [None] * len(f)
     ended = set()  # live rows settled since the stack was last trimmed
 
-    def settle(k, nit, success):
+    def settle(k, nit):  # success is stationarity, by one rule at every stop
+        success = gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k])
         out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
         ended.add(k)
 
     for it in range(opts.max_iter + 1):
         for k in range(len(rows)):  # the rows in ended stalled in the last line search
-            stopped = gg[k] < GRAD_TOL * GRAD_TOL or decreased[k]
-            if k not in ended and (stopped or it == opts.max_iter):
-                settle(k, it, stopped)
+            if k not in ended and (gg[k] < GRAD_TOL * GRAD_TOL or decreased[k] or it == opts.max_iter):
+                settle(k, it)
         if ended:  # the stack loses the rows that ended
             keep = [k for k in range(len(rows)) if k not in ended]
             ended.clear()
@@ -420,11 +398,8 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
                 step[k] = min(max(retry_step, 0.1 * step[k]), 0.5 * step[k])
                 if step[k] * math.sqrt(dd[k]) >= MIN_ANGLE:
                     retry.append(k)
-                else:
-                    # a stall: converged where the gradient promises less than
-                    # DECREASE_TOL of the value (roundoff near a smooth minimum), not at
-                    # a cusp, where a probability reaches 0 and p^q has an infinite slope
-                    settle(k, it + 1, gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k]))
+                else:  # a stall
+                    settle(k, it + 1)
             pending = retry
 
         # a small decrease after backtracking reflects a poor trial step, not

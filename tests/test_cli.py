@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 
 from qcorr import cli, linalg
 from qcorr.cli import ParseError, main, parse_state_file, write_state_file
-from qcorr.correlations import qubit_oracle
+from qcorr.correlations import OptimizerOptions, measure_correlations, qubit_oracle
+from qcorr.entropy import EntropicIndices
+from qcorr.measurement import LocalMeasurement, ProjectiveBasis, disturbance
 from util import bell_density
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -142,6 +144,36 @@ class TestMeasureCommand:
                     "--seed", "1", "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
         assert abs(float(cell(header, rows[0], "value")) - 1.0 / 6.0) < 1e-6
+
+    @pytest.mark.parametrize("side", ["A", "B", "AB"])
+    def test_printed_basis_round_trips(self, side, tmp_path):
+        """The basis columns read back into bases that give the printed value; the evidence columns are the result's.
+
+        Each basis column holds the unitary's entries, row-major, each as its
+        real then its imaginary part; ``ProjectiveBasis`` checks that the
+        parsed matrix is unitary.
+        """
+        state, out = tmp_path / "state.txt", tmp_path / "m.csv"
+        write_state_file(state, linalg.random_density((2, 3), np.random.default_rng(5)))
+        assert run(["measure", "--state-file", str(state), "--side", side, "--q", "2", "--s", "1",
+                    "--restarts", "4", "--seed", "1", "--out", str(out)]) == 0
+        _, header, (row,) = read_rows(out)
+        bases = {}
+        for name, n in zip("ab", (2, 3)):
+            text = cell(header, row, f"basis_{name}")
+            if name.upper() not in side:
+                assert text == ""
+                continue
+            parts = np.array([float(x) for x in text.split(";")])
+            assert parts.shape == (2 * n * n,)
+            bases[f"basis_{name}"] = ProjectiveBasis(parts.view(complex).reshape(n, n))
+        rho, idx = parse_state_file(state), EntropicIndices(2.0, 1.0)
+        value = float(cell(header, row, "value"))
+        assert value > 0.01
+        assert abs(disturbance(rho, LocalMeasurement(side, **bases), idx).disturbance - value) <= 1e-14 * value
+        res = measure_correlations(rho, side, idx, OptimizerOptions(restarts=4, seed=1))
+        printed = {name: cell(header, row, name) for name in ("grad_norm", "basin_hits", "nfev", "converged")}
+        assert printed == {name: cli._fmt(getattr(res, name)) for name in printed}
 
 
 class TestFamilyCurveCommand:
@@ -326,6 +358,13 @@ def test_documented_run_reproduces_committed_csv(name, args, tmp_path):
     assert config_line(out) == config_line(RESULTS / name)
 
 
+def test_committed_results_carry_the_current_schema():
+    paths = sorted(RESULTS.glob("*.csv"))
+    assert paths
+    stale = [p.name for p in paths if p.read_text().splitlines()[0] != f"# schema_version={cli.SCHEMA_VERSION}"]
+    assert stale == []
+
+
 class TestErrorsAndDeterminism:
     def test_missing_family_parameter_fails(self, capsys):
         assert run(["measure", "--family", "pseudopure", "--N", "2",
@@ -428,14 +467,14 @@ class TestErrorsAndDeterminism:
         assert run(["entropy", "--family", "werner", "--N", "2", "--x", "0",
                     "--q", "2", "--s", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("# schema_version=1")
+        assert out.startswith(f"# schema_version={cli.SCHEMA_VERSION}\n")
         assert "entropy" in out
 
     def test_console_entry_point(self):
         proc = run_child(["-m", "qcorr", "entropy", "--family", "isotropic",
                           "--N", "2", "--y", "0.25", "--q", "2", "--s", "1"])
         assert proc.returncode == 0
-        assert "# schema_version=1" in proc.stdout
+        assert proc.stdout.startswith(f"# schema_version={cli.SCHEMA_VERSION}\n")
 
     def test_runtime_needs_numpy_only(self):
         proc = run_child(["-c", "import sys, qcorr, qcorr.cli; "

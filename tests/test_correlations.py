@@ -7,12 +7,10 @@ from scipy.linalg import expm
 
 from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import (
-    BadLength,
     OptimizerOptions,
     bilocal_decomposition_check,
     contractivity_min_from_spectra,
     contractivity_probe,
-    decode_basis,
     entanglement_lower_bound,
     grid_oracle_qubit,
     measure_correlations,
@@ -47,61 +45,6 @@ class TestGenerators:
             assert abs(np.trace(g)) < 1e-14
         gram = np.einsum("aij,bji->ab", gens, gens).real
         assert_allclose(gram, 2.0 * np.eye(n * n - 1), atol=1e-13)
-
-
-class TestDecodeBasis:
-    def test_zero_gives_computational(self):
-        basis = decode_basis(np.zeros(3), 2)
-        assert_allclose(basis.unitary, np.eye(2), atol=1e-14)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_always_orthonormal(self, n, rng):
-        for _ in range(20):
-            angles = rng.uniform(-3, 3, n * n - 1)
-            u = decode_basis(angles, n).unitary
-            assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
-
-    def test_bad_length(self):
-        with pytest.raises(BadLength):
-            decode_basis(np.zeros(4), 2)
-
-    def test_bloch_rotation_projectors(self):
-        # angles (theta/2 sin phi, -theta/2 cos phi, 0) reproduce the basis
-        # (cos(theta/2), e^{i phi} sin(theta/2)) up to phases
-        theta, phi = 1.1, 2.4
-        angles = np.array([theta / 2 * np.sin(phi), -theta / 2 * np.cos(phi), 0.0])
-        u = decode_basis(angles, 2).unitary
-        v0 = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-        assert_allclose(
-            np.outer(u[:, 0], u[:, 0].conj()), np.outer(v0, v0.conj()), atol=1e-10
-        )
-
-    def test_roundtrip_through_angles(self, rng):
-        # Haar draws, then unitaries whose eigenphases are degenerate, nearly
-        # degenerate or at the branch cut of the logarithm
-        cases = []
-        for n in (2, 3, 4, 6):
-            v = linalg.haar_unitary(n, rng)
-
-            def with_phases(phases):
-                return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
-
-            cases += [linalg.haar_unitary(n, rng) for _ in range(20)] + [
-                np.eye(n),
-                -np.eye(n),
-                np.eye(n)[::-1],
-                with_phases([0.3] * (n // 2) + [-1.2] * (n - n // 2)),
-                with_phases(0.7 + 1e-9 * np.arange(n)),
-                with_phases([(math.pi - 1e-12) * (-1) ** k for k in range(n)]),
-                with_phases([math.pi - 1e-12] * n),
-            ]
-        for u in cases:
-            n = len(u)
-            angles = correlations._angles_from_unitary(u)
-            u2 = decode_basis(angles, n).unitary
-            # same projectors: u2 = u up to a global phase
-            phase = np.vdot(u.ravel(), u2.ravel())
-            assert_allclose(u2, u * (phase / abs(phase)), rtol=0, atol=1e-13)
 
 
 class TestMeasureCorrelations:
