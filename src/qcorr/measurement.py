@@ -131,12 +131,23 @@ def apply_local(rho: DensityOperator, m: LocalMeasurement) -> DensityOperator:
     return DensityOperator(0.5 * (mat + dag(mat)), rho.dims)
 
 
+def _roll_axes(x: np.ndarray, k: int) -> np.ndarray:
+    """x with its first k axes moved after the others, C-contiguous."""
+    return np.ascontiguousarray(x.transpose(*range(k, x.ndim), *range(k)))
+
+
 def _blocks_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
     """Unnormalized conditional states of B, one block per outcome on A.
 
     ``ua`` may be a stack of unitaries; its leading axes lead the result.
+    The einsum runs with the stack axes last, so its inner loop is the stack,
+    not a matrix axis of length 2 or 3.  No bit moves: without ``optimize``
+    each entry is the same running sum, in the same order, in any layout.
+    The result is C-contiguous, since ``eigh`` of a strided stack gives
+    strided outputs, and reductions over those add in another order.
     """
-    return np.einsum("...ai,abcd,...ci->...ibd", ua.conj(), t, ua)
+    ua = _roll_axes(ua, ua.ndim - 2)
+    return _roll_axes(np.einsum("ai...,abcd,ci...->ibd...", ua.conj(), t, ua), 3)
 
 
 def _swap_sides(t: np.ndarray) -> np.ndarray:
@@ -145,10 +156,13 @@ def _swap_sides(t: np.ndarray) -> np.ndarray:
 
 
 def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Outcome table (..., N_A, N_B) of a bilocal measurement, unclipped."""
-    return np.real(
-        np.einsum("...ai,...bj,abcd,...ci,...dj->...ij", ua.conj(), ub.conj(), t, ua, ub)
-    )
+    """Outcome table (..., N_A, N_B) of a bilocal measurement, unclipped.
+
+    The stacks of ``ua`` and ``ub`` broadcast; the layout is ``_blocks_side_a``'s.
+    """
+    ua, ub = _roll_axes(ua, ua.ndim - 2), _roll_axes(ub, ub.ndim - 2)
+    p = np.einsum("ai...,bj...,abcd,ci...,dj...->ij...", ua.conj(), ub.conj(), t, ua, ub)
+    return _roll_axes(p.real, 2)
 
 
 def _flat_spectrum(vals: np.ndarray, stack: tuple) -> np.ndarray:
@@ -173,7 +187,7 @@ def _spectrum_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 def _spectrum_side_ab(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Spectrum after a bilocal measurement: the rotated joint diagonal."""
-    return _flat_spectrum(_joint_probabilities(t, ua, ub), ua.shape[:-2])
+    return _flat_spectrum(_joint_probabilities(t, ua, ub), np.broadcast_shapes(ua.shape[:-2], ub.shape[:-2]))
 
 
 def measured_spectrum(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:

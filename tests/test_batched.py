@@ -108,7 +108,52 @@ class TestHaarStream:
                 assert same_bits(stack, np.array(sequential))
 
 
+def leading_stack_blocks(t, ua):
+    """``_blocks_side_a`` as it was written with the stack axes first."""
+    return np.einsum("...ai,abcd,...ci->...ibd", ua.conj(), t, ua)
+
+
+def leading_stack_joint(t, ua, ub):
+    """``_joint_probabilities`` as it was written with the stack axes first."""
+    return np.real(np.einsum("...ai,...bj,abcd,...ci,...dj->...ij", ua.conj(), ub.conj(), t, ua, ub))
+
+
 class TestStackedSpectra:
+    @pytest.mark.parametrize("stack", [(1000,), (8,), (3,), (1,), (5, 7), ()])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+    def test_kernels_keep_the_leading_stack_bits(self, dims, stack):
+        """The stack-last einsums equal the stack-first ones bit for bit, and return C-contiguous arrays."""
+        na, nb = dims
+        rng = np.random.default_rng([19, na, nb, len(stack)])
+        t = linalg.random_density(dims, rng).matrix.reshape(na, nb, na, nb)
+        ua, ub = (u.reshape(stack + u.shape[1:]) for u in linalg.haar_batch(rng, math.prod(stack), dims))
+        swapped = measurement._swap_sides(t)
+        for side_b in (swapped, np.ascontiguousarray(swapped)):  # the value kernel's view, the search's copy
+            for new, old in (
+                (measurement._blocks_side_a(t, ua), leading_stack_blocks(t, ua)),
+                (measurement._blocks_side_a(side_b, ub), leading_stack_blocks(side_b, ub)),
+                (measurement._joint_probabilities(t, ua, ub), leading_stack_joint(t, ua, ub)),
+            ):
+                assert same_bits(new, old)
+                assert new.flags.c_contiguous
+        for spectrum in (
+            measurement._spectrum_side_a(t, ua),
+            measurement._spectrum_side_b(t, ub),
+            measurement._spectrum_side_ab(t, ua, ub),
+        ):
+            assert spectrum.shape == stack + (na * nb,) and spectrum.flags.c_contiguous
+
+    def test_side_ab_takes_the_broadcast_stack(self):
+        """One row on a side against five on the other gives five spectra, as with the row repeated."""
+        rng = np.random.default_rng(37)
+        t = linalg.random_density((2, 3), rng).matrix.reshape(2, 3, 2, 3)
+        ua, ub = linalg.haar_batch(rng, 5, (2, 3))
+        for a, b in ((ua[:1], ub), (ua, ub[:1])):
+            full_a, full_b = (np.broadcast_to(u, (5,) + u.shape[1:]) for u in (a, b))
+            got = measurement._spectrum_side_ab(t, a, b)
+            assert got.shape == (5, 6)
+            assert same_bits(got, measurement._spectrum_side_ab(t, full_a, full_b))
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_stack_equals_single_calls(self, dims):
         na, nb = dims
