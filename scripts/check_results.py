@@ -1,22 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate every results/ CSV in a temporary directory and compare it with the committed one.
 
-Copies scripts/ into a temporary directory and runs each run_*.py there with
-this checkout's src/ on PYTHONPATH; each script writes results/ beside its
-own parent directory, so the committed files are never touched.  For each
-CSV, prints "identical" when its header and rows match the committed file
-byte for byte, and otherwise the number of rows that moved and the largest
-absolute difference in each numeric column that moved.  "#" metadata lines
-(config echo, summary footer) are compared too.  Exits 1 on any difference
-or failed script.  Takes about half a minute, most of it the triangle scan.
+Runs scripts/reproduce.py's ``RUNS`` in this process, with this checkout's src/ first on the import path.
+For each CSV, prints "identical" when its "#" metadata lines, header and rows match the committed file
+byte for byte, and otherwise the number of rows that moved and the largest absolute difference in each
+numeric column that moved; then the run's wall time.  Exits 1 on any difference or failed run.
 
     python scripts/check_results.py
 """
 
-import os
 import pathlib
-import shutil
-import subprocess
 import sys
 import tempfile
 
@@ -59,26 +52,21 @@ def compare(new, old) -> list[str]:
 
 
 def main() -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    sys.path.insert(0, str(ROOT / "src"))  # reproduce imports qcorr from this checkout
+    from reproduce import run_all
+
     failed = False
     with tempfile.TemporaryDirectory(prefix="qcorr-results-") as tmp:
-        scripts = pathlib.Path(tmp) / "scripts"
-        shutil.copytree(ROOT / "scripts", scripts)
-        for script in sorted(scripts.glob("run_*.py")):
-            proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                print(f"{script.name}: exit {proc.returncode}\n{proc.stderr}", end="")
-                failed = True
-        made = {p.name: p for p in (pathlib.Path(tmp) / "results").glob("*.csv")}
-        for name in sorted(set(made) | {p.name for p in (ROOT / "results").glob("*.csv")}):
-            committed = ROOT / "results" / name
-            if name not in made or not committed.exists():
-                print(f"{name}: {'not regenerated' if name not in made else 'not committed'}")
-                failed = True
-                continue
-            notes = compare(made[name], committed)
-            print(f"{name}: " + ("; ".join(notes) if notes else "identical"))
+        runs = run_all(tmp)
+        for name in sorted(set(runs) | {p.name for p in (ROOT / "results").glob("*.csv")}):
+            made, committed = pathlib.Path(tmp) / name, ROOT / "results" / name
+            status, seconds = runs.get(name, (0, None))
+            if status or not (made.exists() and committed.exists()):
+                notes = [f"exit {status}" if status else "not committed" if made.exists() else "not regenerated"]
+            else:
+                notes = compare(made, committed)
+            took = "" if seconds is None else f" ({seconds:.2f} s)"
+            print(f"{name}: {'; '.join(notes) or 'identical'}{took}")
             failed |= bool(notes)
     return 1 if failed else 0
 

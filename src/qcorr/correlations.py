@@ -200,7 +200,7 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
     """
 
     def measured(lam):
-        value = entropy_change(spectral_sum(_flat_spectrum(lam, lam.shape[:-2]), idx), before, idx)
+        value = entropy_change(spectral_sum(_flat_spectrum(lam), idx), before, idx)
         return value, spectral_slope(lam, idx, before)
 
     def conditional(blocks):
@@ -491,9 +491,6 @@ def measure_correlations(
 # brute-force oracle for measured qubits
 # ---------------------------------------------------------------------------
 
-GRID_CHUNK = 1 << 14  # grid points (side AB: basis pairs) per value-kernel call
-
-
 def _bloch_unitaries(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Qubit bases at all (theta, phi) grid points, as a stack of unitaries.
 
@@ -549,14 +546,11 @@ def grid_oracle_qubit(
     t = rho.matrix.reshape(na, nb, na, nb)
 
     def values(axes):
-        # every combination of the measured sides' grid bases, GRID_CHUNK at a time
+        # every combination of the measured sides' grid bases: side AB broadcasts the two stacks
         us = [_bloch_unitaries(*a) for a in axes]
-        shape = tuple(len(u) for u in us)
-        points = np.indices(shape).reshape(len(us), -1)
-        return np.concatenate([
-            disturbance_spectra(before, kernel(t, *(u[k[lo:lo + GRID_CHUNK]] for u, k in zip(us, points))), idx)
-            for lo in range(0, points.shape[1], GRID_CHUNK)
-        ]).reshape(shape)
+        if side == "AB":
+            us = [us[0][:, None], us[1][None]]
+        return disturbance_spectra(before, kernel(t, *us), idx)
 
     axes = [_grid_axes(n_theta, n_phi)] * len(side)
     coarse = values(axes)

@@ -165,9 +165,9 @@ def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.nd
     return _roll_axes(p.real, 2)
 
 
-def _flat_spectrum(vals: np.ndarray, stack: tuple) -> np.ndarray:
-    # each row has trace 1, so the numerical-rank cut-off of linalg.spectrum is N eps
-    vals = vals.reshape(stack + (-1,))
+def _flat_spectrum(vals: np.ndarray) -> np.ndarray:
+    # the last two axes hold one spectrum of trace 1, so linalg.spectrum's rank cut-off is N eps
+    vals = vals.reshape(vals.shape[:-2] + (-1,))
     return np.where(vals < vals.shape[-1] * linalg.EPS, 0.0, vals)
 
 
@@ -177,17 +177,17 @@ def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
     The three ``_spectrum_side_*`` kernels take one unitary per side or
     stacks of them (shape (..., n, n)) and return spectra of shape (..., N).
     """
-    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(t, ua)), ua.shape[:-2])
+    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(t, ua)))
 
 
 def _spectrum_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Spectrum after measuring side B: side A of the swapped tensor."""
-    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(_swap_sides(t), ub)), ub.shape[:-2])
+    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(_swap_sides(t), ub)))
 
 
 def _spectrum_side_ab(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Spectrum after a bilocal measurement: the rotated joint diagonal."""
-    return _flat_spectrum(_joint_probabilities(t, ua, ub), np.broadcast_shapes(ua.shape[:-2], ub.shape[:-2]))
+    return _flat_spectrum(_joint_probabilities(t, ua, ub))
 
 
 def measured_spectrum(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:

@@ -144,7 +144,11 @@ class TestStackedSpectra:
             assert spectrum.shape == stack + (na * nb,) and spectrum.flags.c_contiguous
 
     def test_side_ab_takes_the_broadcast_stack(self):
-        """One row on a side against five on the other gives five spectra, as with the row repeated."""
+        """One row on a side against five on the other gives five spectra, as with the row repeated.
+
+        An (n, 1) stack against a (1, m) stack gives the (n, m) outer product
+        of spectra, as with every pair gathered into one flat stack.
+        """
         rng = np.random.default_rng(37)
         t = linalg.random_density((2, 3), rng).matrix.reshape(2, 3, 2, 3)
         ua, ub = linalg.haar_batch(rng, 5, (2, 3))
@@ -153,6 +157,10 @@ class TestStackedSpectra:
             got = measurement._spectrum_side_ab(t, a, b)
             assert got.shape == (5, 6)
             assert same_bits(got, measurement._spectrum_side_ab(t, full_a, full_b))
+        outer = measurement._spectrum_side_ab(t, ua[:, None], ub[None, :4])
+        assert outer.shape == (5, 4, 6)
+        i, j = (k.ravel() for k in np.indices((5, 4)))
+        assert same_bits(outer, measurement._spectrum_side_ab(t, ua[i], ub[j]).reshape(5, 4, 6))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_stack_equals_single_calls(self, dims):

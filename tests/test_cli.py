@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import pathlib
@@ -16,7 +17,19 @@ from qcorr.entropy import EntropicIndices
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis, disturbance
 from util import bell_density
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
+
+
+def documented_runs():
+    """``RUNS`` of scripts/reproduce.py: each committed CSV's name and its qcorr argv."""
+    spec = importlib.util.spec_from_file_location("reproduce", ROOT / "scripts" / "reproduce.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUNS
+
+
+RUNS = documented_runs()
 
 
 def run(args):
@@ -224,7 +237,7 @@ class TestFig1Command:
     def test_documented_run_matches_committed_results(self, tmp_path):
         """The default sweep (20 states x 1000 pairs) reproduces results/fig1.csv."""
         out = tmp_path / "fig1.csv"
-        assert run(["fig1", "--seed", "20260810", "--out", str(out)]) == 0
+        assert run([*RUNS["fig1.csv"], "--out", str(out)]) == 0
 
         def body(path):
             return [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
@@ -280,14 +293,13 @@ class TestAncillaCheckCommand:
         assert max(float(cell(header, r, "rescaled_diff")) for r in rows) <= 1e-6
 
     def test_documented_run_matches_qubit_oracle(self, tmp_path):
-        """scripts/run_ancilla_check.py's configuration: every value is exact.
+        """The documented configuration: every value is exact.
 
         Every row measures a qubit at (q, s) = (2, 1), before and after the
         ancilla is grouped with B, so each value has a closed form.
         """
         out = tmp_path / "a.csv"
-        assert run(["ancilla-check", "--q", "2", "--s", "1", "--samples", "20",
-                    "--seed", "20260810", "--out", str(out)]) == 0
+        assert run([*RUNS["ancilla_check.csv"], "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
         assert len(rows) == 20
         worst = 0.0
@@ -325,7 +337,7 @@ class TestTriangleScanCommand:
         """The first states of the default scan reproduce results/triangle_scan.csv."""
         # each state's five rows depend only on its own state id
         out = tmp_path / "t.csv"
-        assert run(["triangle-scan", "--seed", "20260810", "--n-states", "3", "--out", str(out)]) == 0
+        assert run([*RUNS["triangle_scan.csv"], "--n-states", "3", "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
         _, committed_header, committed = read_rows(RESULTS / "triangle_scan.csv")
         assert len(committed) == 200 * 5
@@ -335,27 +347,21 @@ class TestTriangleScanCommand:
         assert config_line(out) == committed_config.replace(" n_states=200 ", " n_states=3 ")
 
 
-# the configurations of scripts/run_ancilla_check.py and scripts/run_family_curves.py
-DOCUMENTED_RUNS = [
-    ("ancilla_check.csv", ["ancilla-check", "--q", "2", "--s", "1", "--samples", "20", "--seed", "20260810"]),
-] + [
-    (f"{family}_q{q}_s{s}.csv", ["family-curve", "--family", family, "--N", "2", "--q", q, "--s", s,
-                                 "--grid", "11", "--restarts", "8", "--seed", "20260810"])
-    for family in ("pseudopure", "isotropic", "werner")
-    for q, s in (("1", "1"), ("2", "1"))
-]
-
-
-@pytest.mark.parametrize("name,args", DOCUMENTED_RUNS, ids=[name for name, _ in DOCUMENTED_RUNS])
-def test_documented_run_reproduces_committed_csv(name, args, tmp_path):
+# fig1 and the triangle scan have their own tests above
+@pytest.mark.parametrize("name", sorted(set(RUNS) - {"fig1.csv", "triangle_scan.csv"}))
+def test_documented_run_reproduces_committed_csv(name, tmp_path):
     out = tmp_path / name
-    assert run(args + ["--out", str(out)]) == 0
+    assert run([*RUNS[name], "--out", str(out)]) == 0
 
     def body(path):
         return [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
 
     assert body(out) == body(RESULTS / name)
     assert config_line(out) == config_line(RESULTS / name)
+
+
+def test_every_committed_csv_has_a_documented_run():
+    assert set(RUNS) == {p.name for p in RESULTS.glob("*.csv")}
 
 
 def test_committed_results_carry_the_current_schema():

@@ -347,13 +347,6 @@ class TestGridOracle:
             with pytest.raises(ValueError, match="resolution"):
                 grid_oracle_qubit(rho, side, TS2, resolution)
 
-    @pytest.mark.parametrize("side", measurement.SIDES)
-    def test_chunks_do_not_change_the_value(self, rng, side, monkeypatch):
-        rho = linalg.random_density((2, 2), rng)
-        whole = grid_oracle_qubit(rho, side, TS2, (32, 64))
-        monkeypatch.setattr(correlations, "GRID_CHUNK", 1000)
-        assert abs(grid_oracle_qubit(rho, side, TS2, (32, 64)) - whole) <= 1e-15
-
     @pytest.mark.parametrize("dims,side", [((2, 3), "A"), ((3, 2), "B"), ((2, 4), "A")])
     def test_qudit_partner_matches_qubit_oracle(self, rng, dims, side):
         # the grid upper-bounds the exact measured-qubit value and lands close to it
