@@ -12,6 +12,7 @@ status is nonzero only on hard failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -58,12 +59,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, meta_lines, header, rows, footer_lines=()):
-    lines = [f"# schema_version={SCHEMA_VERSION}"]
-    lines += [f"# {m}" for m in meta_lines]
-    lines.append(",".join(header))
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    lines += [f"# {m}" for m in footer_lines]
+def write_csv(path, config: str, rows: list[dict], footer=()):
+    """Write the schema and ``config`` lines, a header, one line per row, then the ``footer`` lines.
+
+    The header is the first row's keys, and every line reads its cells by
+    the header's names, so a row missing a column raises KeyError.
+    """
+    header = list(rows[0])
+    lines = [f"# schema_version={SCHEMA_VERSION}", f"# {config}", ",".join(header)]
+    lines += [",".join(_fmt(row[name]) for name in header) for row in rows]
+    lines += [f"# {m}" for m in footer]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -231,15 +236,9 @@ def cmd_entropy(args) -> int:
     rows = []
     for q, s in pairs:
         idx = EntropicIndices(q, s)
-        rows.append(
-            (q, s, idx.regime.value, unified_entropy(rho, idx), max_entropy(rho.dim, idx))
-        )
-    write_csv(
-        args.out,
-        [cfg],
-        ["q", "s", "regime", "entropy", "max_entropy"],
-        rows,
-    )
+        rows.append(dict(q=q, s=s, regime=idx.regime.value, entropy=unified_entropy(rho, idx),
+                         max_entropy=max_entropy(rho.dim, idx)))
+    write_csv(args.out, cfg, rows)
     return 0
 
 
@@ -255,30 +254,13 @@ def cmd_measure(args) -> int:
         **_source_fields(args),
     )
     res = measure_correlations(rho, args.side, idx, opts)
-    rows = [
-        (
-            args.side,
-            args.q_scalar,
-            args.s_scalar,
-            res.value,
-            res.spread,
-            res.converged,
-            res.grad_norm,
-            res.basin_hits,
-            res.restarts_used,
-            res.iterations,
-            res.nfev,
-            _basis_str(res.argmin.basis_a),
-            _basis_str(res.argmin.basis_b),
-        )
-    ]
-    write_csv(
-        args.out,
-        [cfg],
-        ["side", "q", "s", "value", "spread", "converged", "grad_norm", "basin_hits", "restarts",
-         "iterations", "nfev", "basis_a", "basis_b"],
-        rows,
+    row = dict(
+        side=args.side, q=args.q_scalar, s=args.s_scalar, value=res.value, spread=res.spread,
+        converged=res.converged, grad_norm=res.grad_norm, basin_hits=res.basin_hits,
+        restarts=res.restarts_used, iterations=res.iterations, nfev=res.nfev,
+        basis_a=_basis_str(res.argmin.basis_a), basis_b=_basis_str(res.argmin.basis_b),
     )
+    write_csv(args.out, cfg, [row])
     return 0
 
 
@@ -292,8 +274,8 @@ def _family_grid(kind: str, n: int, points: int) -> np.ndarray:
 
 def cmd_family_curve(args) -> int:
     kind, n = args.family, args.family_n
-    if kind is None or n is None:
-        raise ParseError("family-curve requires --family and --N")
+    if n is None:
+        raise ParseError("family-curve requires --N")
     _require_count(n, "--N")
     _require_count(args.grid, "--grid")
     opts = _search_options(args)
@@ -306,26 +288,22 @@ def cmd_family_curve(args) -> int:
         family_n=n,
         **_search_fields(args),
     )
-    header = ["parameter", "closed_form", "optimizer_value", "abs_diff"]
-    if kind == "werner":
-        header += ["printed_form", "printed_minus_closed"]
     rows = []
-    for value in _family_grid(kind, n, args.grid):
-        spec = families.FamilySpec(kind, n, n, float(value))
-        rho = families.build(spec)
+    for value in _family_grid(kind, n, args.grid).tolist():
+        spec = families.FamilySpec(kind, n, n, value)
         if kind == "pseudopure":
             closed = families.pseudopure_closed_form(spec, args.side, idx)
         elif kind == "isotropic":
-            closed = families.isotropic_closed_form(n, float(value), idx)
+            closed = families.isotropic_closed_form(n, value, idx)
         else:
-            closed = families.werner_spectrum_form(n, float(value), idx)
-        found = measure_correlations(rho, args.side, idx, opts).value
-        row = [float(value), closed, found, abs(closed - found)]
+            closed = families.werner_spectrum_form(n, value, idx)
+        found = measure_correlations(families.build(spec), args.side, idx, opts).value
+        row = dict(parameter=value, closed_form=closed, optimizer_value=found, abs_diff=abs(closed - found))
         if kind == "werner":
-            printed = families.werner_printed_form(n, float(value), idx)
-            row += [printed, printed - closed]
-        rows.append(tuple(row))
-    write_csv(args.out, [cfg], header, rows)
+            printed = families.werner_printed_form(n, value, idx)
+            row.update(printed_form=printed, printed_minus_closed=printed - closed)
+        rows.append(row)
+    write_csv(args.out, cfg, rows)
     return 0
 
 
@@ -347,24 +325,15 @@ def cmd_fig1(args) -> int:
         spectra = correlations.measurement_pair_spectra(
             rho, args.trials, [args.seed, state_id, 1]
         )
-        for q in q_list:
-            # ln sum p^q does not depend on s: one set of sums serves both rows
-            sums = correlations.spectral_sums(spectra, EntropicIndices(q, 1.0))
-            for family_name, s in (("renyi", 0.0), ("tsallis", 1.0)):
-                idx = EntropicIndices(q, s)
-                min_diff = correlations.contractivity_min_from_spectra(spectra, idx, sums)
-                rows.append(
-                    (state_id, family_name, q, min_diff, min_diff < -VIOLATION_TOL)
-                )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    n_violated = sum(1 for r in rows if r[4])
-    write_csv(
-        args.out,
-        [cfg],
-        ["state_id", "family", "q", "min_difference", "violated"],
-        rows,
-        [f"summary: rows={len(rows)} violations={n_violated}"],
-    )
+        # ln sum p^q does not depend on s: one set of sums serves both families
+        sums = {q: correlations.spectral_sums(spectra, EntropicIndices(q, 1.0)) for q in q_list}
+        for family, s in (("renyi", 0.0), ("tsallis", 1.0)):
+            for q in sorted(q_list):
+                min_diff = correlations.contractivity_min_from_spectra(spectra, EntropicIndices(q, s), sums[q])
+                rows.append(dict(state_id=state_id, family=family, q=q, min_difference=min_diff,
+                                 violated=min_diff < -VIOLATION_TOL))
+    n_violated = sum(row["violated"] for row in rows)
+    write_csv(args.out, cfg, rows, [f"summary: rows={len(rows)} violations={n_violated}"])
     return 0
 
 
@@ -415,21 +384,14 @@ def cmd_ancilla_check(args) -> int:
         unrescaled_after = res_after.value * measurement.rescale_factor(
             linalg.spectrum(grouped), idx
         )
-        rows.append(
-            (
-                sample_id,
-                res_before.value,
-                res_after.value,
-                abs(res_after.value - res_before.value),
-                abs(unrescaled_after - unrescaled_before),
-            )
-        )
-    write_csv(
-        args.out,
-        [cfg],
-        ["sample_id", "d_before", "d_after_ancilla", "rescaled_diff", "unrescaled_diff"],
-        rows,
-    )
+        rows.append(dict(
+            sample_id=sample_id,
+            d_before=res_before.value,
+            d_after_ancilla=res_after.value,
+            rescaled_diff=abs(res_after.value - res_before.value),
+            unrescaled_diff=abs(unrescaled_after - unrescaled_before),
+        ))
+    write_csv(args.out, cfg, rows)
     return 0
 
 
@@ -451,32 +413,10 @@ def cmd_triangle_scan(args) -> int:
         rho = linalg.random_density((2, 2), np.random.default_rng([args.seed, state_id]))
         for q, s in pairs:
             report = correlations.triangle_analysis(rho, EntropicIndices(q, s), opts)
-            ordering_holds = report.m_ab >= max(report.m_a, report.m_b) - 1e-8
-            rows.append(
-                (
-                    state_id, q, s,
-                    report.m_a, report.m_b, report.m_ab,
-                    report.delta0, report.delta1,
-                    report.triangle_holds, report.dadb_holds, ordering_holds,
-                )
-            )
-    footer = [
-        "summary: rows={} triangle_violations={} sandwich_violations={} "
-        "ordering_violations={}".format(
-            len(rows),
-            sum(1 for r in rows if not r[8]),
-            sum(1 for r in rows if not r[9]),
-            sum(1 for r in rows if not r[10]),
-        )
-    ]
-    write_csv(
-        args.out,
-        [cfg],
-        ["state_id", "q", "s", "m_a", "m_b", "m_ab", "delta0", "delta1",
-         "triangle_holds", "sandwich_holds", "ordering_holds"],
-        rows,
-        footer,
-    )
+            rows.append(dict(state_id=state_id, q=q, s=s, **dataclasses.asdict(report)))
+    counts = [f"{flag}_violations={sum(not row[flag + '_holds'] for row in rows)}"
+              for flag in ("triangle", "sandwich", "ordering")]
+    write_csv(args.out, cfg, rows, [" ".join([f"summary: rows={len(rows)}", *counts])])
     return 0
 
 
@@ -563,7 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         kind = "float overflow: " if isinstance(exc, OverflowError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 1

@@ -164,13 +164,21 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class TriangleReport:
+    """The three minimized measures, Delta_0 and Delta_1, and the relations ``qcorr triangle-scan`` flags.
+
+    ``triangle_holds``: m_a + m_b >= m_ab.  ``sandwich_holds``:
+    m_ab + Delta_0 >= m_a + m_b >= m_ab + Delta_1.  ``ordering_holds``:
+    m_ab >= max(m_a, m_b).  Each flag allows 1e-8 of roundoff.
+    """
+
     m_a: float
     m_b: float
     m_ab: float
     delta0: float
     delta1: float
     triangle_holds: bool
-    dadb_holds: bool
+    sandwich_holds: bool
+    ordering_holds: bool
 
 
 GRAD_TOL = 1e-9  # a descent stops once its Riemannian gradient norm is below this
@@ -666,11 +674,13 @@ def triangle_analysis(
     delta0 = _delta(rho, res_ab.argmin.basis_a, res_ab.argmin.basis_b, idx)
 
     m_a, m_b, m_ab = res_a.value, res_b.value, res_ab.value
-    triangle_holds = m_a + m_b >= m_ab - 1e-8
-    dadb_holds = (m_ab + delta0 >= m_a + m_b - 1e-8) and (
-        m_a + m_b >= m_ab + delta1 - 1e-8
+    tol = 1e-8  # each flag allows this much roundoff
+    return TriangleReport(
+        m_a, m_b, m_ab, delta0, delta1,
+        triangle_holds=m_a + m_b >= m_ab - tol,
+        sandwich_holds=m_ab + delta0 >= m_a + m_b - tol and m_a + m_b >= m_ab + delta1 - tol,
+        ordering_holds=m_ab >= max(m_a, m_b) - tol,
     )
-    return TriangleReport(m_a, m_b, m_ab, delta0, delta1, triangle_holds, dadb_holds)
 
 
 def _pair_spectra(rho: DensityOperator, ua: np.ndarray, ub: np.ndarray) -> dict:

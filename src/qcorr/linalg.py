@@ -16,6 +16,7 @@ TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
 TOL_SCHMIDT = 1e-12
 TOL_UNITARY = 1e-10
+TOL_MAJORIZATION = 1e-10  # slack of each partial-sum comparison in majorizes
 EPS = float(np.finfo(float).eps)  # n EPS (times the largest eigenvalue) is the numerical-rank cut-off
 
 
@@ -306,16 +307,16 @@ def random_pure(dims, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def majorizes(p, q_vec, tol: float = 1e-10) -> bool:
+def majorizes(p, q_vec) -> bool:
     """True iff p is majorized by q_vec (p < q_vec in the majorization order).
 
     Vectors are sorted decreasing and the shorter one is zero-padded; the
     check is that every partial sum of q_vec dominates the matching partial
-    sum of p within tol.
+    sum of p within TOL_MAJORIZATION.
     """
     p = np.sort(np.asarray(p, dtype=float))[::-1]
     q = np.sort(np.asarray(q_vec, dtype=float))[::-1]
     n = max(p.size, q.size)
     p = np.pad(p, (0, n - p.size))
     q = np.pad(q, (0, n - q.size))
-    return bool(np.all(np.cumsum(p) <= np.cumsum(q) + tol))
+    return bool(np.all(np.cumsum(p) <= np.cumsum(q) + TOL_MAJORIZATION))

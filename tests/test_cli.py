@@ -118,6 +118,7 @@ class TestEntropyCommand:
         assert run(["entropy", "--family", "isotropic", "--N", "2", "--y", "1",
                     "--q", "2", "--s", "1", "--out", str(out)]) == 0
         meta, header, rows = read_rows(out)
+        assert header == ["q", "s", "regime", "entropy", "max_entropy"]
         assert abs(float(cell(header, rows[0], "entropy"))) < 1e-12
         assert_allclose(float(cell(header, rows[0], "max_entropy")), 0.75, atol=1e-12)
 
@@ -131,6 +132,20 @@ class TestEntropyCommand:
         assert len(rows) == 2
         assert abs(float(cell(header, rows[0], "entropy"))) < 1e-10
 
+    @pytest.mark.parametrize("q, s, pairs", [
+        ("0.5,1,2", "1", [("0.5", "1"), ("1", "1"), ("2", "1")]),
+        ("2", "0,1", [("2", "0"), ("2", "1")]),
+    ], ids=["one s", "one q"])
+    def test_single_index_is_broadcast(self, q, s, pairs, tmp_path):
+        """A one-entry --q or --s list pairs with every entry of the other; the config echoes the pairs."""
+        out = tmp_path / "e.csv"
+        assert run(["entropy", "--family", "werner", "--N", "2", "--x", "0.3",
+                    "--q", q, "--s", s, "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert [(cell(header, r, "q"), cell(header, r, "s")) for r in rows] == pairs
+        qs, ss = (",".join(column) for column in zip(*pairs))
+        assert config_line(out).endswith(f" q={qs} s={ss}")
+
 
 class TestMeasureCommand:
     def test_isotropic_pure_von_neumann(self, tmp_path):
@@ -139,6 +154,8 @@ class TestMeasureCommand:
                     "--q", "1", "--s", "1", "--side", "A", "--restarts", "4",
                     "--seed", "1", "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
+        assert header == ["side", "q", "s", "value", "spread", "converged", "grad_norm", "basin_hits",
+                          "restarts", "iterations", "nfev", "basis_a", "basis_b"]
         assert abs(float(cell(header, rows[0], "value")) - math.log(2)) < 1e-6
         assert cell(header, rows[0], "converged") == "true"
 
@@ -227,6 +244,17 @@ class TestFig1Command:
             assert violated == (float(cell(header, r, "min_difference")) < -1e-6)
         assert any("summary:" in m for m in meta)
 
+    def test_rows_ordered_by_family_then_ascending_q(self, tmp_path):
+        """Rows run by state, then family, then ascending q, whatever the order of --q; the config keeps that order."""
+        out = tmp_path / "f.csv"
+        assert run(["fig1", "--q", "2,1", "--n-states", "1", "--trials", "10",
+                    "--seed", "1", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert [(cell(header, r, "family"), cell(header, r, "q")) for r in rows] == [
+            ("renyi", "1"), ("renyi", "2"), ("tsallis", "1"), ("tsallis", "2")
+        ]
+        assert " q=2,1 " in config_line(out)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["fig1", "--q", "0.5,2", "--n-states", "2", "--trials", "40", "--seed", "3"]
@@ -291,6 +319,20 @@ class TestAncillaCheckCommand:
                     "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
         assert max(float(cell(header, r, "rescaled_diff")) for r in rows) <= 1e-6
+
+    def test_maximally_mixed_ancilla_scales_the_purity(self, tmp_path):
+        """I/d appended: Tr (rho (x) I/d)^2 = Tr rho^2 / d, so at (2, 1) the unrescaled value loses 1 - 1/d of itself."""
+        out = tmp_path / "a.csv"
+        assert run(["ancilla-check", "--samples", "2", "--ancilla", "mmix", "--ancilla-dim", "3",
+                    "--q", "2", "--s", "1", "--restarts", "3", "--seed", "4", "--out", str(out)]) == 0
+        assert " ancilla=mmix ancilla_dim=3 " in config_line(out)
+        _, header, rows = read_rows(out)
+        for r in rows:
+            rho = linalg.random_density((2, 2), np.random.default_rng([4, int(cell(header, r, "sample_id"))]))
+            purity = np.trace(rho.matrix @ rho.matrix).real
+            assert float(cell(header, r, "rescaled_diff")) <= 1e-12
+            expected = float(cell(header, r, "d_before")) * purity * (1 - 1 / 3)
+            assert_allclose(float(cell(header, r, "unrescaled_diff")), expected, rtol=1e-10)
 
     def test_documented_run_matches_qubit_oracle(self, tmp_path):
         """The documented configuration: every value is exact.
@@ -390,6 +432,29 @@ class TestErrorsAndDeterminism:
 
     def test_no_source_fails(self):
         assert run(["entropy"]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("dims: 2 two\n0 0 1 0\n", "bad dims line: 'dims: 2 two'"),
+        ("dims:\n0 0 1 0\n", "dims line lists no dimensions"),
+        ("dims: 2\n0 0 one 0\n1 1 0 0\n", "bad entry line '0 0 one 0'"),
+    ], ids=["non-integer dims", "empty dims", "non-numeric entry"])
+    def test_state_file_errors_are_named(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run(["entropy", "--state-file", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("entropy --family werner --N 2 --x 0 --q 1,2 --s 1,2,3", "--q and --s lists must have matching lengths"),
+        ("entropy --family werner --N 2 --x 0 --q 1,two", "bad number list '1,two'"),
+        ("ancilla-check --dims 2,2,2 --seed 1", "--dims must list exactly two dimensions"),
+        ("family-curve --family werner --x 0.5 --seed 1", "family-curve requires --N"),
+    ], ids=["q s lengths", "non-numeric q", "three dims", "family-curve without N"])
+    def test_argument_errors_are_named(self, line, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(line.split() + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("q,s", [("2", "nan"), ("inf", "1")])
     def test_non_finite_indices_fail(self, q, s, capsys):

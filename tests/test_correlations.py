@@ -427,7 +427,7 @@ class TestTriangleAnalysis:
         report = triangle_analysis(rho, TS2, FAST)
         for value in (report.m_a, report.m_b, report.m_ab, report.delta0, report.delta1):
             assert abs(value) < 1e-7
-        assert report.triangle_holds and report.dadb_holds
+        assert report.triangle_holds and report.sandwich_holds
 
     def test_cq_state_collapses_to_b_measure(self, rng):
         rho = cq_state(rng)
@@ -440,7 +440,7 @@ class TestTriangleAnalysis:
         for _ in range(10):
             rho = linalg.random_density((2, 2), rng)
             report = triangle_analysis(rho, VN, FAST)
-            assert report.triangle_holds
+            assert report.triangle_holds and report.ordering_holds
             assert report.m_ab >= max(report.m_a, report.m_b) - 1e-8
 
 

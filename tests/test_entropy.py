@@ -259,6 +259,14 @@ class TestSchurConcavity:
         assert check_schur_concavity([0.5, 0.5], [1.0, 0.0], idx)
 
     @pytest.mark.parametrize("idx", IDX_GRID)
+    def test_first_spectrum_majorizing_the_second(self, idx):
+        """Only the reverse relation holds, so the mirrored check compares the second entropy against the first."""
+        p, q_vec = [0.7, 0.2, 0.1], [0.4, 0.35, 0.25]
+        assert linalg.majorizes(q_vec, p) and not linalg.majorizes(p, q_vec)
+        assert check_schur_concavity(p, q_vec, idx)
+        assert unified_entropy_spectrum(q_vec, idx) > unified_entropy_spectrum(p, idx)
+
+    @pytest.mark.parametrize("idx", IDX_GRID)
     def test_equal_spectra_give_equality(self, idx):
         p = np.array([0.6, 0.3, 0.1])
         a = unified_entropy_spectrum(p, idx)

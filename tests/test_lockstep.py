@@ -30,7 +30,7 @@ def reference_descent(evaluate, us, opts):
     The rules of ``_lockstep`` written out for one start, on the same stacked
     kernels (``evaluate``, ``_exp_path``, ``_inner`` and the BFGS update and
     direction) on a stack of one row, so its arithmetic is that of
-    ``minimize`` and the results must be equal.  Gradients and directions
+    ``lone_descent`` and the results must be equal.  Gradients and directions
     are coordinate rows, each side's columns in turn.
     """
     us = tuple(u[None] for u in us)
@@ -78,6 +78,12 @@ def reference_descent(evaluate, us, opts):
     return result(opts.max_iter, gg)
 
 
+def lone_descent(evaluate, start, opts):
+    """``_lockstep`` on a stack of one row: the descent from ``start`` (one unitary per side) alone."""
+    (run,) = correlations._lockstep(evaluate, tuple(np.asarray(u)[None] for u in start), opts)
+    return run
+
+
 def stationary(f, grad2):
     """The stationarity test: a gradient below GRAD_TOL, or one promising at most DECREASE_TOL of the value."""
     return grad2 < correlations.GRAD_TOL * correlations.GRAD_TOL or grad2 <= correlations.DECREASE_TOL * abs(f)
@@ -123,7 +129,7 @@ def test_minimize_matches_per_restart_loop(state, side, idx, max_iter):
     starts = [[correlations._eigenbasis(rho, k) for k, name in enumerate("AB") if name in side]]
     starts += [[linalg.haar_unitary(n, rng) for n in side_dims(rho, side)] for _ in range(3)]
     for start in starts:
-        run = correlations.minimize(evaluate, start, opts)
+        run = lone_descent(evaluate, start, opts)
         reference = reference_descent(evaluate, start, opts)
         assert (run.fun, run.nit, run.nfev, run.success, run.grad_norm) == reference
         # the boundaries of the one site that settles stops: no iteration,
@@ -131,7 +137,7 @@ def test_minimize_matches_per_restart_loop(state, side, idx, max_iter):
         # cap and the test that ended the run fire in the same pass
         for cap in (0, 1, run.nit - 1, run.nit):
             capped = OptimizerOptions(restarts=1, max_iter=max(cap, 0))
-            short = correlations.minimize(evaluate, start, capped)
+            short = lone_descent(evaluate, start, capped)
             reference = reference_descent(evaluate, start, capped)
             assert (short.fun, short.nit, short.nfev, short.success, short.grad_norm) == reference
 
@@ -164,7 +170,7 @@ def test_rows_match_lone_descents(dims, side, idx):
     opts = OptimizerOptions(restarts=8)
     stacked = correlations._lockstep(evaluate, tuple(np.array(s) for s in zip(*starts)), opts)
     for start, row in zip(starts, stacked):
-        alone = correlations.minimize(evaluate, start, opts)
+        alone = lone_descent(evaluate, start, opts)
         assert abs(row.fun - alone.fun) <= 1e-9
 
 
@@ -468,6 +474,42 @@ def test_update_skipped_without_curvature(monkeypatch):
         assert (scaled_new[skip] == scaled[skip]).all() and scaled_new[~skip].all()
         skipped += skip.sum()
     assert skipped >= 1
+
+
+def test_ascent_direction_restarts_along_minus_g(monkeypatch):
+    """A quasi-Newton direction with slope >= 0 is replaced by -g, and the row still descends along it.
+
+    ``_bfgs_direction`` returns +g once, as the direction of the second
+    iteration; capping the descent at one and at two iterations gives the
+    values before and after the restarted step.
+    """
+    rho = linalg.random_density((2, 3), np.random.default_rng(4))
+    evaluate = search_problem(rho, "A", TS2)
+    start = [linalg.haar_unitary(2, np.random.default_rng(5))]
+    direction, exp_path = correlations._bfgs_direction, correlations._exp_path
+
+    def capped_run(max_iter):
+        ascents, moves = [], []
+
+        def ascent_once(h, g):
+            if ascents:
+                return direction(h, g)
+            ascents.append(g.copy())
+            return g.copy()
+
+        def recorded_path(u, x):
+            moves.append(x.copy())
+            return exp_path(u, x)
+
+        monkeypatch.setattr(correlations, "_bfgs_direction", ascent_once)
+        monkeypatch.setattr(correlations, "_exp_path", recorded_path)
+        return lone_descent(evaluate, start, OptimizerOptions(restarts=1, max_iter=max_iter)), ascents, moves
+
+    before, _, _ = capped_run(1)
+    after, (g,), moves = capped_run(2)
+    assert (before.nit, after.nit) == (1, 2)
+    np.testing.assert_array_equal(moves[1], -g)
+    assert after.fun < before.fun
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])

@@ -221,6 +221,27 @@ class TestConditionalDecomposition:
             rebuilt += p * np.kron(proj, cond.matrix)
         assert np.max(np.abs(rebuilt - apply_local(rho, m).matrix)) < 1e-10
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_side_b_reconstructs_post_measurement_state(self, dims, rng):
+        rho = linalg.random_density(dims, rng)
+        basis = random_basis(dims[1], rng)
+        m = LocalMeasurement("B", basis_b=basis)
+        dec = conditional_decomposition(rho, m)
+        assert [c.dims for c in dec.conditionals] == [(dims[0],)] * dims[1]
+        rebuilt = sum(
+            p * np.kron(cond.matrix, np.outer(basis.unitary[:, i], basis.unitary[:, i].conj()))
+            for i, (p, cond) in enumerate(zip(dec.probabilities, dec.conditionals))
+        )
+        assert np.max(np.abs(rebuilt - apply_local(rho, m).matrix)) < 1e-12
+
+    def test_zero_probability_outcome_has_no_conditional(self):
+        # |0><0| (x) I/2 measured in the computational basis of A never gives outcome 1
+        rho = linalg.make_density(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
+        dec = conditional_decomposition(rho, LocalMeasurement("A", basis_a=computational(2)))
+        assert_allclose(dec.probabilities, [1.0, 0.0], atol=1e-15)
+        assert dec.conditionals[1] is None
+        assert_allclose(dec.conditionals[0].matrix, np.eye(2) / 2, atol=1e-15)
+
     def test_joint_probabilities_for_ab(self, rng):
         rho = linalg.random_density((2, 2), rng)
         dec = conditional_decomposition(
