@@ -7,9 +7,13 @@ read-only), and on ROADMAP item 4's 24 cusp-gate states at q in {0.3, 0.5},
 every side, 8 restarts, seed = state index, where a last-bit change can send
 a descent into another cusp.  Prints one SHA-256 per call over ``value``,
 ``nfev``, ``iterations``, ``grad_norm``, ``converged``, ``spread``,
-``basin_hits`` and the argmin unitaries' bytes, then one digest over all
-315.  Takes about 20 s; ``--against`` runs this script again on another
-checkout's src/ in a subprocess and exits 1 if any call's digest differs.
+``basin_hits`` and the argmin unitaries' bytes, with the value, then one
+digest over all 315.  Takes about 20 s; ``--against`` runs this script again
+on another checkout's src/ in a subprocess and exits 1 if any call's digest
+differs.  It prints each differing call's two values and their difference
+(this checkout's minus the other's), then per group (benchmark calls at
+s = 0 or q = 1, the other benchmark calls, the cusp gate at q = 0.3 and at
+q = 0.5) the count that differ and the largest move up and down.
 
     python scripts/check_search_bits.py
     python scripts/check_search_bits.py --against ../other-checkout
@@ -18,6 +22,7 @@ checkout's src/ in a subprocess and exits 1 if any call's digest differs.
 import argparse
 import hashlib
 import itertools
+import math
 import pathlib
 import subprocess
 import sys
@@ -26,13 +31,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def calls(qcorr, np):
-    """(label, rho, side, indices, options) of every digested call."""
+    """(group, label, rho, side, indices, options) of every digested call."""
     import workloads
 
     for seed in (1, 2, 20260810):
         for k, it in enumerate(workloads.measure_items(qcorr, seed)):
             opts = qcorr.OptimizerOptions(restarts=workloads.RESTARTS, seed=it.opt_seed)
-            yield f"{seed} {k} {it.label}", it.rho, it.side, qcorr.EntropicIndices(it.q, it.s), opts
+            group = "benchmark, s = 0 or q = 1" if it.s == 0.0 or it.q == 1.0 else "benchmark, other"
+            yield group, f"{seed} {k} {it.label}", it.rho, it.side, qcorr.EntropicIndices(it.q, it.s), opts
     # the cusp-gate states: per rank and dims, four mixtures of random pure states, from one stream
     rng = np.random.default_rng(7)
     for k, (rank, dims, _) in enumerate(itertools.product((2, 3), ((2, 2), (2, 3), (3, 3)), range(4))):
@@ -41,19 +47,19 @@ def calls(qcorr, np):
         rho = qcorr.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)), dims)
         for q, side in itertools.product((0.3, 0.5), ("A", "B", "AB")):
             opts = qcorr.OptimizerOptions(restarts=8, seed=k)
-            yield f"cusp {k} rank {rank} {dims} q={q} {side}", rho, side, qcorr.EntropicIndices(q, 1.0), opts
+            yield f"cusp gate, q = {q}", f"cusp {k} rank {rank} {dims} q={q} {side}", rho, side, qcorr.EntropicIndices(q, 1.0), opts
 
 
-def call_digests(src: pathlib.Path) -> list[str]:
-    """One "label: sha256" line per call, with qcorr imported from ``src``."""
+def call_digests(src: pathlib.Path) -> tuple[list[str], list[str]]:
+    """Each call's group, and its "label: sha256 value" line, with qcorr imported from ``src``."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import numpy as np
 
     import qcorr
 
-    lines = []
-    for label, rho, side, idx, opts in calls(qcorr, np):
+    groups, lines = [], []
+    for group, label, rho, side, idx, opts in calls(qcorr, np):
         res = qcorr.measure_correlations(rho, side, idx, opts)
         h = hashlib.sha256(repr((
             float(res.value).hex(), res.nfev, res.iterations, float(res.grad_norm).hex(),
@@ -63,8 +69,9 @@ def call_digests(src: pathlib.Path) -> list[str]:
             if basis is not None:
                 u = np.ascontiguousarray(basis.unitary)
                 h.update(repr((u.dtype.str, u.shape)).encode() + u.tobytes())
-        lines.append(f"{label}: {h.hexdigest()}")
-    return lines
+        groups.append(group)
+        lines.append(f"{label}: {h.hexdigest()} {float(res.value)!r}")
+    return groups, lines
 
 
 def main() -> int:
@@ -72,7 +79,7 @@ def main() -> int:
     parser.add_argument("--src", type=pathlib.Path, default=ROOT / "src", help="import qcorr from here")
     parser.add_argument("--against", type=pathlib.Path, help="another checkout: print every call that differs")
     args = parser.parse_args()
-    lines = call_digests(args.src.resolve())
+    groups, lines = call_digests(args.src.resolve())
     overall = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print("\n".join(lines) + f"\noverall: {overall}")
     if args.against is None:
@@ -82,11 +89,21 @@ def main() -> int:
         [sys.executable, __file__, "--src", str(args.against.resolve() / "src")],
         stdout=subprocess.PIPE, text=True, check=True,
     ).stdout.splitlines()[:-1]
-    moved = [a.rsplit(":", 1)[0] for a, b in itertools.zip_longest(lines, other, fillvalue="") if a != b]
-    print("".join(f"differs: {label}\n" for label in moved), end="")
-    verdict = f"{len(moved)} of {len(lines)} calls differ" if moved else f"all {len(lines)} calls identical"
+    moved = {group: [] for group in groups}  # the value differences, this checkout's minus the other's
+    for group, a, b in itertools.zip_longest(groups, lines, other, fillvalue=""):
+        if a != b:
+            value, other_value = (float(x.split()[-1]) if x else math.nan for x in (a, b))
+            diff = value - other_value
+            moved[group].append(diff)
+            print(f"differs: {a.rsplit(':', 1)[0]}: {value!r} against {other_value!r}, difference {diff:.3g}"
+                  f" ({diff / abs(other_value) if other_value else math.inf:.3g} relative)")
+    for group, diffs in moved.items():
+        sizes = f"; largest move up {max(diffs):.3g}, down {min(diffs):.3g}" if diffs else ""
+        print(f"{group}: {len(diffs)} of {groups.count(group)} calls differ{sizes}")
+    count = sum(map(len, moved.values()))
+    verdict = f"{count} of {len(lines)} calls differ" if count else f"all {len(lines)} calls identical"
     print(f"against {args.against}: {verdict}")
-    return 1 if moved else 0
+    return 1 if count else 0
 
 
 if __name__ == "__main__":

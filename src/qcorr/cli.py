@@ -411,8 +411,8 @@ def cmd_triangle_scan(args) -> int:
     rows = []
     for state_id in range(args.n_states):
         rho = linalg.random_density((2, 2), np.random.default_rng([args.seed, state_id]))
-        for q, s in pairs:
-            report = correlations.triangle_analysis(rho, EntropicIndices(q, s), opts)
+        reports = correlations.triangle_analysis(rho, [EntropicIndices(q, s) for q, s in pairs], opts)
+        for (q, s), report in zip(pairs, reports):
             rows.append(dict(state_id=state_id, q=q, s=s, **dataclasses.asdict(report)))
     counts = [f"{flag}_violations={sum(not row[flag + '_holds'] for row in rows)}"
               for flag in ("triangle", "sandwich", "ordering")]
@@ -424,10 +424,9 @@ def cmd_triangle_scan(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_state_source(sub, family_required=False):
+def _add_state_source(sub):
     sub.add_argument("--state-file", dest="state_file", default=None)
-    sub.add_argument("--family", choices=families.KINDS,
-                     required=family_required, default=None)
+    sub.add_argument("--family", choices=families.KINDS, default=None)
     sub.add_argument("--N", dest="family_n", type=int, default=None)
     for flag in FAMILY_FLAGS.values():
         sub.add_argument(f"--{flag}", type=float, default=None)
@@ -463,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measure)
 
     p = subs.add_parser("family-curve", help="closed form vs optimizer over a parameter grid")
-    _add_state_source(p, family_required=True)
+    p.add_argument("--family", choices=families.KINDS, required=True)
+    p.add_argument("--N", dest="family_n", type=int, default=None)
     p.add_argument("--side", choices=measurement.SIDES, default="A")
     p.add_argument("--grid", type=int, default=5)
     _add_search_flags(p)

@@ -47,6 +47,7 @@ from .entropy import (
     spectral_slope,
     spectral_sum,
     unified_entropy_spectrum,
+    unified_from_renyi,
 )
 from .linalg import DensityOperator, DimMismatch, dag
 from .measurement import (
@@ -142,11 +143,11 @@ class OptimizerOptions:
 class CorrelationResult:
     """The minimized measure and the evidence behind it.
 
-    ``spread`` is the range of the final values over all restarts and
-    ``basin_hits`` the number of restarts ending within BASIN_TOL of the
-    best.  ``converged`` and ``grad_norm`` describe the restart that gave
-    ``value``: it ended at a stationary point (``LocalSearch.success``),
-    with that Riemannian gradient norm.  ``iterations`` and ``nfev``
+    ``spread`` is the range of the restarts' Renyi values mapped to (q, s),
+    and ``basin_hits`` the number of them within BASIN_TOL of the best.
+    ``converged`` and ``grad_norm`` describe the restart that gave ``value``:
+    its Renyi search ended at a stationary point (``LocalSearch.success``),
+    where ``value`` has that Riemannian gradient norm.  ``iterations`` and ``nfev``
     (objective values) are totals over the restarts.  ``argmin`` is the
     measurement that gave ``value``.
     """
@@ -188,11 +189,12 @@ ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 MIN_ANGLE = 1e-12  # a trial step rotating the bases by less than this ends the search
 
 
-def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: float):
-    """Disturbance and its Riemannian gradient at local bases given as unitaries.
+def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
+    """The Renyi measure R_q and its Riemannian gradient at local bases given as unitaries.
 
+    R_q (von Neumann at q = 1) maps to every s by ``unified_from_renyi``.
     ``t`` is the state as an (N_A, N_B, N_A, N_B) tensor and ``before`` the
-    spectral sum of its spectrum.  The returned ``evaluate`` takes one stack
+    spectral sum of its spectrum at q.  The returned ``evaluate`` takes one stack
     of unitaries (shape (R, n, n)) for side A or B and two for side AB, and
     returns one value per row and one real (R, sum n(n - 1)) gradient stack,
     both from one measured spectrum.  With W the state in the rotated
@@ -206,10 +208,11 @@ def _objective_factory(t: np.ndarray, side: str, idx: EntropicIndices, before: f
     forms W and reads the outcome table from its diagonal, with side A's
     coordinates before side B's.
     """
+    idx = EntropicIndices(q, 0.0)
 
     def measured(lam):
         value = entropy_change(spectral_sum(_flat_spectrum(lam), idx), before, idx)
-        return value, spectral_slope(lam, idx, before)
+        return value, spectral_slope(lam, idx)
 
     def conditional(blocks):
         lam, vec = np.linalg.eigh(blocks)
@@ -260,7 +263,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> list:
 
 @dataclass(frozen=True, eq=False)
 class LocalSearch:
-    """Outcome of one restart: the value ``fun`` at ``unitaries``.
+    """Outcome of one restart: ``fun`` at ``unitaries``, on the scale of the stopping tests (Renyi in ``measure_correlations``).
 
     ``success`` is stationarity at the end point, by one rule whichever test
     stopped the restart (gradient, decrease, stall or ``max_iter``): the
@@ -464,7 +467,7 @@ def measure_correlations(
             raise DimMismatch(f"side {'AB'[k]} has dimension 1; there is no basis to measure")
     t = rho.matrix.reshape(na, nb, na, nb)
     before = spectral_sum(linalg.spectrum(rho), idx)
-    evaluate = _objective_factory(t, side, idx, before)
+    evaluate = _objective_factory(t, side, idx.q, before)
 
     starts = [[_eigenbasis(rho, k) for k in measured]]
     for m in warm_starts:
@@ -479,18 +482,18 @@ def measure_correlations(
         stacks = [np.concatenate([s, u]) for s, u in zip(stacks, drawn)]
 
     runs = _lockstep(evaluate, tuple(stacks), opts)
-    best = min(runs, key=lambda r: r.fun)
-    values = [r.fun for r in runs]
+    values = [unified_from_renyi(r.fun, idx) for r in runs]
+    best, value = min(zip(runs, values), key=lambda pair: pair[1])
     bases = {f"basis_{name.lower()}": ProjectiveBasis(u) for name, u in zip(side, best.unitaries)}
     return CorrelationResult(
-        value=float(best.fun),
+        value=value,
         argmin=LocalMeasurement(side, **bases),
         restarts_used=len(runs),
         iterations=sum(r.nit for r in runs),
-        spread=float(max(values) - min(values)),
+        spread=max(values) - value,
         converged=best.success,
-        grad_norm=best.grad_norm,
-        basin_hits=sum(v <= best.fun + BASIN_TOL for v in values),
+        grad_norm=best.grad_norm * float(purity_ratio_sums((1.0 - idx.q) * best.fun, 0.0, idx)),
+        basin_hits=sum(v <= value + BASIN_TOL for v in values),
         nfev=sum(r.nfev for r in runs),
     )
 
@@ -656,31 +659,35 @@ def _delta(rho, basis_a, basis_b, idx) -> float:
 
 def triangle_analysis(
     rho: DensityOperator,
-    idx: EntropicIndices,
+    indices,
     opts: OptimizerOptions | None = None,
-) -> TriangleReport:
-    """Minimized measures on all sides plus the Delta_0/Delta_1 diagnostics.
+) -> list[TriangleReport]:
+    """Minimized measures on all sides plus the Delta_0/Delta_1 diagnostics: one report per index pair, in order.
 
-    The bilocal optimization is warm-started with the pair of unilocal
-    argmins, which makes the sandwich inequalities numerically meaningful.
+    The three searches run once per q, on the Renyi measure, the bilocal one
+    warm-started with the pair of unilocal argmins, which makes the sandwich
+    inequalities numerically meaningful; each s maps their values.
     """
     opts = opts or OptimizerOptions()
-    res_a = measure_correlations(rho, "A", idx, opts)
-    res_b = measure_correlations(rho, "B", idx, opts)
-    basis_a1, basis_b1 = res_a.argmin.basis_a, res_b.argmin.basis_b
-    warm = LocalMeasurement("AB", basis_a1, basis_b1)
-    res_ab = measure_correlations(rho, "AB", idx, opts, warm_starts=(warm,))
-    delta1 = _delta(rho, basis_a1, basis_b1, idx)
-    delta0 = _delta(rho, res_ab.argmin.basis_a, res_ab.argmin.basis_b, idx)
-
-    m_a, m_b, m_ab = res_a.value, res_b.value, res_ab.value
     tol = 1e-8  # each flag allows this much roundoff
-    return TriangleReport(
-        m_a, m_b, m_ab, delta0, delta1,
-        triangle_holds=m_a + m_b >= m_ab - tol,
-        sandwich_holds=m_ab + delta0 >= m_a + m_b - tol and m_a + m_b >= m_ab + delta1 - tol,
-        ordering_holds=m_ab >= max(m_a, m_b) - tol,
-    )
+    searches, reports = {}, []
+    for idx in indices:
+        if idx.q not in searches:
+            renyi = EntropicIndices(idx.q, 0.0)
+            res_a, res_b = (measure_correlations(rho, side, renyi, opts) for side in "AB")
+            warm = LocalMeasurement("AB", res_a.argmin.basis_a, res_b.argmin.basis_b)
+            searches[idx.q] = res_a, res_b, measure_correlations(rho, "AB", renyi, opts, warm_starts=(warm,))
+        res_a, res_b, res_ab = searches[idx.q]
+        m_a, m_b, m_ab = (unified_from_renyi(res.value, idx) for res in (res_a, res_b, res_ab))
+        delta1 = _delta(rho, res_a.argmin.basis_a, res_b.argmin.basis_b, idx)
+        delta0 = _delta(rho, res_ab.argmin.basis_a, res_ab.argmin.basis_b, idx)
+        reports.append(TriangleReport(
+            m_a, m_b, m_ab, delta0, delta1,
+            triangle_holds=m_a + m_b >= m_ab - tol,
+            sandwich_holds=m_ab + delta0 >= m_a + m_b - tol and m_a + m_b >= m_ab + delta1 - tol,
+            ordering_holds=m_ab >= max(m_a, m_b) - tol,
+        ))
+    return reports
 
 
 def _pair_spectra(rho: DensityOperator, ua: np.ndarray, ub: np.ndarray) -> dict:

@@ -10,10 +10,10 @@ through two array functions over the last axis: ``spectral_sum`` reduces a
 spectrum (or a stack of them) to the sum its entropy is built from, and
 ``entropy_change`` maps two such sums to the purity-rescaled entropy
 change.  Beside them, ``purity_ratio_sums`` maps two sums to the purity
-ratio, and ``spectral_slope`` differentiates the disturbance by each entry
-of a spectrum.  These four kernels are the package's one switch between
-the von Neumann, Renyi and unified regimes: no other module branches on
-``Regime``.
+ratio, ``unified_from_renyi`` maps the Renyi measure to the (q, s) one,
+and ``spectral_slope`` differentiates the Renyi measure by each entry of a
+spectrum.  These five kernels are the package's one switch between the von
+Neumann, Renyi and unified regimes: no other module branches on ``Regime``.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ def _positive_sums(p: np.ndarray, term):
         return term(p).sum(axis=-1)
     if not positive.any(axis=-1).all():
         raise ValueError("spectrum has no positive weight")
-    if p.ndim == 1:
-        return term(p[positive]).sum()
     rows = p.reshape(-1, p.shape[-1])
     positive = positive.reshape(rows.shape)
     counts = np.count_nonzero(positive, axis=-1)
@@ -150,6 +148,11 @@ def _series(d, x, idx: EntropicIndices):
     return d / (1.0 - idx.q) * (1.0 + 0.5 * x)
 
 
+def unified_from_renyi(r, idx: EntropicIndices):
+    """M_(q,s) = expm1(s (1-q) r) / ((1-q) s) of the Renyi measure r = R_q, strictly increasing; r outside the unified regime."""
+    return entropy_change((1.0 - idx.q) * r, 0.0, idx) if idx.regime is Regime.UNIFIED else r
+
+
 def purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
     """exp(s (after_sum - before_sum)) from two spectral_sum values.
 
@@ -162,13 +165,13 @@ def purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
     return np.exp(idx.s * (after_sum - before_sum))
 
 
-def spectral_slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.ndarray:
-    """dD/dp, the derivative of D = entropy_change(spectral_sum(p), before) by each entry of p.
+def spectral_slope(p: np.ndarray, idx: EntropicIndices) -> np.ndarray:
+    """dR/dp, the derivative of the Renyi measure R of p (von Neumann at q = 1) by each entry of p, whatever s.
 
     The spectrum fills the last two axes of p (outcomes by conditional
     eigenvalues, or the joint outcome table); any axes before them are stack
-    axes.  -(ln p + 1) for von Neumann, else P q p^(q-1) / ((1-q) Tr p^q)
-    with P the purity ratio (1 in the Renyi limit).  The value counts
+    axes.  -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q),
+    the slope of ln(Tr p^q) / (1-q).  The value counts
     entries below the numerical-rank cut-off of ``measurement._flat_spectrum``
     (N eps for a spectrum of N entries) as zero; there ln p and, for q < 1,
     p^(q-1) diverge, so the slope takes them at that cut-off.
@@ -177,7 +180,7 @@ def spectral_slope(p: np.ndarray, idx: EntropicIndices, before: float) -> np.nda
     if idx.regime is Regime.VON_NEUMANN:
         return -(np.log(pz) + 1.0)
     total = (np.maximum(p, 0.0) ** idx.q).sum(axis=(-2, -1))  # Tr p^q
-    scale = idx.q / (1.0 - idx.q) * purity_ratio_sums(np.log(total), before, idx) / total
+    scale = idx.q / (1.0 - idx.q) / total
     return scale[..., None, None] * pz ** (idx.q - 1.0)
 
 

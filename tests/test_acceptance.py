@@ -249,7 +249,7 @@ def test_criterion_7_inequality_suite():
     worst_gap = -math.inf
     for _ in range(100):
         rho = linalg.random_density((2, 2), rng)
-        rep = triangle_analysis(rho, TS2, opts)
+        (rep,) = triangle_analysis(rho, [TS2], opts)
         ordering_ok &= rep.m_ab >= max(rep.m_a, rep.m_b) - 1e-8
         lower = correlations.entanglement_lower_bound(rho, TS2)
         smallest = min(rep.m_a, rep.m_b, rep.m_ab)

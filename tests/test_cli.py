@@ -448,13 +448,21 @@ class TestErrorsAndDeterminism:
         ("entropy --family werner --N 2 --x 0 --q 1,2 --s 1,2,3", "--q and --s lists must have matching lengths"),
         ("entropy --family werner --N 2 --x 0 --q 1,two", "bad number list '1,two'"),
         ("ancilla-check --dims 2,2,2 --seed 1", "--dims must list exactly two dimensions"),
-        ("family-curve --family werner --x 0.5 --seed 1", "family-curve requires --N"),
+        ("family-curve --family werner --seed 1", "family-curve requires --N"),
     ], ids=["q s lengths", "non-numeric q", "three dims", "family-curve without N"])
     def test_argument_errors_are_named(self, line, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run(line.split() + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--state-file /nonexistent", "--p 7", "--x 0.5", "--y 0.5"])
+    def test_family_curve_takes_no_state_source_flags(self, flag, capsys):
+        """family-curve builds its states from --family and --N; argparse rejects the other source flags."""
+        with pytest.raises(SystemExit) as exc:
+            run(["family-curve", "--family", "werner", "--N", "2", "--grid", "2", "--seed", "1", *flag.split()])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q,s", [("2", "nan"), ("inf", "1")])
     def test_non_finite_indices_fail(self, q, s, capsys):
@@ -513,10 +521,13 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("line", [
         "entropy --q 400 --s -5",
-        "measure --side A --q 400 --s -5 --seed 1",
+        "measure --side A --q 400 --s -10 --seed 1",
     ], ids=["entropy", "measure"])
     def test_float_overflow_is_a_named_error(self, line, tmp_path):
-        """exp(s d) beyond the float range ends in one error line naming the overflow, not a traceback.
+        """A value exp(s d) beyond the float range ends in one error line naming the overflow, not a traceback.
+
+        The measure is the map of a finite Renyi minimum (about 0.2185 here),
+        so only the value can overflow: at s = -5 it is about 1e186.
 
         Run in a child, so stderr is what a user sees under Python's default warning filters.
         """

@@ -20,7 +20,7 @@ from qcorr.correlations import (
     su_generators,
     triangle_analysis,
 )
-from qcorr.entropy import EntropicIndices, spectral_sum, unified_entropy
+from qcorr.entropy import EntropicIndices, spectral_sum, unified_entropy, unified_from_renyi
 from qcorr.linalg import DimMismatch, NotUnitary
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
 from util import IDX_GRID, bell_density, cc_state, cq_state, pure_density, random_basis
@@ -181,13 +181,14 @@ class TestMeasureCorrelations:
 class TestRiemannianSearch:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_gradient_matches_finite_differences(self, rng, dims):
+        # the search's objective: the Renyi measure at idx.q, whatever idx.s
         rho = linalg.random_density(dims, rng)
         t = rho.matrix.reshape(dims + dims)
         for idx in IDX_GRID:
             before = spectral_sum(linalg.spectrum(rho), idx)
             for side in ("A", "B", "AB"):
                 us = [linalg.haar_unitary(n, rng)[None] for n, name in zip(dims, "AB") if name in side]
-                evaluate = correlations._objective_factory(t, side, idx, before)
+                evaluate = correlations._objective_factory(t, side, idx.q, before)
                 coords, lo = evaluate(*us)[1][0], 0
                 for k, u in enumerate(us):
                     # the coordinate gradient as a matrix, against a full
@@ -217,7 +218,7 @@ class TestRiemannianSearch:
         for idx in (VN, EntropicIndices(0.3, 1.0), EntropicIndices(0.5, 0.0)):
             before = spectral_sum(linalg.spectrum(rho), idx)
             for side, sel in (("A", us[:1]), ("B", us[1:]), ("AB", us)):
-                grads = correlations._objective_factory(t, side, idx, before)(*sel)[1]
+                grads = correlations._objective_factory(t, side, idx.q, before)(*sel)[1]
                 assert grads.shape == (1, sum(u.shape[-1] * (u.shape[-1] - 1) for u in sel))
                 assert np.all(np.isfinite(grads))
 
@@ -243,6 +244,18 @@ class TestRiemannianSearch:
         assert 1 <= res.basin_hits <= opts.restarts
         assert res.nfev >= opts.restarts
         assert res.iterations > 0
+
+    def test_grad_norm_is_on_the_value_scale(self):
+        """At (q, s) the search is the Renyi one, and grad_norm is its gradient norm times dM/dR = exp(s (1-q) R)."""
+        rho = linalg.random_density((2, 3), np.random.default_rng([5, 3]))
+        opts = OptimizerOptions(restarts=4, seed=2)
+        for idx in (TS2, EntropicIndices(0.5, -1.0), EntropicIndices(3.0, 0.5)):
+            renyi = measure_correlations(rho, "AB", EntropicIndices(idx.q, 0.0), opts)
+            res = measure_correlations(rho, "AB", idx, opts)
+            slope = math.exp(idx.s * (1.0 - idx.q) * renyi.value)
+            assert res.value == unified_from_renyi(renyi.value, idx)
+            assert res.grad_norm == pytest.approx(renyi.grad_norm * slope, rel=1e-15, abs=0.0)
+            assert (res.nfev, res.converged) == (renyi.nfev, renyi.converged)
 
     @pytest.mark.parametrize("k", range(6))
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
@@ -281,7 +294,8 @@ class TestRiemannianSearch:
         assert len(runs) == opts.restarts
         assert not res.converged and res.grad_norm > 1.0
         assert not any(run.success for run in runs)
-        assert min(run.fun for run in runs) == res.value
+        # the restarts descend the Renyi measure, which maps to the (q, s) value
+        assert unified_from_renyi(min(run.fun for run in runs), EntropicIndices(0.3, 1.0)) == res.value
         # at q = 2 the objective is smooth there and the same search converges
         assert measure_correlations(rho, "A", TS2, opts).converged
 
@@ -309,11 +323,14 @@ class TestQubitOracle:
 
     @pytest.mark.parametrize("dims, side", [((2, 2), "A"), ((2, 3), "A"), ((2, 4), "A"), ((3, 2), "B")])
     def test_search_matches_oracle(self, rng, dims, side):
+        """At (2, 1), and at (2, 0) and (2, -1) through the oracle's Renyi value R_2 = -log1p(-M_(2,1))."""
         opts = OptimizerOptions(restarts=8, seed=3)
         for _ in range(5):
             rho = linalg.random_density(dims, rng)
-            found = measure_correlations(rho, side, TS2, opts).value
-            assert abs(found - qubit_oracle(rho, side)) <= 1e-9
+            renyi = -math.log1p(-qubit_oracle(rho, side))
+            for s, exact in ((1.0, qubit_oracle(rho, side)), (0.0, renyi), (-1.0, math.expm1(renyi))):
+                found = measure_correlations(rho, side, EntropicIndices(2.0, s), opts).value
+                assert abs(found - exact) <= 1e-9, s
 
     def test_rejects_other_sides(self, rng):
         with pytest.raises(DimMismatch):
@@ -424,14 +441,14 @@ class TestBilocalDecomposition:
 class TestTriangleAnalysis:
     def test_cc_state_all_vanish(self, rng):
         rho = cc_state(rng)
-        report = triangle_analysis(rho, TS2, FAST)
+        (report,) = triangle_analysis(rho, [TS2], FAST)
         for value in (report.m_a, report.m_b, report.m_ab, report.delta0, report.delta1):
             assert abs(value) < 1e-7
         assert report.triangle_holds and report.sandwich_holds
 
     def test_cq_state_collapses_to_b_measure(self, rng):
         rho = cq_state(rng)
-        report = triangle_analysis(rho, TS2, OptimizerOptions(restarts=6, seed=2))
+        (report,) = triangle_analysis(rho, [TS2], OptimizerOptions(restarts=6, seed=2))
         assert abs(report.delta1) < 1e-8
         assert abs(report.m_a) < 1e-7
         assert abs(report.m_ab - report.m_b) < 1e-6
@@ -439,7 +456,7 @@ class TestTriangleAnalysis:
     def test_von_neumann_random_states(self, rng):
         for _ in range(10):
             rho = linalg.random_density((2, 2), rng)
-            report = triangle_analysis(rho, VN, FAST)
+            (report,) = triangle_analysis(rho, [VN], FAST)
             assert report.triangle_holds and report.ordering_holds
             assert report.m_ab >= max(report.m_a, report.m_b) - 1e-8
 

@@ -100,15 +100,15 @@ class TestSpectralSlope:
                                      EntropicIndices(2.0, 1.0), EntropicIndices(0.5, 1.0), EntropicIndices(3.0, 0.5)],
                              ids=lambda i: i.regime.value + f"-q{i.q:g}-s{i.s:g}")
     def test_matches_central_differences(self, idx):
-        # the spectrum fills the last two axes; the first is a stack axis
+        # the slope of the Renyi entropy at idx.q, whatever s; the spectrum
+        # fills the last two axes, and the first is a stack axis
         rng = np.random.default_rng(67)
         p = rng.dirichlet(np.ones(6), 3).reshape(3, 2, 3)
-        before = spectral_sum(rng.dirichlet(np.ones(6)), idx)
-        slope = spectral_slope(p, idx, before)
+        slope = spectral_slope(p, idx)
         assert slope.shape == p.shape
 
         def value(row):
-            return entropy_change(spectral_sum(row.ravel(), idx), before, idx)
+            return unified_entropy_spectrum(row.ravel(), EntropicIndices(idx.q, 0.0))
 
         for r, i, j in np.ndindex(p.shape):
             h = 1e-6 * p[r, i, j]

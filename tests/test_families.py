@@ -313,8 +313,7 @@ class TestSymmetryProperties:
             build(FamilySpec("pseudopure", 2, 2, 0.4)),
         ]
         for rho in members:
-            for idx in (VN, TS2, EntropicIndices(3.0, 0.5)):
-                report = correlations.triangle_analysis(rho, idx, opts)
+            for report in correlations.triangle_analysis(rho, [VN, TS2, EntropicIndices(3.0, 0.5)], opts):
                 assert report.triangle_holds
 
     def test_schmidt_basis_spectrum_majorizes_random_ones(self, rng):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import OptimizerOptions, measure_correlations
-from qcorr.entropy import EntropicIndices, spectral_sum
+from qcorr.entropy import EntropicIndices, spectral_sum, unified_from_renyi
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
 from util import cc_state, cq_state
 
@@ -18,10 +18,10 @@ TS2 = EntropicIndices(2.0, 1.0)
 
 
 def search_problem(rho, side, idx):
-    """The value-and-gradient function ``measure_correlations`` descends for (rho, side, idx)."""
+    """The value-and-gradient function ``measure_correlations`` descends for (rho, side, idx): the Renyi measure at idx.q."""
     t = rho.matrix.reshape(rho.dims + rho.dims)
     before = spectral_sum(linalg.spectrum(rho), idx)
-    return correlations._objective_factory(t, side, idx, before)
+    return correlations._objective_factory(t, side, idx.q, before)
 
 
 def reference_descent(evaluate, us, opts):
@@ -178,11 +178,11 @@ class TestTotalsOverRows:
     """``iterations`` and ``nfev`` are the sums over the rows, however each row ended."""
 
     @staticmethod
-    def check_totals(res, runs):
+    def check_totals(res, runs, idx):
         assert len(runs) == res.restarts_used
         assert res.iterations == sum(r.nit for r in runs)
         assert res.nfev == sum(r.nfev for r in runs)
-        assert res.value == min(r.fun for r in runs)
+        assert res.value == unified_from_renyi(min(r.fun for r in runs), idx)
 
     def test_rows_stopping_at_iteration_zero(self, monkeypatch):
         # the Werner state's eigenbasis start is stationary on side AB, the
@@ -193,7 +193,7 @@ class TestTotalsOverRows:
         (_, runs), = calls
         assert (runs[0].nit, runs[0].nfev, runs[0].success) == (0, 1, True)
         assert all(r.nit > 0 for r in runs[1:])
-        self.check_totals(res, runs)
+        self.check_totals(res, runs, TS2)
 
     def test_rows_capped_at_max_iter(self, monkeypatch):
         calls = record_rows(monkeypatch)
@@ -202,7 +202,7 @@ class TestTotalsOverRows:
         (_, runs), = calls
         assert all(r.nit <= 3 for r in runs)
         assert sum(r.nit == 3 and not r.success for r in runs) >= 4
-        self.check_totals(res, runs)
+        self.check_totals(res, runs, TS2)
 
     def test_stalled_rows(self, monkeypatch):
         # a rank-2 3x3 state at q = 0.3: rows stall at cusps, where a
@@ -213,7 +213,7 @@ class TestTotalsOverRows:
         (_, runs), = calls
         assert not any(r.success for r in runs)
         assert len({r.nit for r in runs}) > 1
-        self.check_totals(res, runs)
+        self.check_totals(res, runs, EntropicIndices(0.3, 1.0))
 
 
 def test_success_means_stationary_at_a_cusp(monkeypatch):
@@ -258,7 +258,10 @@ def test_side_ab_warm_start_is_row_one(monkeypatch):
 @pytest.mark.parametrize("side", ["A", "B", "AB"])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_values_match_the_value_kernels(dims, side, rows):
-    """``evaluate``'s values are the value kernels' ``_spectrum_side_*`` then ``disturbance_spectra``."""
+    """``evaluate``'s values are the value kernels' ``_spectrum_side_*`` then ``disturbance_spectra`` at (q, 0).
+
+    Mapped to (q, s), they are the disturbance at (q, s).
+    """
     rng = np.random.default_rng([dims[0], dims[1], len(side), rows])
     rho = linalg.random_density(dims, rng)
     t = rho.matrix.reshape(dims + dims)
@@ -266,9 +269,59 @@ def test_values_match_the_value_kernels(dims, side, rows):
     kernel = {"A": measurement._spectrum_side_a, "B": measurement._spectrum_side_b, "AB": measurement._spectrum_side_ab}
     for idx in INDICES:
         values, grads = search_problem(rho, side, idx)(*us)
-        expected = measurement.disturbance_spectra(linalg.spectrum(rho), kernel[side](t, *us), idx)
+        after = kernel[side](t, *us)
+        expected = measurement.disturbance_spectra(linalg.spectrum(rho), after, EntropicIndices(idx.q, 0.0))
         np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
+        expected = measurement.disturbance_spectra(linalg.spectrum(rho), after, idx)
+        np.testing.assert_allclose(unified_from_renyi(values, idx), expected, rtol=1e-14, atol=0.0)
         assert grads.dtype == float and grads.shape == (rows, sum(u.shape[-1] * (u.shape[-1] - 1) for u in us))
+
+
+def unified_problem(rho, side, idx):
+    """The (q, s) disturbance itself and its Riemannian gradient, for a search of it that skips the map.
+
+    Values come from the value kernels and ``disturbance_spectra`` at idx; the
+    gradient is the Renyi one times dM/dR, the purity ratio
+    (Tr after^q / Tr before^q)^s, taken from the spectral sums.
+    """
+    t, before = rho.matrix.reshape(rho.dims + rho.dims), linalg.spectrum(rho)
+    kernel = {"A": measurement._spectrum_side_a, "B": measurement._spectrum_side_b, "AB": measurement._spectrum_side_ab}
+    renyi = search_problem(rho, side, idx)
+
+    def evaluate(*us):
+        after = kernel[side](t, *us)
+        ratio = np.exp(idx.s * (spectral_sum(after, idx) - spectral_sum(before, idx)))
+        return measurement.disturbance_spectra(before, after, idx), renyi(*us)[1] * ratio[:, None]
+
+    return evaluate
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_every_s_maps_the_renyi_search(monkeypatch, dims):
+    """The value at (q, s) is the Renyi search's value mapped to s, as a search of the (q, s) disturbance finds it.
+
+    The map is strictly increasing in the Renyi measure, so both searches
+    share their argmin; the direct one runs from the same starts, through
+    ``measure_correlations`` at s = 0, where the map is the identity.  Both
+    stop at tighter tests than the package's: at GRAD_TOL and DECREASE_TOL
+    each value is only as close to the minimum as its descent's stop (up to
+    1.3e-11 relative apart on these states with 4 restarts), and here they
+    agree to about 1e-13.
+    """
+    monkeypatch.setattr(correlations, "GRAD_TOL", 1e-11)
+    monkeypatch.setattr(correlations, "DECREASE_TOL", 1e-14)
+    rho = linalg.random_density(dims, np.random.default_rng([61, *dims]))
+    opts = OptimizerOptions(restarts=2, seed=1)
+    for side in ("A", "B", "AB"):
+        for q in (0.5, 2.0, 3.0):
+            for s in (1.0, 0.5, -1.0):
+                idx = EntropicIndices(q, s)
+                mapped = measure_correlations(rho, side, idx, opts).value
+                evaluate = unified_problem(rho, side, idx)
+                with monkeypatch.context() as patch:
+                    patch.setattr(correlations, "_objective_factory", lambda *args: evaluate)
+                    direct = measure_correlations(rho, side, EntropicIndices(q, 0.0), opts).value
+                assert abs(mapped - direct) <= 1e-12 * abs(direct), (side, q, s, mapped, direct)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
