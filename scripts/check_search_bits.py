@@ -7,13 +7,14 @@ read-only), and on ROADMAP item 4's 24 cusp-gate states at q in {0.3, 0.5},
 every side, 8 restarts, seed = state index, where a last-bit change can send
 a descent into another cusp.  Prints one SHA-256 per call over ``value``,
 ``nfev``, ``iterations``, ``grad_norm``, ``converged``, ``spread``,
-``basin_hits`` and the argmin unitaries' bytes, with the value, then one
-digest over all 315.  Takes about 20 s; ``--against`` runs this script again
-on another checkout's src/ in a subprocess and exits 1 if any call's digest
-differs.  It prints each differing call's two values and their difference
+``basin_hits`` and the argmin unitaries' bytes, with the value and the
+``converged`` flag, then one digest over all 315.  Takes about 20 s;
+``--against`` runs this script again on another checkout's src/ in a
+subprocess and exits 1 if any call's digest differs.  It prints each differing call's two values and their difference
 (this checkout's minus the other's), then per group (benchmark calls at
 s = 0 or q = 1, the other benchmark calls, the cusp gate at q = 0.3 and at
-q = 0.5) the count that differ and the largest move up and down.
+q = 0.5) the count that differ and the largest move up and down, and how
+many calls report ``converged`` in each checkout and how many flipped.
 
     python scripts/check_search_bits.py
     python scripts/check_search_bits.py --against ../other-checkout
@@ -51,7 +52,7 @@ def calls(qcorr, np):
 
 
 def call_digests(src: pathlib.Path) -> tuple[list[str], list[str]]:
-    """Each call's group, and its "label: sha256 value" line, with qcorr imported from ``src``."""
+    """Each call's group, and its "label: sha256 value converged=flag" line, with qcorr imported from ``src``."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import numpy as np
@@ -70,7 +71,7 @@ def call_digests(src: pathlib.Path) -> tuple[list[str], list[str]]:
                 u = np.ascontiguousarray(basis.unitary)
                 h.update(repr((u.dtype.str, u.shape)).encode() + u.tobytes())
         groups.append(group)
-        lines.append(f"{label}: {h.hexdigest()} {float(res.value)!r}")
+        lines.append(f"{label}: {h.hexdigest()} {float(res.value)!r} converged={bool(res.converged)}")
     return groups, lines
 
 
@@ -90,16 +91,21 @@ def main() -> int:
         stdout=subprocess.PIPE, text=True, check=True,
     ).stdout.splitlines()[:-1]
     moved = {group: [] for group in groups}  # the value differences, this checkout's minus the other's
+    converged = {group: [0, 0, 0] for group in groups}  # calls converged here, there, and flipped
     for group, a, b in itertools.zip_longest(groups, lines, other, fillvalue=""):
+        here, there = (x.endswith("converged=True") for x in (a, b))
+        converged[group] = [n + k for n, k in zip(converged[group], (here, there, here != there))]
         if a != b:
-            value, other_value = (float(x.split()[-1]) if x else math.nan for x in (a, b))
+            value, other_value = (float(x.split()[-2]) if x else math.nan for x in (a, b))
             diff = value - other_value
             moved[group].append(diff)
             print(f"differs: {a.rsplit(':', 1)[0]}: {value!r} against {other_value!r}, difference {diff:.3g}"
                   f" ({diff / abs(other_value) if other_value else math.inf:.3g} relative)")
     for group, diffs in moved.items():
         sizes = f"; largest move up {max(diffs):.3g}, down {min(diffs):.3g}" if diffs else ""
-        print(f"{group}: {len(diffs)} of {groups.count(group)} calls differ{sizes}")
+        here, there, flipped = converged[group]
+        print(f"{group}: {len(diffs)} of {groups.count(group)} calls differ{sizes};"
+              f" converged on {here} here, {there} there, {flipped} flipped")
     count = sum(map(len, moved.values()))
     verdict = f"{count} of {len(lines)} calls differ" if count else f"all {len(lines)} calls identical"
     print(f"against {args.against}: {verdict}")

@@ -10,7 +10,7 @@ pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
 from one measured spectrum, and each exponential call covers all rows that
-need it; a row's descent is its lone descent up to last bits.  A basis is
+need it; every row is its start's lone descent, bit for bit.  A basis is
 carried as its unitary throughout: the starts, the argmin and the warm
 starts are ``LocalMeasurement``s, and ``qcorr measure`` prints the argmin's
 unitary entries.
@@ -106,7 +106,7 @@ def _tangent_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _coordinates(x: np.ndarray) -> np.ndarray:
     """c_j = 2 Im Tr(B_j x), the coordinates of -i(x - x^dag), as one contiguous row per matrix of x."""
     n = x.shape[-1]
-    return np.ascontiguousarray((x.reshape(len(x), n * n) @ _tangent_basis(n)[1]).imag)
+    return np.ascontiguousarray((x.reshape(len(x), 1, n * n) @ _tangent_basis(n)[1])[:, 0].imag)
 
 
 # kept only for perfbench/spans.py, which binds it as correlations.decode
@@ -251,7 +251,7 @@ def _exp_path(u: np.ndarray, c: np.ndarray):
     step length per row.  Each K is diagonalized once, by one stacked
     ``eigh``, and every step reuses u times its eigenbasis: one matmul.
     """
-    w, v = np.linalg.eigh((c @ _tangent_basis(u.shape[-1])[0]).reshape(u.shape))
+    w, v = np.linalg.eigh((c[:, None] @ _tangent_basis(u.shape[-1])[0])[:, 0].reshape(u.shape))
     uv, vh, iw = u @ v, dag(v), 1j * w
     return lambda steps: (uv * np.exp(steps[:, None] * iw)[:, None, :]) @ vh
 
@@ -342,9 +342,9 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     the rows whose gradient norm is below GRAD_TOL, whose last full first
     step lowered the value by at most DECREASE_TOL of it, or that ran
     ``max_iter`` iterations, and trims them off the stack together with the
-    rows whose line search stalled; the last pass only settles.  numpy's 2-D
-    matmuls take another path for a one-row stack, so a row can differ from
-    its lone descent in the last bits, and then also in ``nit``.
+    rows whose line search stalled; the last pass only settles.  Each kernel
+    computes a row from that row's data alone, so row r is the lone descent
+    from start r in every field, whatever else the stack holds.
     """
     f, g = evaluate(*us)
     f = f.tolist()

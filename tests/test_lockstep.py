@@ -1,6 +1,7 @@
 """The lockstep search: every row of a stacked BFGS descent follows the rules of its start's lone descent."""
 
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -140,6 +141,10 @@ def test_minimize_matches_per_restart_loop(state, side, idx, max_iter):
             short = lone_descent(evaluate, start, capped)
             reference = reference_descent(evaluate, start, capped)
             assert (short.fun, short.nit, short.nfev, short.success, short.grad_norm) == reference
+    # the same starts as one stack: each row is its start's lone descent
+    stacked = correlations._lockstep(evaluate, tuple(np.array(s) for s in zip(*starts)), opts)
+    for start, row in zip(starts, stacked):
+        assert (row.fun, row.nit, row.nfev, row.success, row.grad_norm) == reference_descent(evaluate, start, opts)
 
 
 def side_dims(rho, side):
@@ -170,8 +175,45 @@ def test_rows_match_lone_descents(dims, side, idx):
     opts = OptimizerOptions(restarts=8)
     stacked = correlations._lockstep(evaluate, tuple(np.array(s) for s in zip(*starts)), opts)
     for start, row in zip(starts, stacked):
-        alone = lone_descent(evaluate, start, opts)
-        assert abs(row.fun - alone.fun) <= 1e-9
+        assert_same_run(row, lone_descent(evaluate, start, opts))
+
+
+def assert_same_run(run, other):
+    """Two ``LocalSearch`` results are equal bit for bit: every field and every unitary."""
+    assert (run.fun, run.nit, run.nfev, run.success, run.grad_norm) == (
+        other.fun, other.nit, other.nfev, other.success, other.grad_norm)
+    for u, v in zip(run.unitaries, other.unitaries, strict=True):
+        np.testing.assert_array_equal(u, v)
+
+
+def cusp_gate_state(k):
+    """State k of the cusp gate: for rank 2 then 3 and dims 2x2, 2x3, 3x3, four mixtures of random pure states each.
+
+    All 24 come from one ``default_rng(7)`` stream, as in scripts/check_search_bits.py.
+    """
+    rng = np.random.default_rng(7)
+    for rank, dims, _ in itertools.islice(itertools.product((2, 3), ((2, 2), (2, 3), (3, 3)), range(4)), k + 1):
+        weights = rng.dirichlet(np.ones(rank))
+        vectors = [linalg.random_pure(dims, rng) for _ in range(rank)]
+    return linalg.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)), dims)
+
+
+@pytest.mark.parametrize(
+    "k, q, side", [(2, 0.3, "A"), (4, 0.5, "A"), (6, 0.5, "AB"), (20, 0.3, "AB")], ids=str)
+def test_more_restarts_never_report_a_worse_value(monkeypatch, k, q, side):
+    """From one seed, the first 8 rows of a 16-restart search are the 8-restart rows, so its value is no higher.
+
+    Cusp-gate calls (seed = state index) on which a row's descent once
+    depended on the stack's size: the 16-restart value was the higher one.
+    """
+    calls = record_rows(monkeypatch)
+    idx = EntropicIndices(q, 1.0)
+    few, many = (measure_correlations(cusp_gate_state(k), side, idx, OptimizerOptions(restarts=r, seed=k))
+                 for r in (8, 16))
+    (_, short), (_, long) = calls
+    for run, other in zip(short, long[:8], strict=True):
+        assert_same_run(run, other)
+    assert many.value <= few.value
 
 
 class TestTotalsOverRows:
@@ -224,11 +266,7 @@ def test_success_means_stationary_at_a_cusp(monkeypatch):
     norm of 0.044.
     """
     calls = record_rows(monkeypatch)
-    rng = np.random.default_rng(7)
-    weights = rng.dirichlet(np.ones(2))
-    vectors = [linalg.random_pure((2, 2), rng) for _ in range(2)]
-    rho = linalg.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)), (2, 2))
-    measure_correlations(rho, "AB", EntropicIndices(0.5, 1.0), OptimizerOptions(restarts=8, seed=0))
+    measure_correlations(cusp_gate_state(0), "AB", EntropicIndices(0.5, 1.0), OptimizerOptions(restarts=8, seed=0))
     (_, runs), = calls
     assert max(r.grad_norm for r in runs) > 1e-2
     for r in runs:
