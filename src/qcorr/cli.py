@@ -1,12 +1,13 @@
 """Command-line front end and experiment drivers.
 
 Subcommands: ``entropy``, ``measure``, ``family-curve``, ``fig1``,
-``ancilla-check``, ``triangle-scan``.  All randomized commands require
-``--seed`` and produce byte-identical CSV bodies for identical configs.
-CSV output starts with ``#``-prefixed metadata lines (schema version, config
-echo), then a header row; reals carry 17 significant digits.  Inequality
-violations found by the experiment drivers are data, never errors: the exit
-status is nonzero only on hard failures.
+``ancilla-check``, ``triangle-scan``.  A state comes from a state file or
+from a row of ``families.KINDS``, never both.  All randomized commands
+require ``--seed`` and produce byte-identical CSV bodies for identical
+configs.  CSV output starts with ``#``-prefixed metadata lines (schema
+version, config echo), then a header row; reals carry 17 significant
+digits.  Inequality violations found by the experiment drivers are data,
+never errors: the exit status is nonzero only on hard failures.
 """
 
 from __future__ import annotations
@@ -163,31 +164,27 @@ def _zip_qs(q_list, s_list):
     return list(zip(q_list, s_list))
 
 
-FAMILY_FLAGS = {"pseudopure": "p", "isotropic": "y", "werner": "x"}  # family -> parameter flag
-
-
-def _family_spec_from_args(args) -> families.FamilySpec:
+def _state_from_args(args) -> DensityOperator:
+    """The state of --state-file, or of --family, --N and the kind's parameter flag; never of both."""
+    given = [f"--{name}" for name, _ in families.KINDS.values() if getattr(args, name) is not None]
+    if args.state_file:
+        if args.family or args.family_n is not None or given:
+            raise ParseError("--state-file takes no --family, --N or parameter flag")
+        return parse_state_file(args.state_file)
+    if not args.family:
+        raise ParseError("provide either --state-file or --family flags")
     n = args.family_n
     if n is None:
         raise ParseError("--family requires --N")
     _require_count(n, "--N")
-    value = _family_parameter(args)
-    if value is None:
-        raise ParseError(f"{args.family} requires --{FAMILY_FLAGS[args.family]}")
-    return families.FamilySpec(args.family, n, n, value)
-
-
-def _state_from_args(args) -> DensityOperator:
-    if getattr(args, "state_file", None):
-        return parse_state_file(args.state_file)
-    if getattr(args, "family", None):
-        return families.build(_family_spec_from_args(args))
-    raise ParseError("provide either --state-file or --family flags")
+    flag = f"--{families.KINDS[args.family][0]}"
+    if given != [flag]:
+        raise ParseError(f"{args.family} takes {flag} alone, got {' '.join(given) or 'no parameter flag'}")
+    return families.build(families.FamilySpec(args.family, n, n, _family_parameter(args)))
 
 
 def _family_parameter(args):
-    flag = FAMILY_FLAGS.get(getattr(args, "family", None))
-    return None if flag is None else getattr(args, flag)
+    return None if args.family is None else getattr(args, families.KINDS[args.family][0])
 
 
 def _source_fields(args) -> dict:
@@ -264,14 +261,6 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _family_grid(kind: str, n: int, points: int) -> np.ndarray:
-    if kind == "pseudopure":
-        return np.linspace(0.0, 1.0, points)
-    if kind == "isotropic":
-        return np.linspace(1.0 / n**2, 1.0, points)
-    return np.linspace(-1.0, 1.0, points)
-
-
 def cmd_family_curve(args) -> int:
     kind, n = args.family, args.family_n
     if n is None:
@@ -289,14 +278,10 @@ def cmd_family_curve(args) -> int:
         **_search_fields(args),
     )
     rows = []
-    for value in _family_grid(kind, n, args.grid).tolist():
+    _, bounds = families.KINDS[kind]
+    for value in np.linspace(*bounds(n), args.grid).tolist():
         spec = families.FamilySpec(kind, n, n, value)
-        if kind == "pseudopure":
-            closed = families.pseudopure_closed_form(spec, args.side, idx)
-        elif kind == "isotropic":
-            closed = families.isotropic_closed_form(n, value, idx)
-        else:
-            closed = families.werner_spectrum_form(n, value, idx)
+        closed = families.closed_form(spec, args.side, idx)
         found = measure_correlations(families.build(spec), args.side, idx, opts).value
         row = dict(parameter=value, closed_form=closed, optimizer_value=found, abs_diff=abs(closed - found))
         if kind == "werner":
@@ -428,8 +413,8 @@ def _add_state_source(sub):
     sub.add_argument("--state-file", dest="state_file", default=None)
     sub.add_argument("--family", choices=families.KINDS, default=None)
     sub.add_argument("--N", dest="family_n", type=int, default=None)
-    for flag in FAMILY_FLAGS.values():
-        sub.add_argument(f"--{flag}", type=float, default=None)
+    for kind, (name, _) in families.KINDS.items():
+        sub.add_argument(f"--{name}", type=float, default=None, help=f"the {kind} parameter")
 
 
 def _add_search_flags(sub, q=1.0, restarts=8):

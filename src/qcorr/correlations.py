@@ -522,36 +522,29 @@ def _grid_axes(n_theta: int, n_phi: int, window=(0.0, math.pi, 0.0, 2.0 * math.p
 
 def _window_around(thetas, phis, flat_index):
     it, ip = divmod(int(flat_index), phis.size)
-    dt = thetas[1] - thetas[0] if thetas.size > 1 else math.pi
-    dp = phis[1] - phis[0] if phis.size > 1 else 2.0 * math.pi
+    dt, dp = thetas[1] - thetas[0], phis[1] - phis[0]
     return max(thetas[it] - dt, 0.0), min(thetas[it] + dt, math.pi), phis[ip] - dp, phis[ip] + dp
 
 
-def grid_oracle_qubit(
-    rho: DensityOperator,
-    side: str,
-    idx: EntropicIndices,
-    resolution: tuple[int, int] = (64, 128),
-) -> float:
+GRID_CELLS = {"A": (64, 128), "B": (64, 128), "AB": (8, 16)}  # (theta, phi) cells per measured qubit
+
+
+def grid_oracle_qubit(rho: DensityOperator, side: str, idx: EntropicIndices) -> float:
     """Brute-force disturbance minimum over Bloch-angle grids of the measured qubits.
 
     Every measured side must be a qubit (DimMismatch otherwise); the partner
     may have any dimension.  Values come from ``measurement._spectrum_side_*``
     on stacks of grid bases (side AB: every pair), and the grid is refined
-    once around the best cell, so the result upper-bounds the minimum.  Side
-    AB takes a quarter of the per-sphere resolution to keep the product grid
-    tractable.  Raises ValueError for a resolution entry below 1.
+    once around the best cell, so the result upper-bounds the minimum.  Each
+    qubit's grid has ``GRID_CELLS[side]`` cells; side AB's is coarser, to
+    keep the product grid tractable.
     """
     if side not in measurement.SIDES:
         raise ValueError(f"side must be one of {measurement.SIDES}")
-    if min(resolution) < 1:
-        raise ValueError(f"resolution entries must be >= 1, got {resolution}")
     na, nb = _require_bipartite(rho)
     if any((na, nb)["AB".index(name)] != 2 for name in side):
         raise DimMismatch(f"side {side} must measure qubits only, got dims {rho.dims}")
-    n_theta, n_phi = resolution
-    if side == "AB":
-        n_theta, n_phi = max(n_theta // 4, 8), max(n_phi // 4, 16)
+    n_theta, n_phi = GRID_CELLS[side]
     kernel = {"A": _spectrum_side_a, "B": _spectrum_side_b, "AB": _spectrum_side_ab}[side]
     before = linalg.spectrum(rho)
     t = rho.matrix.reshape(na, nb, na, nb)

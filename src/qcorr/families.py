@@ -4,7 +4,8 @@ Pseudopure states (pure state mixed with white noise), isotropic states and
 Werner states all admit closed-form correlation measures: the optimal local
 measurement is known (Schmidt basis, respectively any local basis), so the
 minimized measure reduces to the disturbance between two analytic spectra.
-These serve as oracles for the numerical optimizer.
+These serve as oracles for the numerical optimizer.  A kind is one row of
+``KINDS`` plus one branch each in ``build`` and ``closed_form``.
 
 The printed closed form for Werner states circulating in the literature
 disagrees with the direct spectral computation (see werner_printed_form);
@@ -21,11 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .entropy import REGIME_TOL, EntropicIndices
+from .entropy import EntropicIndices
 from .linalg import DensityOperator
 from .measurement import disturbance_spectra
 
-KINDS = ("pseudopure", "isotropic", "werner")
+KINDS = {  # kind -> (parameter, its range [low, high] at side dimension N)
+    "pseudopure": ("p", lambda n: (0.0, 1.0)),
+    "isotropic": ("y", lambda n: (1.0 / n**2, 1.0)),
+    "werner": ("x", lambda n: (-1.0, 1.0)),
+}
 
 
 class BadKind(ValueError):
@@ -41,9 +46,9 @@ class FamilySpec:
     """One-parameter family member: kind, side dimensions and mix parameter.
 
     The parameter is p in [0, 1] for pseudopure, y in [1/N^2, 1] for
-    isotropic, x in [-1, 1] for Werner.  ``psi`` optionally fixes the pure
-    state of a pseudopure member; the default is the maximally entangled
-    vector on min(n_a, n_b) levels.
+    isotropic, x in [-1, 1] for Werner (``KINDS``), each 1e-12 below its low
+    end included.  ``psi`` optionally fixes the pure state of a pseudopure
+    member; the default is the maximally entangled vector on min(n_a, n_b) levels.
     """
 
     kind: str
@@ -54,22 +59,17 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise BadKind(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise BadKind(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.n_a < 1 or self.n_b < 1:
             raise BadParameter("side dimensions must be >= 1")
         if self.kind in ("isotropic", "werner") and self.n_a != self.n_b:
             raise BadParameter(f"{self.kind} states need n_a == n_b")
         if self.kind in ("isotropic", "werner") and self.n_a < 2:
             raise BadParameter(f"{self.kind} states need N >= 2, got N = {self.n_a}")
-        p = self.parameter
-        if self.kind == "pseudopure" and not 0.0 <= p <= 1.0:
-            raise BadParameter(f"pseudopure parameter must be in [0, 1], got {p}")
-        if self.kind == "werner" and not -1.0 <= p <= 1.0:
-            raise BadParameter(f"werner parameter must be in [-1, 1], got {p}")
-        if self.kind == "isotropic" and not 1.0 / self.n_a**2 - 1e-12 <= p <= 1.0:
-            raise BadParameter(
-                f"isotropic parameter must be in [1/N^2, 1], got {p}"
-            )
+        name, bounds = KINDS[self.kind]
+        low, high = bounds(self.n_a)
+        if not low - 1e-12 <= self.parameter <= high:
+            raise BadParameter(f"{self.kind} {name} must be in [{low:.6g}, {high:.6g}], got {self.parameter}")
         if self.psi is not None and self.kind != "pseudopure":
             raise BadParameter("psi only applies to pseudopure states")
         if self.psi is not None and not np.isfinite(np.asarray(self.psi, dtype=complex)).all():
@@ -196,6 +196,15 @@ def werner_spectrum_form(n: int, x: float, idx: EntropicIndices) -> float:
     return disturbance_spectra(before, after, idx)
 
 
+def closed_form(spec: FamilySpec, side: str, idx: EntropicIndices) -> float:
+    """Exact correlation measure of a family member on ``side``, by its kind's closed form."""
+    if spec.kind == "pseudopure":
+        return pseudopure_closed_form(spec, side, idx)
+    if spec.kind == "isotropic":
+        return isotropic_closed_form(spec.n_a, spec.parameter, idx)
+    return werner_spectrum_form(spec.n_a, spec.parameter, idx)
+
+
 def _printed_spectrum(terms) -> np.ndarray:
     """Trace-one spectrum from (count, base) pairs: ``count`` entries in proportion to ``base``.
 
@@ -233,8 +242,6 @@ def isotropic_specializations(n: int, p: float, q: float) -> tuple[float, float]
     from the general expression at s = 1 instead.
     """
     FamilySpec("pseudopure", n, n, p)
-    if abs(q - 1.0) <= REGIME_TOL:
-        raise BadParameter("specializations are for q != 1; use the general form")
     lam = np.full(n, 1.0 / n)
     before, after = _pseudopure_spectra(n * n, p, lam)
     tsallis = disturbance_spectra(before, after, EntropicIndices(q, 1.0))

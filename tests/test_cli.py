@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcorr import cli, linalg
+from qcorr import cli, families, linalg
 from qcorr.cli import ParseError, main, parse_state_file, write_state_file
 from qcorr.correlations import OptimizerOptions, measure_correlations, qubit_oracle
 from qcorr.entropy import EntropicIndices
@@ -230,6 +230,15 @@ class TestFamilyCurveCommand:
         assert float(cell(header, x_minus_one, "parameter")) == -1.0
         assert abs(float(cell(header, x_minus_one, "printed_minus_closed"))) > 0.1
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", list(families.KINDS))
+    def test_two_point_grid_is_the_range(self, kind, n, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["family-curve", "--family", kind, "--N", str(n), "--grid", "2", "--restarts", "1",
+                    "--seed", "1", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert [float(cell(header, r, "parameter")) for r in rows] == list(families.KINDS[kind][1](n))
+
 
 class TestFig1Command:
     def test_structure_and_flags(self, tmp_path):
@@ -418,6 +427,28 @@ class TestErrorsAndDeterminism:
         assert run(["measure", "--family", "pseudopure", "--N", "2",
                     "--seed", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", ["--family werner --N 3 --x 0.2", "--family werner", "--N 2", "--p 0.5"])
+    @pytest.mark.parametrize("command", ["entropy", "measure --seed 1"])
+    def test_state_file_takes_no_family_flags(self, command, flags, tmp_path, capsys):
+        path, out = tmp_path / "bell.txt", tmp_path / "out.csv"
+        write_state_file(path, bell_density())
+        assert run([*command.split(), "--state-file", str(path), *flags.split(), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --state-file takes no --family, --N or parameter flag\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--family werner --N 2 --x 0.2 --p 0.9 --y 7", "werner takes --x alone, got --p --y --x"),
+        ("--family pseudopure --N 2 --x 0.2", "pseudopure takes --p alone, got --x"),
+        ("--family isotropic --N 2 --y 1 --x 0", "isotropic takes --y alone, got --y --x"),
+        ("--family isotropic --N 2", "isotropic takes --y alone, got no parameter flag"),
+    ], ids=["werner with p and y", "pseudopure with x", "isotropic with x", "isotropic without y"])
+    @pytest.mark.parametrize("command", ["entropy", "measure --seed 1"])
+    def test_family_takes_its_own_parameter_flag_alone(self, command, flags, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run([*command.split(), *flags.split(), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_bad_state_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -124,7 +124,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qcorr"
 
 def test_only_entropy_refers_to_regime_members():
     # one regime switch: every other module calls entropy's kernels, and
-    # re-exporting the enum or printing idx.regime.value is not a branch
+    # re-exporting the enum or printing idx.regime.value is not a branch;
+    # nor may another module test an index against the switch's tolerance
     files = sorted(SRC.glob("*.py"))
     assert SRC / "entropy.py" in files
     offenders = [
@@ -132,7 +133,7 @@ def test_only_entropy_refers_to_regime_members():
         for path in files
         if path.name != "entropy.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if "Regime." in line
+        if "Regime." in line or "REGIME_TOL" in line
     ]
     assert offenders == []
 

@@ -66,6 +66,40 @@ class TestFamilySpec:
             FamilySpec("pseudopure", 2, 2, 0.5, psi=np.array([bad, 0.0, 0.0, 1.0]))
 
 
+OWN_CLOSED_FORM = {
+    "pseudopure": pseudopure_closed_form,
+    "isotropic": lambda spec, side, idx: isotropic_closed_form(spec.n_a, spec.parameter, idx),
+    "werner": lambda spec, side, idx: werner_spectrum_form(spec.n_a, spec.parameter, idx),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", list(families.KINDS))
+class TestKindsTable:
+    def test_range_ends_build_valid_states(self, kind, n):
+        low, high = families.KINDS[kind][1](n)
+        # the paper's ranges: p in [0, 1], y in [1/N^2, 1], x in [-1, 1]
+        assert (low, high) == {"pseudopure": (0.0, 1.0), "isotropic": (1.0 / n**2, 1.0), "werner": (-1.0, 1.0)}[kind]
+        for value in (low, high):
+            rho = build(FamilySpec(kind, n, n, value))
+            assert rho.dims == (n, n)
+            assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
+
+    def test_rejects_values_past_the_range(self, kind, n):
+        low, high = families.KINDS[kind][1](n)
+        for value in (low - 1e-11, high + 1e-11, math.nan):
+            with pytest.raises(BadParameter, match=f"{kind} {families.KINDS[kind][0]} must be in"):
+                FamilySpec(kind, n, n, value)
+
+    def test_closed_form_is_the_kinds_own(self, kind, n):
+        for value in np.linspace(*families.KINDS[kind][1](n), 5).tolist():
+            spec = FamilySpec(kind, n, n, value)
+            for side in measurement.SIDES:
+                for idx in IDX_GRID:
+                    assert families.closed_form(spec, side, idx) == OWN_CLOSED_FORM[kind](spec, side, idx)
+
+
 class TestBuild:
     def test_pseudopure_white_noise_limit(self):
         rho = build(FamilySpec("pseudopure", 2, 2, 0.0))
@@ -242,9 +276,13 @@ class TestIsotropicSpecializations:
         tsallis, _ = isotropic_specializations(2, 0.5, 2.0)
         assert_allclose(tsallis, 2.0 / 7.0, atol=1e-14)
 
-    def test_rejects_q_one(self):
-        with pytest.raises(BadParameter):
-            isotropic_specializations(2, 0.5, 1.0)
+    def test_von_neumann_matches_general_form(self):
+        # the kernels take the q -> 1 limit exactly, so q = 1 needs no branch of its own
+        for n in (2, 3, 4):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                general = pseudopure_closed_form(FamilySpec("pseudopure", n, n, p), "AB", VN)
+                for value in isotropic_specializations(n, p, 1.0):
+                    assert abs(value - general) <= 1e-15
 
 
 IDX_ORACLE = [
