@@ -166,7 +166,7 @@ def _zip_qs(q_list, s_list):
 
 def _state_from_args(args) -> DensityOperator:
     """The state of --state-file, or of --family, --N and the kind's parameter flag; never of both."""
-    given = [f"--{name}" for name, _ in families.KINDS.values() if getattr(args, name) is not None]
+    given = [f"--{row.parameter}" for row in families.KINDS.values() if getattr(args, row.parameter) is not None]
     if args.state_file:
         if args.family or args.family_n is not None or given:
             raise ParseError("--state-file takes no --family, --N or parameter flag")
@@ -177,14 +177,14 @@ def _state_from_args(args) -> DensityOperator:
     if n is None:
         raise ParseError("--family requires --N")
     _require_count(n, "--N")
-    flag = f"--{families.KINDS[args.family][0]}"
+    flag = f"--{families.KINDS[args.family].parameter}"
     if given != [flag]:
         raise ParseError(f"{args.family} takes {flag} alone, got {' '.join(given) or 'no parameter flag'}")
     return families.build(families.FamilySpec(args.family, n, n, _family_parameter(args)))
 
 
 def _family_parameter(args):
-    return None if args.family is None else getattr(args, families.KINDS[args.family][0])
+    return None if args.family is None else getattr(args, families.KINDS[args.family].parameter)
 
 
 def _source_fields(args) -> dict:
@@ -278,8 +278,7 @@ def cmd_family_curve(args) -> int:
         **_search_fields(args),
     )
     rows = []
-    _, bounds = families.KINDS[kind]
-    for value in np.linspace(*bounds(n), args.grid).tolist():
+    for value in np.linspace(*families.KINDS[kind].bounds(n), args.grid).tolist():
         spec = families.FamilySpec(kind, n, n, value)
         closed = families.closed_form(spec, args.side, idx)
         found = measure_correlations(families.build(spec), args.side, idx, opts).value
@@ -413,8 +412,8 @@ def _add_state_source(sub):
     sub.add_argument("--state-file", dest="state_file", default=None)
     sub.add_argument("--family", choices=families.KINDS, default=None)
     sub.add_argument("--N", dest="family_n", type=int, default=None)
-    for kind, (name, _) in families.KINDS.items():
-        sub.add_argument(f"--{name}", type=float, default=None, help=f"the {kind} parameter")
+    for kind, row in families.KINDS.items():
+        sub.add_argument(f"--{row.parameter}", type=float, default=None, help=f"the {kind} parameter")
 
 
 def _add_search_flags(sub, q=1.0, restarts=8):

@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg
 
 REGIME_TOL = 1e-8
+UNDERFLOW_LOG = 700.0  # past q ln N = this, every term of a trace-one power sum of N entries may underflow
 
 
 class BadIndices(ValueError):
@@ -93,8 +94,13 @@ def _positive_sums(p: np.ndarray, term):
 
 
 def log_power_sum(p, q: float):
-    """log(sum_i p_i^q) over the positive entries of the last axis (0^q := 0)."""
-    return np.log(_positive_sums(np.asarray(p, dtype=float), lambda pz: pz**q))
+    """log(sum_i p_i^q) over the positive entries of the last axis (0^q := 0); past q ln N =
+    UNDERFLOW_LOG the largest entry m is factored out, as q ln m + log(sum_i (p_i / m)^q)."""
+    p = np.asarray(p, dtype=float)
+    if q * math.log(p.shape[-1] or 1) <= UNDERFLOW_LOG:  # an empty spectrum raises below
+        return np.log(_positive_sums(p, lambda pz: pz**q))
+    top = np.maximum(p.max(axis=-1, keepdims=True), np.finfo(float).tiny)  # a row with no positive entry still raises
+    return np.log(_positive_sums(p / top, lambda pz: pz**q)) + q * np.log(top[..., 0])
 
 
 def spectral_sum(p, idx: EntropicIndices):
@@ -176,12 +182,16 @@ def spectral_slope(p: np.ndarray, idx: EntropicIndices) -> np.ndarray:
     (N eps for a spectrum of N entries) as zero; there ln p and, for q < 1,
     p^(q-1) diverge, so the slope takes them at that cut-off.
     """
-    pz = np.maximum(p, p.shape[-2] * p.shape[-1] * linalg.EPS)
+    n = p.shape[-2] * p.shape[-1]
+    pz = np.maximum(p, n * linalg.EPS)
     if idx.regime is Regime.VON_NEUMANN:
         return -(np.log(pz) + 1.0)
-    total = (np.maximum(p, 0.0) ** idx.q).sum(axis=(-2, -1))  # Tr p^q
-    scale = idx.q / (1.0 - idx.q) / total
-    return scale[..., None, None] * pz ** (idx.q - 1.0)
+    powers, scale = np.maximum(p, 0.0), idx.q / (1.0 - idx.q)
+    if idx.q * math.log(n) > UNDERFLOW_LOG:  # as in log_power_sum: factor out the largest entry
+        top = p.max(axis=(-2, -1), keepdims=True)
+        powers, pz, scale = powers / top, pz / top, scale / top[..., 0, 0]
+    total = (powers**idx.q).sum(axis=(-2, -1))  # Tr p^q, over top^q when factored
+    return (scale / total)[..., None, None] * pz ** (idx.q - 1.0)
 
 
 def unified_entropy_spectrum(p, idx: EntropicIndices):

@@ -2,10 +2,11 @@
 
 Pseudopure states (pure state mixed with white noise), isotropic states and
 Werner states all admit closed-form correlation measures: the optimal local
-measurement is known (Schmidt basis, respectively any local basis), so the
-minimized measure reduces to the disturbance between two analytic spectra.
-These serve as oracles for the numerical optimizer.  A kind is one row of
-``KINDS`` plus one branch each in ``build`` and ``closed_form``.
+measurement is known (the Schmidt basis; any local basis of the symmetric
+isotropic and Werner states, on every side), so the minimized measure
+reduces to the disturbance between two analytic spectra.
+These serve as oracles for the numerical optimizer.  A kind is one ``Kind``
+row of ``KINDS``, which ``FamilySpec``, ``build`` and ``closed_form`` read.
 
 The printed closed form for Werner states circulating in the literature
 disagrees with the direct spectral computation (see werner_printed_form);
@@ -18,19 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .entropy import EntropicIndices
 from .linalg import DensityOperator
-from .measurement import disturbance_spectra
-
-KINDS = {  # kind -> (parameter, its range [low, high] at side dimension N)
-    "pseudopure": ("p", lambda n: (0.0, 1.0)),
-    "isotropic": ("y", lambda n: (1.0 / n**2, 1.0)),
-    "werner": ("x", lambda n: (-1.0, 1.0)),
-}
+from .measurement import SIDES, disturbance_spectra
 
 
 class BadKind(ValueError):
@@ -48,7 +44,8 @@ class FamilySpec:
     The parameter is p in [0, 1] for pseudopure, y in [1/N^2, 1] for
     isotropic, x in [-1, 1] for Werner (``KINDS``), each 1e-12 below its low
     end included.  ``psi`` optionally fixes the pure state of a pseudopure
-    member; the default is the maximally entangled vector on min(n_a, n_b) levels.
+    member, a unit vector on n_a n_b levels; the default is the maximally
+    entangled vector on min(n_a, n_b) levels.
     """
 
     kind: str
@@ -62,18 +59,22 @@ class FamilySpec:
             raise BadKind(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.n_a < 1 or self.n_b < 1:
             raise BadParameter("side dimensions must be >= 1")
-        if self.kind in ("isotropic", "werner") and self.n_a != self.n_b:
-            raise BadParameter(f"{self.kind} states need n_a == n_b")
-        if self.kind in ("isotropic", "werner") and self.n_a < 2:
-            raise BadParameter(f"{self.kind} states need N >= 2, got N = {self.n_a}")
-        name, bounds = KINDS[self.kind]
-        low, high = bounds(self.n_a)
+        row = KINDS[self.kind]
+        if need := row.dims(self.n_a, self.n_b):
+            raise BadParameter(f"{self.kind} states need {need}")
+        low, high = row.bounds(self.n_a)
         if not low - 1e-12 <= self.parameter <= high:
-            raise BadParameter(f"{self.kind} {name} must be in [{low:.6g}, {high:.6g}], got {self.parameter}")
-        if self.psi is not None and self.kind != "pseudopure":
-            raise BadParameter("psi only applies to pseudopure states")
-        if self.psi is not None and not np.isfinite(np.asarray(self.psi, dtype=complex)).all():
-            raise BadParameter("psi has a NaN or infinite entry")
+            raise BadParameter(f"{self.kind} {row.parameter} must be in [{low:.6g}, {high:.6g}], got {self.parameter}")
+        if self.psi is not None:
+            if self.kind != "pseudopure":
+                raise BadParameter("psi only applies to pseudopure states")
+            psi = np.asarray(self.psi, dtype=complex).ravel()
+            if not np.isfinite(psi).all():
+                raise BadParameter("psi has a NaN or infinite entry")
+            if psi.size != self.n_a * self.n_b:
+                raise BadParameter(f"psi has size {psi.size}, expected {self.n_a * self.n_b}")
+            if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+                raise BadParameter("psi must be a unit vector")
 
 
 def maximally_entangled(n_a: int, n_b: int | None = None) -> np.ndarray:
@@ -93,41 +94,25 @@ def swap_operator(n: int) -> np.ndarray:
     ).astype(complex)
 
 
+def _square(n_a: int, n_b: int) -> str | None:
+    if n_a != n_b:
+        return "n_a == n_b"
+    return None if n_a >= 2 else f"N >= 2, got N = {n_a}"  # the weights divide by N^2 - 1
+
+
 def _pseudopure_psi(spec: FamilySpec) -> np.ndarray:
-    if spec.psi is not None:
-        psi = np.asarray(spec.psi, dtype=complex).ravel()
-        if psi.size != spec.n_a * spec.n_b:
-            raise BadParameter(f"psi has size {psi.size}, expected {spec.n_a * spec.n_b}")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-            raise BadParameter("psi must be a unit vector")
-        return psi
-    return maximally_entangled(spec.n_a, spec.n_b)
+    return maximally_entangled(spec.n_a, spec.n_b) if spec.psi is None else np.asarray(spec.psi, complex).ravel()
 
 
-def build(spec: FamilySpec) -> DensityOperator:
-    """Construct the density operator of a family member."""
-    dims = (spec.n_a, spec.n_b)
-    n = spec.n_a * spec.n_b
-    if spec.kind == "pseudopure":
-        psi = _pseudopure_psi(spec)
-        p = spec.parameter
-        mat = (1.0 - p) * np.eye(n) / n + p * np.outer(psi, psi.conj())
-    elif spec.kind == "isotropic":
-        y, nn = spec.parameter, spec.n_a
-        psi = maximally_entangled(nn)
-        mat = (1.0 - y) / (nn**2 - 1) * np.eye(n) + (nn**2 * y - 1.0) / (
-            nn**2 - 1
-        ) * np.outer(psi, psi.conj())
-    else:
-        x, nn = spec.parameter, spec.n_a
-        mat = (nn - x) / (nn**3 - nn) * np.eye(n) + (nn * x - 1.0) / (
-            nn**3 - nn
-        ) * swap_operator(nn)
-    return linalg.make_density(mat, dims)
+def _pseudopure_state(spec: FamilySpec):
+    psi, p = _pseudopure_psi(spec), spec.parameter
+    return (1.0 - p) / (spec.n_a * spec.n_b), p, np.outer(psi, psi.conj())
 
 
-def _pseudopure_spectra(n_total: int, p: float, lam: np.ndarray):
-    """Spectra before/after measuring a pseudopure state in its Schmidt basis."""
+def _pseudopure_spectra(spec: FamilySpec):
+    """Spectra before/after measuring a pseudopure state in its Schmidt basis, optimal at every index and side."""
+    n_total, p = spec.n_a * spec.n_b, spec.parameter
+    lam = linalg.schmidt(_pseudopure_psi(spec), (spec.n_a, spec.n_b)).coefficients
     base = (1.0 - p) / n_total
     before = np.full(n_total, base)
     before[0] += p
@@ -136,73 +121,81 @@ def _pseudopure_spectra(n_total: int, p: float, lam: np.ndarray):
     return before, after
 
 
-def pseudopure_closed_form(spec: FamilySpec, side: str, idx: EntropicIndices) -> float:
-    """Correlation measure of a pseudopure state, exact for every side.
-
-    The optimal measurement is the local Schmidt basis independently of the
-    entropic indices, and the semiquantum and total quantifiers coincide, so
-    the value does not depend on ``side``.
-    """
-    if spec.kind != "pseudopure":
-        raise BadKind(f"expected a pseudopure spec, got {spec.kind!r}")
-    if side not in ("A", "B", "AB"):
-        raise ValueError(f"side must be A, B or AB, got {side!r}")
-    psi = _pseudopure_psi(spec)
-    lam = linalg.schmidt(psi, (spec.n_a, spec.n_b)).coefficients
-    before, after = _pseudopure_spectra(spec.n_a * spec.n_b, spec.parameter, lam)
-    return disturbance_spectra(before, after, idx)
+def _isotropic_state(spec: FamilySpec):
+    y, n, psi = spec.parameter, spec.n_a, maximally_entangled(spec.n_a)
+    return (1.0 - y) / (n**2 - 1), (n**2 * y - 1.0) / (n**2 - 1), np.outer(psi, psi.conj())
 
 
-def isotropic_closed_form(n: int, y: float, idx: EntropicIndices) -> float:
-    """Correlation measure of the isotropic state, via its exact spectra.
-
-    Before the measurement the spectrum is {y} + {(1-y)/(N^2-1)} x (N^2-1);
-    after a standard-basis local measurement it is
-    {(1-y+Ny-1/N)/(N^2-1)} x N + {(1-y)/(N^2-1)} x (N^2-N).  By symmetry any
-    local measurement gives the same disturbance, so this is the minimized
-    measure for every side.
-    """
-    FamilySpec("isotropic", n, n, y)  # parameter validation
+def _isotropic_spectra(spec: FamilySpec):
+    """{y} + {(1-y)/(N^2-1)} x (N^2-1) before; {(1-y+Ny-1/N)/(N^2-1)} x N + {(1-y)/(N^2-1)} x (N^2-N) after."""
+    y, n = spec.parameter, spec.n_a
     fill = (1.0 - y) / (n**2 - 1)
     before = np.full(n**2, fill)
     before[0] = y
     after = np.full(n**2, fill)
     after[:n] = (1.0 - y + n * y - 1.0 / n) / (n**2 - 1)
-    return disturbance_spectra(before, after, idx)
+    return before, after
 
 
-def werner_spectrum_form(n: int, x: float, idx: EntropicIndices) -> float:
-    """Correlation measure of the Werner state, via its exact spectra.
+def _werner_state(spec: FamilySpec):
+    x, n = spec.parameter, spec.n_a
+    return (n - x) / (n**3 - n), (n * x - 1.0) / (n**3 - n), swap_operator(n)
 
-    Before: eigenvalue (1+x)/(N^2+N) on the symmetric subspace (multiplicity
-    N(N+1)/2) and (1-x)/(N^2-N) on the antisymmetric one (N(N-1)/2).  After a
-    standard-basis local measurement the diagonal carries (1+x)/(N^2+N) on the
-    N matched levels and (N-x)/(N^3-N) elsewhere.  Measurement-independent by
-    symmetry, hence equal to the minimized measure for every side.
-    """
-    FamilySpec("werner", n, n, x)
-    before = np.concatenate(
-        [
-            np.full(n * (n + 1) // 2, (1.0 + x) / (n**2 + n)),
-            np.full(n * (n - 1) // 2, (1.0 - x) / (n**2 - n)),
-        ]
-    )
-    after = np.concatenate(
-        [
-            np.full(n, (1.0 + x) / (n**2 + n)),
-            np.full(n**2 - n, (n - x) / (n**3 - n)),
-        ]
-    )
-    return disturbance_spectra(before, after, idx)
+
+def _werner_spectra(spec: FamilySpec):
+    """(1+x)/(N^2+N) on the symmetric subspace (N(N+1)/2 levels) and (1-x)/(N^2-N) on the antisymmetric
+    one before; (1+x)/(N^2+N) on the N matched levels and (N-x)/(N^3-N) elsewhere after."""
+    x, n = spec.parameter, spec.n_a
+    before = np.repeat([(1.0 + x) / (n**2 + n), (1.0 - x) / (n**2 - n)], [n * (n + 1) // 2, n * (n - 1) // 2])
+    after = np.repeat([(1.0 + x) / (n**2 + n), (n - x) / (n**3 - n)], [n, n**2 - n])
+    return before, after
+
+
+class Kind(NamedTuple):
+    """A family kind, whole: ``FamilySpec``, ``build`` and ``closed_form`` read nothing else of it."""
+
+    parameter: str  # the parameter's name: the paper's symbol and the CLI flag
+    bounds: Callable[[int], tuple[float, float]]  # side dimension N -> the parameter's range [low, high]
+    dims: Callable[[int, int], str | None]  # (n_a, n_b) -> what the side dimensions lack, or None
+    state: Callable[[FamilySpec], tuple[float, float, np.ndarray]]  # (a, b, P) of the state a I + b P
+    spectra: Callable[[FamilySpec], tuple[np.ndarray, np.ndarray]]  # before and after the optimal measurement
+
+
+KINDS = {
+    "pseudopure": Kind("p", lambda n: (0.0, 1.0), lambda n_a, n_b: None, _pseudopure_state, _pseudopure_spectra),
+    "isotropic": Kind("y", lambda n: (1.0 / n**2, 1.0), _square, _isotropic_state, _isotropic_spectra),
+    "werner": Kind("x", lambda n: (-1.0, 1.0), _square, _werner_state, _werner_spectra),
+}
+
+
+def build(spec: FamilySpec) -> DensityOperator:
+    """Construct the density operator a I + b P of a family member."""
+    a, b, op = KINDS[spec.kind].state(spec)
+    return linalg.make_density(a * np.eye(op.shape[0]) + b * op, (spec.n_a, spec.n_b))
 
 
 def closed_form(spec: FamilySpec, side: str, idx: EntropicIndices) -> float:
-    """Exact correlation measure of a family member on ``side``, by its kind's closed form."""
-    if spec.kind == "pseudopure":
-        return pseudopure_closed_form(spec, side, idx)
-    if spec.kind == "isotropic":
-        return isotropic_closed_form(spec.n_a, spec.parameter, idx)
-    return werner_spectrum_form(spec.n_a, spec.parameter, idx)
+    """Exact correlation measure of a family member on ``side``: the disturbance between its kind's spectra."""
+    if side not in SIDES:
+        raise ValueError(f"side must be A, B or AB, got {side!r}")
+    return disturbance_spectra(*KINDS[spec.kind].spectra(spec), idx)
+
+
+def pseudopure_closed_form(spec: FamilySpec, side: str, idx: EntropicIndices) -> float:
+    """Correlation measure of a pseudopure state, exact for every side."""
+    if spec.kind != "pseudopure":
+        raise BadKind(f"expected a pseudopure spec, got {spec.kind!r}")
+    return closed_form(spec, side, idx)
+
+
+def isotropic_closed_form(n: int, y: float, idx: EntropicIndices) -> float:
+    """Correlation measure of the isotropic state, the same on every side."""
+    return closed_form(FamilySpec("isotropic", n, n, y), "AB", idx)
+
+
+def werner_spectrum_form(n: int, x: float, idx: EntropicIndices) -> float:
+    """Correlation measure of the Werner state via its exact spectra, the same on every side."""
+    return closed_form(FamilySpec("werner", n, n, x), "AB", idx)
 
 
 def _printed_spectrum(terms) -> np.ndarray:
@@ -241,10 +234,7 @@ def isotropic_specializations(n: int, p: float, q: float) -> tuple[float, float]
     the purity rescaling and a sign, so the Tsallis value here is derived
     from the general expression at s = 1 instead.
     """
-    FamilySpec("pseudopure", n, n, p)
-    lam = np.full(n, 1.0 / n)
-    before, after = _pseudopure_spectra(n * n, p, lam)
-    tsallis = disturbance_spectra(before, after, EntropicIndices(q, 1.0))
+    tsallis = closed_form(FamilySpec("pseudopure", n, n, p), "AB", EntropicIndices(q, 1.0))
     num_terms = [(n, 1.0 - p + n * p), (n * n - n, 1.0 - p)]
     den_terms = [(1, 1.0 - p + n * n * p), (n * n - 1, 1.0 - p)]
     renyi = disturbance_spectra(

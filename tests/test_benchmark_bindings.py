@@ -1,15 +1,23 @@
-"""The benchmark's tracer (``perfbench/spans.py``) wraps library functions by name.
+"""The benchmark (``perfbench/``) reaches the library by name.
 
-A name it no longer finds is recorded as absent rather than failing a run,
-so a renamed or deleted function would silently drop its metrics.  This
-checks every binding the tracer wraps.
+Its tracer (``spans.py``) wraps functions by name, and records a name it no
+longer finds as absent rather than failing a run, so a renamed or deleted
+function would silently drop its metrics.  Its workloads call the package
+object ``qc`` by attribute, so a renamed name would break a run.  These
+tests check every binding the tracer wraps and every ``qc`` attribute chain
+the benchmark's files spell out, reading the files without running them.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import qcorr
+import qcorr.cli  # the benchmark imports it beside the package
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 # listed by the tracer, but no caller looks it up there: every log_power_sum
 # call goes through qcorr.entropy, where the same span is wrapped
@@ -31,3 +39,46 @@ def test_every_wrapped_binding_resolves():
         span for module, attr, span in spans.WRAPS if resolved[module, attr]
     }
     assert absent == set()
+
+
+def _dotted(node):
+    """("qc", "families", "build") for the expression ``qc.families.build``; None for any other expression."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return (node.id, *reversed(names)) if isinstance(node, ast.Name) else None
+
+
+def package_chains(path):
+    """The attribute chains on ``qc`` in one file, in source order, following aliases such as ``linalg = qc.linalg``."""
+    nodes = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, (ast.Assign, ast.Attribute))]
+    aliases, chains = {"qc": ()}, set()
+    for node in sorted(nodes, key=lambda node: (node.lineno, node.col_offset)):
+        if isinstance(node, ast.Attribute):
+            names = _dotted(node)
+            if names and names[0] in aliases:
+                chains.add(aliases[names[0]] + names[1:])
+        elif len(node.targets) == 1 and isinstance(node.targets[0], ast.Name) and node.targets[0].id != "qc":
+            names = _dotted(node.value)
+            if names and names[0] in aliases:
+                aliases[node.targets[0].id] = aliases[names[0]] + names[1:]
+            else:
+                aliases.pop(node.targets[0].id, None)
+    return chains
+
+
+def _resolves(chain):
+    obj = qcorr
+    for name in chain:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_every_package_chain_resolves():
+    chains = {chain: path.name for path in sorted(PERFBENCH.glob("*.py")) for chain in package_chains(path)}
+    # the family set-up and oracles, and an aliased chain, are among those read
+    assert {("FamilySpec",), ("families", "build"), ("werner_spectrum_form",), ("linalg", "tensor")} <= chains.keys()
+    assert {f"{file}: qc.{'.'.join(chain)}" for chain, file in chains.items() if not _resolves(chain)} == set()

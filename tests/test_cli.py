@@ -146,6 +146,17 @@ class TestEntropyCommand:
         qs, ss = (",".join(column) for column in zip(*pairs))
         assert config_line(out).endswith(f" q={qs} s={ss}")
 
+    def test_large_q_entropy_is_finite(self, tmp_path):
+        # Tr rho^q of the spectrum (1/2, 1/6, 1/6, 1/6) underflows at q = 2000 unless 1/2 is factored out
+        out = tmp_path / "e.csv"
+        assert run(["entropy", "--family", "werner", "--N", "2", "--x", "0", "--q", "2000", "--s", "0",
+                    "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        q = 2000.0
+        exact = (q * math.log(0.5) + math.log1p(3 * (1 / 3) ** q)) / (1 - q)
+        assert abs(float(cell(header, rows[0], "entropy")) - exact) < 1e-12
+        assert abs(float(cell(header, rows[0], "max_entropy")) - math.log(4)) < 1e-12
+
 
 class TestMeasureCommand:
     def test_isotropic_pure_von_neumann(self, tmp_path):
@@ -174,6 +185,14 @@ class TestMeasureCommand:
                     "--seed", "1", "--out", str(out)]) == 0
         _, header, rows = read_rows(out)
         assert abs(float(cell(header, rows[0], "value")) - 1.0 / 6.0) < 1e-6
+
+    def test_large_q_werner_equals_closed_form(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run(["measure", "--family", "werner", "--N", "2", "--x", "0.2", "--q", "5000", "--s", "0",
+                    "--side", "A", "--seed", "1", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        closed = families.werner_spectrum_form(2, 0.2, EntropicIndices(5000.0, 0.0))
+        assert abs(float(cell(header, rows[0], "value")) - closed) < 1e-12
 
     @pytest.mark.parametrize("side", ["A", "B", "AB"])
     def test_printed_basis_round_trips(self, side, tmp_path):

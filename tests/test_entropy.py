@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qcorr import linalg, measurement
+from qcorr import families, linalg, measurement
 from qcorr.entropy import (
+    UNDERFLOW_LOG,
     BadIndices,
     EntropicIndices,
     PreconditionUnmet,
     Regime,
     check_schur_concavity,
     entropy_change,
+    log_power_sum,
     max_entropy,
     relative_entropy,
     spectral_slope,
@@ -183,6 +185,53 @@ class TestMaxEntropy:
 
     def test_von_neumann(self):
         assert_allclose(max_entropy(4, EntropicIndices(1, 1)), math.log(4))
+
+
+def scaled_log_power_sum(p, q):
+    """log(sum_i p_i^q) of positive entries, in Python floats, with the largest entry factored out."""
+    top = max(p)
+    return q * math.log(top) + math.log(sum((x / top) ** q for x in p))
+
+
+class TestLargeQ:
+    """Past q ln N of about 700 every p_i^q of a trace-one spectrum of N entries can underflow to 0."""
+
+    def test_max_entropy(self):
+        idx = EntropicIndices(700.0, 0.0)
+        assert abs(max_entropy(4, idx) - math.log(4)) < 1e-12
+        assert abs(max_entropy(4, idx) - scaled_log_power_sum([0.25] * 4, 700.0) / (1 - 700.0)) < 1e-12
+
+    def test_werner_state_entropy(self):
+        rho = families.build(families.FamilySpec("werner", 2, 2, 0.0))
+        exact = scaled_log_power_sum([0.5, 1 / 6, 1 / 6, 1 / 6], 2000.0) / (1 - 2000.0)
+        assert abs(unified_entropy(rho, EntropicIndices(2000.0, 0.0)) - exact) < 1e-12
+        assert abs(exact - 0.693494) < 1e-6
+
+    def test_werner_closed_form(self):
+        # before: 0.2 x 3 and 0.4; after the standard-basis measurement: 0.2 x 2 and 0.3 x 2
+        q = 5000.0
+        exact = (scaled_log_power_sum([0.2, 0.2, 0.3, 0.3], q) - scaled_log_power_sum([0.2, 0.2, 0.2, 0.4], q)) / (1 - q)
+        assert abs(families.werner_spectrum_form(2, 0.2, EntropicIndices(q, 0.0)) - exact) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_continuous_at_the_switch(self, n):
+        p = np.random.default_rng(n).dirichlet(np.ones(n))
+        switch = UNDERFLOW_LOG / math.log(n)
+        for q in (switch * (1 - 1e-12), switch * (1 + 1e-12)):
+            assert abs(log_power_sum(p, q) - scaled_log_power_sum(p.tolist(), q)) <= 1e-12 * abs(log_power_sum(p, q))
+
+    def test_no_positive_weight_still_raises(self):
+        with pytest.raises(ValueError, match="no positive weight"):
+            log_power_sum(np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), 2000.0)
+
+    def test_slope(self):
+        # q p^(q-1) / ((1-q) Tr p^q), with Tr p^q = 2 0.6^q (1 + (0.4/0.6)^q / 2) far below the smallest double
+        q, p = 2000.0, np.array([[[0.6, 0.0], [0.4, 0.0]]])
+        slope = spectral_slope(p, EntropicIndices(q, 0.0))
+        log_total = scaled_log_power_sum([0.6, 0.4], q)
+        assert abs(slope[0, 0, 0] - q / (1 - q) * math.exp((q - 1) * math.log(0.6) - log_total)) < 1e-12
+        assert abs(slope[0, 1, 0] - q / (1 - q) * math.exp((q - 1) * math.log(0.4) - log_total)) < 1e-12
+        assert np.isfinite(slope).all()
 
 
 class TestRegimeContinuity:

@@ -59,6 +59,16 @@ class TestFamilySpec:
         with pytest.raises(BadParameter):
             families.build(FamilySpec("pseudopure", 2, 2, 0.5, psi=np.ones(4)))
 
+    @pytest.mark.parametrize("psi, message", [
+        (np.ones(3) / math.sqrt(3), "psi has size 3, expected 4"),
+        (np.ones(4), "psi must be a unit vector"),
+        (np.array([1.0, 0.0, 0.0, 1e-4]), "psi must be a unit vector"),
+    ], ids=["size", "norm 2", "norm 1 + 5e-9"])
+    def test_psi_is_checked_at_construction(self, psi, message):
+        # build is never called: a spec that exists can be built
+        with pytest.raises(BadParameter, match=message):
+            FamilySpec("pseudopure", 2, 2, 0.5, psi=psi)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_psi_rejected(self, bad):
         # a NaN norm passes the unit-norm test, so psi is checked entry by entry
@@ -98,6 +108,39 @@ class TestKindsTable:
             for side in measurement.SIDES:
                 for idx in IDX_GRID:
                     assert families.closed_form(spec, side, idx) == OWN_CLOSED_FORM[kind](spec, side, idx)
+
+
+def optimal_bases(spec):
+    """The kind's optimal local bases: the Schmidt basis of spec.psi for pseudopure, the standard basis otherwise."""
+    if spec.kind != "pseudopure":
+        return tuple(measurement.ProjectiveBasis(np.eye(n, dtype=complex)) for n in (spec.n_a, spec.n_b))
+    dec = linalg.schmidt(spec.psi, (spec.n_a, spec.n_b))
+    return measurement.ProjectiveBasis(dec.basis_a), measurement.ProjectiveBasis(dec.basis_b)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", list(families.KINDS))
+def test_kinds_row_agrees_with_its_state(kind, n):
+    """The row's spectra are those of the row's state: before measuring, and after its optimal measurement."""
+    rng = np.random.default_rng([31, n])
+    for value in np.linspace(*families.KINDS[kind].bounds(n), 5).tolist():
+        psi = linalg.random_pure((n, n), rng) if kind == "pseudopure" else None
+        spec = FamilySpec(kind, n, n, value, psi=psi)
+        rho = build(spec)
+        before, after = families.KINDS[kind].spectra(spec)
+        assert_allclose(linalg.spectrum(rho), np.sort(before)[::-1], rtol=0, atol=1e-12)
+        basis_a, basis_b = optimal_bases(spec)
+        for side in measurement.SIDES:
+            m = measurement.LocalMeasurement(side, basis_a if side != "B" else None, basis_b if side != "A" else None)
+            assert_allclose(measurement.measured_spectrum(rho, m), np.sort(after)[::-1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, n", [("pseudopure", 2), ("isotropic", 3), ("werner", 2)])
+@pytest.mark.parametrize("side", ["C", "AC", "", "a"])
+def test_closed_form_rejects_an_unknown_side(kind, n, side):
+    spec = FamilySpec(kind, n, n, families.KINDS[kind].bounds(n)[1])
+    with pytest.raises(ValueError, match="side must be A, B or AB"):
+        families.closed_form(spec, side, TS2)
 
 
 class TestBuild:
