@@ -348,19 +348,15 @@ def cmd_ancilla_check(args) -> int:
         grouping=args.grouping,
         **_search_fields(args),
     )
+    measured = "ab".index(args.grouping[0])  # the subsystem kept alone, and the side measured before
     rows = []
     for sample_id in range(args.samples):
         rng = np.random.default_rng([args.seed, sample_id])
         rho = linalg.random_density(dims, rng)
         ancilla = _build_ancilla(args.ancilla, args.ancilla_dim, rng)
         extended = linalg.tensor(rho, ancilla)
-        if args.grouping == "a-bc":
-            side_before = "A"
-            grouped = linalg.regroup(extended, [0])
-        else:
-            side_before = "B"
-            grouped = linalg.regroup(extended, [1])
-        res_before = measure_correlations(rho, side_before, idx, opts)
+        grouped = linalg.regroup(extended, [measured])
+        res_before = measure_correlations(rho, "AB"[measured], idx, opts)
         res_after = measure_correlations(grouped, "A", idx, opts)
         unrescaled_before = res_before.value * measurement.rescale_factor(
             linalg.spectrum(rho), idx

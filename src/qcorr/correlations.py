@@ -55,11 +55,12 @@ from .measurement import (
     ProjectiveBasis,
     _blocks_side_a,
     _flat_spectrum,
-    _require_bipartite,
     _spectrum_side_a,
     _spectrum_side_ab,
     _spectrum_side_b,
     _swap_sides,
+    _tensor,
+    check_side,
     disturbance,
     disturbance_spectra,
     purity_ratio,
@@ -456,16 +457,13 @@ def measure_correlations(
     DimMismatch when a measured side has dimension 1 or a warm start's basis
     has the wrong dimension, and ValueError for a warm start on another side.
     """
-    if side not in measurement.SIDES:
-        raise ValueError(f"side must be one of {measurement.SIDES}")
+    check_side(side)
     opts = opts or OptimizerOptions()
-    na, nb = _require_bipartite(rho)
-    measured = [k for k, name in enumerate("AB") if name in side]
-    dims = [(na, nb)[k] for k in measured]
-    for k, n in zip(measured, dims):
-        if n == 1:
-            raise DimMismatch(f"side {'AB'[k]} has dimension 1; there is no basis to measure")
-    t = rho.matrix.reshape(na, nb, na, nb)
+    t = _tensor(rho)
+    measured = ["AB".index(name) for name in side]
+    dims = [t.shape[k] for k in measured]
+    if 1 in dims:
+        raise DimMismatch(f"side {side[dims.index(1)]} has dimension 1; there is no basis to measure")
     before = spectral_sum(linalg.spectrum(rho), idx)
     evaluate = _objective_factory(t, side, idx.q, before)
 
@@ -473,8 +471,8 @@ def measure_correlations(
     for m in warm_starts:
         if m.side != side:
             raise ValueError(f"a side-{side} search needs side-{side} warm starts, got side {m.side}")
-        measurement._check_measurement_dims(rho, m)
-        starts.append([getattr(m, f"basis_{name.lower()}").unitary for name in side])
+        measurement._measured_tensor(rho, m)
+        starts.append(m.unitaries)
     stacks = [np.array(side_us) for side_us in zip(*starts)]
     haar = opts.restarts - len(starts)
     if haar > 0:
@@ -533,28 +531,25 @@ def grid_oracle_qubit(rho: DensityOperator, side: str, idx: EntropicIndices) -> 
     """Brute-force disturbance minimum over Bloch-angle grids of the measured qubits.
 
     Every measured side must be a qubit (DimMismatch otherwise); the partner
-    may have any dimension.  Values come from ``measurement._spectrum_side_*``
+    may have any dimension.  Values come from ``measurement.KERNELS[side]``
     on stacks of grid bases (side AB: every pair), and the grid is refined
     once around the best cell, so the result upper-bounds the minimum.  Each
     qubit's grid has ``GRID_CELLS[side]`` cells; side AB's is coarser, to
     keep the product grid tractable.
     """
-    if side not in measurement.SIDES:
-        raise ValueError(f"side must be one of {measurement.SIDES}")
-    na, nb = _require_bipartite(rho)
-    if any((na, nb)["AB".index(name)] != 2 for name in side):
+    check_side(side)
+    t = _tensor(rho)
+    if any(t.shape["AB".index(name)] != 2 for name in side):
         raise DimMismatch(f"side {side} must measure qubits only, got dims {rho.dims}")
     n_theta, n_phi = GRID_CELLS[side]
-    kernel = {"A": _spectrum_side_a, "B": _spectrum_side_b, "AB": _spectrum_side_ab}[side]
     before = linalg.spectrum(rho)
-    t = rho.matrix.reshape(na, nb, na, nb)
 
     def values(axes):
         # every combination of the measured sides' grid bases: side AB broadcasts the two stacks
         us = [_bloch_unitaries(*a) for a in axes]
         if side == "AB":
             us = [us[0][:, None], us[1][None]]
-        return disturbance_spectra(before, kernel(t, *us), idx)
+        return disturbance_spectra(before, measurement.KERNELS[side](t, *us), idx)
 
     axes = [_grid_axes(n_theta, n_phi)] * len(side)
     coarse = values(axes)
@@ -575,12 +570,10 @@ def qubit_oracle(rho: DensityOperator, side: str) -> float:
     """
     if side not in ("A", "B"):
         raise ValueError("the qubit oracle covers sides A and B")
-    na, nb = _require_bipartite(rho)
-    if (na if side == "A" else nb) != 2:
+    t = _tensor(rho) if side == "A" else _swap_sides(_tensor(rho))  # side B is side A of the swapped tensor
+    if len(t) != 2:
         raise DimMismatch(f"side {side} must be a qubit, got dims {rho.dims}")
-    t = rho.matrix.reshape(na, nb, na, nb)
-    # R_i = Tr_A[(sigma_i (x) I) rho]; side B is side A of the swapped tensor
-    r = np.einsum("xca,abcd->xbd", su_generators(2), t if side == "A" else _swap_sides(t))
+    r = np.einsum("xca,abcd->xbd", su_generators(2), t)  # R_i = Tr_A[(sigma_i (x) I) rho]
     m = np.real(np.einsum("xij,yji->xy", r, r))
     geometric = 0.5 * (np.trace(m) - np.linalg.eigvalsh(m)[-1])
     return float(geometric / np.real(np.vdot(rho.matrix, rho.matrix)))
@@ -596,7 +589,7 @@ def entanglement_lower_bound(rho: DensityOperator, idx: EntropicIndices) -> floa
     A lower bound on every correlation measure; negative for separable
     states, saturated by pure states.
     """
-    _require_bipartite(rho)
+    _tensor(rho)
     s_joint = linalg.spectrum(rho)
     s_a = linalg.spectrum(linalg.partial_trace(rho, [0]))
     s_b = linalg.spectrum(linalg.partial_trace(rho, [1]))
@@ -621,19 +614,14 @@ def bilocal_decomposition_check(
     """
     m_a = LocalMeasurement("A", basis_a=basis_a)
     m_b = LocalMeasurement("B", basis_b=basis_b)
-    m_ab = LocalMeasurement("AB", basis_a=basis_a, basis_b=basis_b)
-    d_ab = disturbance(rho, m_ab, idx).disturbance
-    post_a = measurement.apply_local(rho, m_a)
-    post_b = measurement.apply_local(rho, m_b)
-    lhs_a = (
-        disturbance(rho, m_a, idx).disturbance
-        + purity_ratio(rho, m_a, idx) * disturbance(post_a, m_b, idx).disturbance
-    )
-    lhs_b = (
-        disturbance(rho, m_b, idx).disturbance
-        + purity_ratio(rho, m_b, idx) * disturbance(post_b, m_a, idx).disturbance
-    )
-    return abs(d_ab - lhs_a), abs(d_ab - lhs_b)
+    d_ab = disturbance(rho, LocalMeasurement("AB", basis_a, basis_b), idx).disturbance
+
+    def residual(first, then):
+        post = measurement.apply_local(rho, first)
+        d_first = disturbance(rho, first, idx).disturbance
+        return abs(d_ab - (d_first + purity_ratio(rho, first, idx) * disturbance(post, then, idx).disturbance))
+
+    return residual(m_a, m_b), residual(m_b, m_a)
 
 
 def _delta(rho, basis_a, basis_b, idx) -> float:
@@ -689,8 +677,7 @@ def _pair_spectra(rho: DensityOperator, ua: np.ndarray, ub: np.ndarray) -> dict:
     ``ua`` and ``ub`` are one unitary per side or stacks of them with the
     same leading axes; the input spectrum is shared.
     """
-    na, nb = _require_bipartite(rho)
-    t = rho.matrix.reshape(na, nb, na, nb)
+    t = _tensor(rho)
     return {
         "before": linalg.spectrum(rho),
         "after_a": _spectrum_side_a(t, ua),
@@ -710,10 +697,10 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     ``haar_unitary(na)`` and ``haar_unitary(nb)`` bit for bit, and one
     stacked spectrum call per side replaces that loop.
     """
-    na, nb = _require_bipartite(rho)
+    dims = _tensor(rho).shape[:2]
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _pair_spectra(rho, *linalg.haar_batch(np.random.default_rng(seed), trials, (na, nb)))
+    return _pair_spectra(rho, *linalg.haar_batch(np.random.default_rng(seed), trials, dims))
 
 
 def spectral_sums(spectra: dict, idx: EntropicIndices) -> dict:

@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .entropy import EntropicIndices
 from .linalg import DensityOperator
-from .measurement import SIDES, disturbance_spectra
+from .measurement import check_side, disturbance_spectra
 
 
 class BadKind(ValueError):
@@ -176,8 +176,7 @@ def build(spec: FamilySpec) -> DensityOperator:
 
 def closed_form(spec: FamilySpec, side: str, idx: EntropicIndices) -> float:
     """Exact correlation measure of a family member on ``side``: the disturbance between its kind's spectra."""
-    if side not in SIDES:
-        raise ValueError(f"side must be A, B or AB, got {side!r}")
+    check_side(side)
     return disturbance_spectra(*KINDS[spec.kind].spectra(spec), idx)
 
 

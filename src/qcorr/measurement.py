@@ -4,7 +4,10 @@ A complete rank-one measurement is represented by the unitary whose columns
 are the measured basis; applying it without postselection dephases the state
 in that basis.  Local measurements act on one block of a bipartite split
 (sides "A", "B") or on both ("AB"); side B is measured as side A of the
-state with its sides exchanged.  The disturbance of a measurement is the
+state with its sides exchanged.  This module decides what a side means,
+for every caller: the side check ``check_side``, the (N_A, N_B, N_A, N_B)
+state-tensor view ``_tensor``, ``LocalMeasurement.unitaries`` and the
+side -> kernel table ``KERNELS``.  The disturbance of a measurement is the
 entropy increase it causes, rescaled by the generalized purity (Tr rho^q)^s.
 It is ``entropy.entropy_change`` applied to the ``entropy.spectral_sum`` of
 the spectra after and before, for one pair of spectra or for stacks of them,
@@ -31,6 +34,12 @@ from .linalg import DensityOperator, DimMismatch, dag
 SIDES = ("A", "B", "AB")
 
 
+def check_side(side: str) -> None:
+    """ValueError unless ``side`` names a side: A, B or AB."""
+    if side not in SIDES:
+        raise ValueError(f"side must be A, B or AB, got {side!r}")
+
+
 @dataclass(frozen=True)
 class ProjectiveBasis:
     """Orthonormal basis given as unitary columns; P_i = |col_i><col_i|."""
@@ -54,12 +63,15 @@ class LocalMeasurement:
     basis_b: ProjectiveBasis | None = None
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.side in ("A", "AB") and self.basis_a is None:
-            raise ValueError(f"side {self.side} requires basis_a")
-        if self.side in ("B", "AB") and self.basis_b is None:
-            raise ValueError(f"side {self.side} requires basis_b")
+        check_side(self.side)
+        for name, basis in zip("AB", (self.basis_a, self.basis_b)):
+            if name in self.side and basis is None:
+                raise ValueError(f"side {self.side} requires basis_{name.lower()}")
+
+    @property
+    def unitaries(self) -> tuple[np.ndarray, ...]:
+        """The measured sides' unitaries, side A's first."""
+        return tuple(b.unitary for name, b in zip("AB", (self.basis_a, self.basis_b)) if name in self.side)
 
 
 @dataclass(frozen=True)
@@ -86,21 +98,21 @@ class DisturbanceReport:
     disturbance: float
 
 
-def _require_bipartite(rho: DensityOperator) -> tuple[int, int]:
+def _tensor(rho: DensityOperator) -> np.ndarray:
+    """rho as its (N_A, N_B, N_A, N_B) tensor; DimMismatch unless its dims are two blocks."""
     if len(rho.dims) != 2:
-        raise DimMismatch(
-            f"expected a two-block dims split, got {rho.dims}; regroup() first"
-        )
-    return rho.dims
+        raise DimMismatch(f"expected a two-block dims split, got {rho.dims}; regroup() first")
+    return rho.matrix.reshape(rho.dims * 2)
 
 
-def _check_measurement_dims(rho: DensityOperator, m: LocalMeasurement):
-    na, nb = _require_bipartite(rho)
-    if m.basis_a is not None and m.side in ("A", "AB") and m.basis_a.dim != na:
-        raise DimMismatch(f"basis_a has dim {m.basis_a.dim}, side A has dim {na}")
-    if m.basis_b is not None and m.side in ("B", "AB") and m.basis_b.dim != nb:
-        raise DimMismatch(f"basis_b has dim {m.basis_b.dim}, side B has dim {nb}")
-    return na, nb
+def _measured_tensor(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:
+    """``_tensor(rho)``, after checking each of m's bases against its side's dimension."""
+    t = _tensor(rho)
+    for name, u in zip(m.side, m.unitaries):
+        n = t.shape["AB".index(name)]
+        if len(u) != n:
+            raise DimMismatch(f"basis_{name.lower()} has dim {len(u)}, side {name} has dim {n}")
+    return t
 
 
 def dephase(rho: DensityOperator, basis: ProjectiveBasis) -> DensityOperator:
@@ -121,13 +133,10 @@ def _dephase_side_a(t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def apply_local(rho: DensityOperator, m: LocalMeasurement) -> DensityOperator:
     """Post-measurement state without postselection; side B is side A of the swapped tensor."""
-    na, nb = _check_measurement_dims(rho, m)
-    t = rho.matrix.reshape(na, nb, na, nb)
-    if m.side in ("A", "AB"):
-        t = _dephase_side_a(t, m.basis_a.unitary)
-    if m.side in ("B", "AB"):
-        t = _swap_sides(_dephase_side_a(_swap_sides(t), m.basis_b.unitary))
-    mat = t.reshape(na * nb, na * nb)
+    t = _measured_tensor(rho, m)
+    for name, u in zip(m.side, m.unitaries):
+        t = _dephase_side_a(t, u) if name == "A" else _swap_sides(_dephase_side_a(_swap_sides(t), u))
+    mat = t.reshape(rho.matrix.shape)
     return DensityOperator(0.5 * (mat + dag(mat)), rho.dims)
 
 
@@ -190,6 +199,10 @@ def _spectrum_side_ab(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarr
     return _flat_spectrum(_joint_probabilities(t, ua, ub))
 
 
+# side -> kernel taking the state tensor and the side's ``LocalMeasurement.unitaries``
+KERNELS = {"A": _spectrum_side_a, "B": _spectrum_side_b, "AB": _spectrum_side_ab}
+
+
 def measured_spectrum(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:
     """Eigenvalues of apply_local(rho, m), sorted decreasing.
 
@@ -197,28 +210,18 @@ def measured_spectrum(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:
     basis, so its spectrum is the union of the spectra of the conditional
     blocks; after a bilocal measurement it is the rotated diagonal.
     """
-    na, nb = _check_measurement_dims(rho, m)
-    t = rho.matrix.reshape(na, nb, na, nb)
-    if m.side == "AB":
-        vals = _spectrum_side_ab(t, m.basis_a.unitary, m.basis_b.unitary)
-    elif m.side == "A":
-        vals = _spectrum_side_a(t, m.basis_a.unitary)
-    else:
-        vals = _spectrum_side_b(t, m.basis_b.unitary)
-    return np.sort(vals)[::-1]
+    return np.sort(KERNELS[m.side](_measured_tensor(rho, m), *m.unitaries))[::-1]
 
 
 def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> ConditionalDecomposition:
     """Outcome probabilities and conditional states of the unmeasured side."""
-    na, nb = _check_measurement_dims(rho, m)
-    t = rho.matrix.reshape(na, nb, na, nb)
+    t = _measured_tensor(rho, m)
     if m.side == "AB":
-        probs = _joint_probabilities(t, m.basis_a.unitary, m.basis_b.unitary)
+        probs = _joint_probabilities(t, *m.unitaries)
         return ConditionalDecomposition("AB", np.clip(probs, 0.0, None), ())
-    if m.side == "A":
-        blocks, cond_dims = _blocks_side_a(t, m.basis_a.unitary), (nb,)
-    else:  # side A of the swapped tensor
-        blocks, cond_dims = _blocks_side_a(_swap_sides(t), m.basis_b.unitary), (na,)
+    if m.side == "B":  # side A of the swapped tensor
+        t = _swap_sides(t)
+    blocks = _blocks_side_a(t, *m.unitaries)
     probs = np.clip(np.real(np.trace(blocks, axis1=1, axis2=2)), 0.0, None)
     conditionals = []
     for blk, p in zip(blocks, probs):
@@ -226,7 +229,7 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
             conditionals.append(None)
             continue
         c = blk / p
-        conditionals.append(DensityOperator(0.5 * (c + dag(c)), cond_dims))
+        conditionals.append(DensityOperator(0.5 * (c + dag(c)), (t.shape[1],)))
     return ConditionalDecomposition(m.side, probs, tuple(conditionals))
 
 

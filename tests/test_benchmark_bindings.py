@@ -13,8 +13,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import qcorr
 import qcorr.cli  # the benchmark imports it beside the package
+from qcorr import correlations
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -82,3 +85,20 @@ def test_every_package_chain_resolves():
     # the family set-up and oracles, and an aliased chain, are among those read
     assert {("FamilySpec",), ("families", "build"), ("werner_spectrum_form",), ("linalg", "tensor")} <= chains.keys()
     assert {f"{file}: qc.{'.'.join(chain)}" for chain, file in chains.items() if not _resolves(chain)} == set()
+
+
+def test_pair_spectra_call_each_kernel_through_correlations(monkeypatch):
+    # fig1's measurement.spectrum_side_* spans wrap these correlations bindings;
+    # a kernel looked up elsewhere, say in measurement.KERNELS, would not be counted
+    calls = {}
+    for side in ("a", "b", "ab"):
+        name = f"_spectrum_side_{side}"
+
+        def counted(*args, _name=name, _kernel=getattr(correlations, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(correlations, name, counted)
+    rho = qcorr.random_density((2, 2), np.random.default_rng(0))
+    correlations.measurement_pair_spectra(rho, 3, 1)
+    assert calls == {"_spectrum_side_a": 1, "_spectrum_side_b": 1, "_spectrum_side_ab": 1}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcorr import linalg
+from qcorr import correlations, families, linalg
 from qcorr.entropy import EntropicIndices, Regime, relative_entropy
 from qcorr.linalg import DimMismatch
 from qcorr.measurement import (
@@ -363,3 +363,45 @@ class TestDisturbance:
             if idx.regime is not Regime.UNIFIED:
                 assert rep.rescale == 1.0
                 assert rep.purity_ratio == 1.0
+
+
+# every check of a side name and of a state's two-block split is measurement.py's
+TS2 = EntropicIndices(2.0, 1.0)
+
+
+@pytest.mark.parametrize("side", ["C", ""])
+def test_every_entry_point_rejects_an_unknown_side_alike(side, rng):
+    rho = linalg.random_density((2, 2), rng)
+    spec = families.FamilySpec("pseudopure", 2, 2, 0.5)
+    calls = [
+        lambda: LocalMeasurement(side, random_basis(2, rng), random_basis(2, rng)),
+        lambda: correlations.measure_correlations(rho, side, TS2),
+        lambda: correlations.grid_oracle_qubit(rho, side, TS2),
+        lambda: families.closed_form(spec, side, TS2),
+        lambda: families.pseudopure_closed_form(spec, side, TS2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^side must be A, B or AB, got {side!r}$"):
+            call()
+
+
+def test_every_state_entry_point_needs_two_blocks(rng):
+    rho = linalg.random_density((2, 2, 2), rng)
+    basis_a, basis_b = random_basis(2, rng), random_basis(2, rng)
+    m = LocalMeasurement("A", basis_a)
+    calls = [
+        lambda: correlations.measure_correlations(rho, "A", TS2),
+        lambda: correlations.triangle_analysis(rho, [TS2]),
+        lambda: correlations.grid_oracle_qubit(rho, "A", TS2),
+        lambda: correlations.qubit_oracle(rho, "A"),
+        lambda: correlations.entanglement_lower_bound(rho, TS2),
+        lambda: correlations.measurement_pair_spectra(rho, 2, 0),
+        lambda: measured_spectrum(rho, m),
+        lambda: conditional_decomposition(rho, m),
+        lambda: apply_local(rho, m),
+        lambda: disturbance(rho, m, TS2),
+        lambda: correlations.bilocal_decomposition_check(rho, basis_a, basis_b, TS2),
+    ]
+    for call in calls:
+        with pytest.raises(DimMismatch, match="expected a two-block dims split"):
+            call()
