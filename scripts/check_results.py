@@ -3,8 +3,9 @@
 
 Runs scripts/reproduce.py's ``RUNS`` in this process, with this checkout's src/ first on the import path.
 For each CSV, prints "identical" when its "#" metadata lines, header and rows match the committed file
-byte for byte, and otherwise the number of rows that moved and the largest absolute difference in each
-numeric column that moved; then the run's wall time.  Exits 1 on any difference or failed run.
+byte for byte, and otherwise the number of rows that moved, the largest absolute difference in each
+numeric column that moved and the number of cells changed in each other column (a flag such as
+``*_holds`` or ``violated``); then the run's wall time.  Exits 1 on any difference or failed run.
 
     python scripts/check_results.py
 """
@@ -39,15 +40,15 @@ def compare(new, old) -> list[str]:
     if moved:
         notes.append(f"{len(moved)} of {len(rows_old)} rows moved")
     for col, name in enumerate(header_old):
-        diffs = []
-        for a, b in moved:
-            if a[col] != b[col]:
-                try:
-                    diffs.append(abs(float(a[col]) - float(b[col])))
-                except ValueError:
-                    diffs.append(float("nan"))
-        if diffs:
-            notes.append(f"{name}: {len(diffs)} cells, largest difference {max(diffs):.3g}")
+        cells = [(a[col], b[col]) for a, b in moved if a[col] != b[col]]
+        if not cells:
+            continue
+        try:
+            largest = max(abs(float(a) - float(b)) for a, b in cells)
+        except ValueError:  # a non-numeric cell: a flag flip has no size
+            notes.append(f"{name}: {len(cells)} cells changed")
+        else:
+            notes.append(f"{name}: {len(cells)} cells, largest difference {largest:.3g}")
     return notes
 
 

@@ -40,8 +40,11 @@ def _config(command: str, **fields) -> str:
     """Echo of one CLI invocation, the ``config:`` line of the CSV metadata.
 
     Fields are sorted by name; None and empty tuples are skipped, and a
-    tuple is written comma-joined.
+    tuple is written comma-joined.  Every seeded command echoes its config
+    once its other checks have passed, so a negative seed is refused here.
     """
+    if fields.get("seed", 0) < 0:
+        raise ParseError(f"--seed must be >= 0, got {fields['seed']}")
     parts = []
     for key, value in sorted(dict(fields, command=command).items()):
         if value is None or value == ():
@@ -203,12 +206,6 @@ def _require_count(value: int, flag: str):
         raise ParseError(f"{flag} must be >= 1, got {value}")
 
 
-def _search_options(args) -> OptimizerOptions:
-    """The search budget that --restarts and --seed set; --restarts below 1 is an error."""
-    _require_count(args.restarts, "--restarts")
-    return OptimizerOptions(restarts=args.restarts, seed=args.seed)
-
-
 def _basis_str(basis) -> str:
     """A ``basis_*`` column of ``measure``: the unitary's entries row-major, each real then imaginary part."""
     if basis is None:
@@ -240,7 +237,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    opts = _search_options(args)
+    _require_count(args.restarts, "--restarts")
     rho = _state_from_args(args)
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     cfg = _config(
@@ -250,7 +247,7 @@ def cmd_measure(args) -> int:
         **_search_fields(args),
         **_source_fields(args),
     )
-    res = measure_correlations(rho, args.side, idx, opts)
+    res = measure_correlations(rho, args.side, idx, OptimizerOptions(restarts=args.restarts, seed=args.seed))
     row = dict(
         side=args.side, q=args.q_scalar, s=args.s_scalar, value=res.value, spread=res.spread,
         converged=res.converged, grad_norm=res.grad_norm, basin_hits=res.basin_hits,
@@ -267,7 +264,7 @@ def cmd_family_curve(args) -> int:
         raise ParseError("family-curve requires --N")
     _require_count(n, "--N")
     _require_count(args.grid, "--grid")
-    opts = _search_options(args)
+    _require_count(args.restarts, "--restarts")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     cfg = _config(
         "family-curve",
@@ -277,6 +274,7 @@ def cmd_family_curve(args) -> int:
         family_n=n,
         **_search_fields(args),
     )
+    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     rows = []
     for value in np.linspace(*families.KINDS[kind].bounds(n), args.grid).tolist():
         spec = families.FamilySpec(kind, n, n, value)
@@ -337,7 +335,7 @@ def cmd_ancilla_check(args) -> int:
     _require_count(min(dims), "--dims entries")
     _require_count(args.ancilla_dim, "--ancilla-dim")
     _require_count(args.samples, "--samples")
-    opts = _search_options(args)
+    _require_count(args.restarts, "--restarts")
     idx = EntropicIndices(args.q_scalar, args.s_scalar)
     cfg = _config(
         "ancilla-check",
@@ -348,6 +346,7 @@ def cmd_ancilla_check(args) -> int:
         grouping=args.grouping,
         **_search_fields(args),
     )
+    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     measured = "ab".index(args.grouping[0])  # the subsystem kept alone, and the side measured before
     rows = []
     for sample_id in range(args.samples):
@@ -377,7 +376,7 @@ def cmd_ancilla_check(args) -> int:
 
 def cmd_triangle_scan(args) -> int:
     _require_count(args.n_states, "--n-states")
-    opts = _search_options(args)
+    _require_count(args.restarts, "--restarts")
     pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
     cfg = _config(
         "triangle-scan",
@@ -388,6 +387,7 @@ def cmd_triangle_scan(args) -> int:
         n_states=args.n_states,
         dims=(2, 2),
     )
+    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     rows = []
     for state_id in range(args.n_states):
         rho = linalg.random_density((2, 2), np.random.default_rng([args.seed, state_id]))

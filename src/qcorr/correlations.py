@@ -28,7 +28,9 @@ gradient norm at the argmin, and the evaluation count.  Two oracles check
 it where the measured sides are qubits and the partner has any dimension:
 a Bloch-grid search at any (q, s), and the closed form at (q, s) = (2, 1).
 Outside the search, the grid oracle and the Delta diagnostics take every
-measured spectrum from ``measurement._spectrum_side_a/b/ab``.
+measured spectrum from ``measurement._spectrum_side_a/b/ab``.  Both Delta
+are D_A + D_B - D_AB from ``contractivity_min_from_spectra`` on one pair,
+whose least value over Haar pairs is ``qcorr fig1``'s ``min_difference``.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class OptimizerOptions:
     more than DECREASE_TOL times the value, when no step rotating the bases
     by more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
     Whichever stops it, it succeeds only at a stationary point
-    (``LocalSearch.success``).  Raises ValueError for restarts < 1 or
-    max_iter < 0.
+    (``LocalSearch.success``).  Raises ValueError for restarts < 1,
+    seed < 0 or max_iter < 0.
     """
 
     restarts: int = 32
@@ -136,6 +138,8 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
@@ -168,9 +172,12 @@ class CorrelationResult:
 class TriangleReport:
     """The three minimized measures, Delta_0 and Delta_1, and the relations ``qcorr triangle-scan`` flags.
 
-    ``triangle_holds``: m_a + m_b >= m_ab.  ``sandwich_holds``:
-    m_ab + Delta_0 >= m_a + m_b >= m_ab + Delta_1.  ``ordering_holds``:
-    m_ab >= max(m_a, m_b).  Each flag allows 1e-8 of roundoff.
+    Delta_0 and Delta_1 are D_A + D_B - D_AB at the bilocal argmin (Pi*_A, Pi*_B) and at
+    the unilocal argmins (Pi_A*, Pi_B*), each ``contractivity_min_from_spectra`` on one pair.
+    ``triangle_holds``: m_a + m_b >= m_ab.  ``sandwich_holds``: m_ab + Delta_0 >= m_a + m_b
+    >= m_ab + Delta_1, whose halves are, up to roundoff, the minimality checks
+    D_A(Pi*_A) + D_B(Pi*_B) >= m_a + m_b and D_AB(Pi_A*, Pi_B*) >= m_ab.
+    ``ordering_holds``: m_ab >= max(m_a, m_b).  Each flag allows 1e-8 of roundoff.
     """
 
     m_a: float
@@ -568,7 +575,8 @@ def qubit_oracle(rho: DensityOperator, side: str) -> float:
     190502, 2010 for two qubits), and the measure is that over Tr rho^2.
     An oracle for checking the search, not a fast path.
     """
-    if side not in ("A", "B"):
+    check_side(side)
+    if side == "AB":
         raise ValueError("the qubit oracle covers sides A and B")
     t = _tensor(rho) if side == "A" else _swap_sides(_tensor(rho))  # side B is side A of the swapped tensor
     if len(t) != 2:
@@ -624,20 +632,6 @@ def bilocal_decomposition_check(
     return residual(m_a, m_b), residual(m_b, m_a)
 
 
-def _delta(rho, basis_a, basis_b, idx) -> float:
-    """D_AB(pair) - P_B * D_A(post_B) - P_A * D_B(post_A) for one basis pair.
-
-    Measuring A after B, or B after A, leaves the bilocal spectrum, so each
-    term is an ``entropy_change`` between two of the pair's spectral sums.
-    """
-    sums = spectral_sums(_pair_spectra(rho, basis_a.unitary, basis_b.unitary), idx)
-    value = entropy_change(sums["after_ab"], sums["before"], idx)
-    for first in ("after_b", "after_a"):
-        ratio = purity_ratio_sums(sums[first], sums["before"], idx)
-        value -= ratio * entropy_change(sums["after_ab"], sums[first], idx)
-    return float(value)
-
-
 def triangle_analysis(
     rho: DensityOperator,
     indices,
@@ -657,11 +651,12 @@ def triangle_analysis(
             renyi = EntropicIndices(idx.q, 0.0)
             res_a, res_b = (measure_correlations(rho, side, renyi, opts) for side in "AB")
             warm = LocalMeasurement("AB", res_a.argmin.basis_a, res_b.argmin.basis_b)
-            searches[idx.q] = res_a, res_b, measure_correlations(rho, "AB", renyi, opts, warm_starts=(warm,))
-        res_a, res_b, res_ab = searches[idx.q]
-        m_a, m_b, m_ab = (unified_from_renyi(res.value, idx) for res in (res_a, res_b, res_ab))
-        delta1 = _delta(rho, res_a.argmin.basis_a, res_b.argmin.basis_b, idx)
-        delta0 = _delta(rho, res_ab.argmin.basis_a, res_ab.argmin.basis_b, idx)
+            res_ab = measure_correlations(rho, "AB", renyi, opts, warm_starts=(warm,))
+            pairs = [_pair_spectra(rho, *m.unitaries) for m in (res_ab.argmin, warm)]
+            searches[idx.q] = (res_a, res_b, res_ab), pairs
+        results, pairs = searches[idx.q]
+        m_a, m_b, m_ab = (unified_from_renyi(res.value, idx) for res in results)
+        delta0, delta1 = (contractivity_min_from_spectra(spectra, idx) for spectra in pairs)
         reports.append(TriangleReport(
             m_a, m_b, m_ab, delta0, delta1,
             triangle_holds=m_a + m_b >= m_ab - tol,
@@ -713,8 +708,9 @@ def spectral_sums(spectra: dict, idx: EntropicIndices) -> dict:
 
 
 def contractivity_min_from_spectra(spectra: dict, idx: EntropicIndices, sums=None) -> float:
-    """min over trials of D_A(rho) - P_B * D_A(post_B), from cached spectra.
+    """min over trials of Delta = D_A + D_B - D_AB, as D_A(rho) - P_B * D_A(post_B), from cached spectra.
 
+    Over Haar pairs this is fig1's ``min_difference``; on one pair, that pair's Delta (``TriangleReport``).
     ``sums`` may carry the ``spectral_sums`` of the spectra at the same q;
     they are taken here otherwise.  The sums of ``before`` and ``after_b``
     serve both disturbances and P_B.  D_A(rho) hands numpy's ufunc to

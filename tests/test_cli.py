@@ -21,15 +21,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 
 
-def documented_runs():
-    """``RUNS`` of scripts/reproduce.py: each committed CSV's name and its qcorr argv."""
-    spec = importlib.util.spec_from_file_location("reproduce", ROOT / "scripts" / "reproduce.py")
+def load_script(name):
+    """scripts/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.RUNS
+    return module
 
 
-RUNS = documented_runs()
+RUNS = load_script("reproduce").RUNS  # each committed CSV's name and its qcorr argv
 
 
 def run(args):
@@ -430,6 +430,15 @@ def test_documented_run_reproduces_committed_csv(name, tmp_path):
     assert config_line(out) == config_line(RESULTS / name)
 
 
+def test_check_results_counts_changed_flags(tmp_path):
+    """A moved flag is reported as a count of changed cells, a moved number by its largest difference."""
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("# config: x\nstate_id,delta0,sandwich_holds\n0,0.5,true\n1,0.25,true\n2,1,true\n")
+    new.write_text("# config: x\nstate_id,delta0,sandwich_holds\n0,0.5,false\n1,0.5,false\n2,1,true\n")
+    assert load_script("check_results").compare(new, old) == [
+        "2 of 3 rows moved", "delta0: 1 cells, largest difference 0.25", "sandwich_holds: 2 cells changed"]
+
+
 def test_every_committed_csv_has_a_documented_run():
     assert set(RUNS) == {p.name for p in RESULTS.glob("*.csv")}
 
@@ -550,6 +559,36 @@ class TestErrorsAndDeterminism:
         rule = "must be >= 1" if value.lstrip("-").isdigit() else "lists no numbers"
         assert f"error: {flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "measure --family werner --N 2 --x 0.3 --restarts 1",
+        "measure --family werner --N 2 --x 0.3 --restarts 2",
+        "family-curve --family werner --N 2 --grid 2 --restarts 1",
+        "fig1 --n-states 1 --trials 2",
+        "ancilla-check --samples 1 --restarts 1",
+        "triangle-scan --n-states 1 --restarts 1",
+    ], ids=["measure-no-draw", "measure", "family-curve", "fig1", "ancilla-check", "triangle-scan"])
+    def test_negative_seed_is_a_named_error(self, line, tmp_path, capsys):
+        """Every seeded command refuses a negative --seed alike, whether or not it makes a random draw."""
+        out = tmp_path / "out.csv"
+        assert run([*line.split(), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("measure --family werner --N 2 --x 1 --restarts 0", "--restarts must be >= 1, got 0"),
+        ("measure --family werner --N 2", "werner takes --x alone, got no parameter flag"),
+        ("measure --family werner --N 2 --x 1 --q nan", "q and s must be finite, got q=nan, s=1.0"),
+        ("family-curve --family werner --N 2 --grid 0", "--grid must be >= 1, got 0"),
+        ("fig1 --trials 0", "--trials must be >= 1, got 0"),
+        ("ancilla-check --dims 2,2,2", "--dims must list exactly two dimensions"),
+        ("triangle-scan --q 1,2 --s 1,2,3", "--q and --s lists must have matching lengths"),
+    ], ids=["measure-restarts", "measure-parameter", "measure-indices", "family-curve-grid", "fig1-trials",
+            "ancilla-check-dims", "triangle-scan-lists"])
+    def test_negative_seed_is_checked_last(self, line, message, capsys):
+        """The seed check comes after every other check, so each of their messages stands."""
+        assert run([*line.split(), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("line, flag", [
         ("ancilla-check --ancilla-dim 0 --samples 1 --seed 1", "--ancilla-dim"),

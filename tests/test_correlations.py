@@ -335,7 +335,7 @@ class TestQubitOracle:
     def test_rejects_other_sides(self, rng):
         with pytest.raises(DimMismatch):
             qubit_oracle(linalg.random_density((3, 2), rng), "A")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the qubit oracle covers sides A and B$"):
             qubit_oracle(linalg.random_density((2, 2), rng), "AB")
 
 
@@ -472,8 +472,28 @@ def _rescaled_second_steps(rho, basis_a, basis_b, idx):
     return after_a, after_b
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("restarts", 0, "restarts must be >= 1, got 0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("max_iter", -1, "max_iter must be >= 0, got -1"),
+])
+def test_optimizer_options_name_each_out_of_range_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OptimizerOptions(**{field: value})
+
+
 class TestDelta:
-    """``_delta`` from the pair's spectra against the state-level expression."""
+    """The triangle scan's Delta: fig1's contractivity kernel on one basis pair, against state-level expressions.
+
+    By the bilocal identity D_AB = D_A + P_A * D_B(post_A) = D_B + P_B * D_A(post_B),
+    the five-term D_AB - P_B * D_A(post_B) - P_A * D_B(post_A), the kernel's
+    D_A - P_B * D_A(post_B) and D_A + D_B - D_AB are one value.
+    """
+
+    @staticmethod
+    def kernel(rho, basis_a, basis_b, idx):
+        spectra = correlations._pair_spectra(rho, basis_a.unitary, basis_b.unitary)
+        return contractivity_min_from_spectra(spectra, idx)
 
     @staticmethod
     def state_level(rho, basis_a, basis_b, idx):
@@ -481,13 +501,21 @@ class TestDelta:
         step_a, step_b = _rescaled_second_steps(rho, basis_a, basis_b, idx)
         return measurement.disturbance(rho, pair, idx).disturbance - step_b - step_a
 
+    @staticmethod
+    def sum_of_sides(rho, basis_a, basis_b, idx):
+        """D_A + D_B - D_AB, each from ``measurement.disturbance``."""
+        ms = [LocalMeasurement("A", basis_a), LocalMeasurement("B", basis_b=basis_b),
+              LocalMeasurement("AB", basis_a, basis_b)]
+        d_a, d_b, d_ab = (measurement.disturbance(rho, m, idx).disturbance for m in ms)
+        return d_a + d_b - d_ab
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("idx", [VN, EntropicIndices(2.0, 0.0), TS2, EntropicIndices(3.0, 0.5)])
     def test_matches_state_level_expression(self, rng, dims, idx):
         for _ in range(5):
             rho = linalg.random_density(dims, rng)
             ba, bb = random_basis(dims[0], rng), random_basis(dims[1], rng)
-            got = correlations._delta(rho, ba, bb, idx)
+            got = self.kernel(rho, ba, bb, idx)
             assert abs(got - self.state_level(rho, ba, bb, idx)) <= 1e-13
 
     def test_pure_state_small_q(self, rng):
@@ -495,8 +523,33 @@ class TestDelta:
         for dims in ((2, 2), (2, 3)):
             rho = pure_density(linalg.random_pure(dims[0] * dims[1], rng), dims)
             ba, bb = random_basis(dims[0], rng), random_basis(dims[1], rng)
-            got = correlations._delta(rho, ba, bb, idx)
+            got = self.kernel(rho, ba, bb, idx)
             assert abs(got - self.state_level(rho, ba, bb, idx)) <= 1e-13
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_kernel_is_d_a_plus_d_b_minus_d_ab(self, rng, dims, pure):
+        """The identity that lets the triangle scan take its Delta from fig1's kernel."""
+        for _ in range(3):
+            if pure:
+                rho = pure_density(linalg.random_pure(dims[0] * dims[1], rng), dims)
+            else:
+                rho = linalg.random_density(dims, rng)
+            ba, bb = random_basis(dims[0], rng), random_basis(dims[1], rng)
+            for idx in IDX_GRID:
+                got = self.kernel(rho, ba, bb, idx)
+                assert abs(got - self.state_level(rho, ba, bb, idx)) <= 1e-13, idx
+                assert abs(got - self.sum_of_sides(rho, ba, bb, idx)) <= 1e-13, idx
+
+    def test_triangle_report_takes_each_delta_at_its_pair(self, rng):
+        rho = linalg.random_density((2, 2), rng)
+        (report,) = triangle_analysis(rho, [TS2], FAST)
+        renyi = EntropicIndices(TS2.q, 0.0)
+        res_a, res_b = (measure_correlations(rho, side, renyi, FAST) for side in "AB")
+        warm = LocalMeasurement("AB", res_a.argmin.basis_a, res_b.argmin.basis_b)
+        res_ab = measure_correlations(rho, "AB", renyi, FAST, warm_starts=(warm,))
+        assert report.delta0 == self.kernel(rho, res_ab.argmin.basis_a, res_ab.argmin.basis_b, TS2)
+        assert report.delta1 == self.kernel(rho, warm.basis_a, warm.basis_b, TS2)
 
 
 class TestSandwichBounds:

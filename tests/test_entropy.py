@@ -1,3 +1,4 @@
+import decimal
 import math
 from pathlib import Path
 
@@ -250,6 +251,40 @@ class TestRegimeContinuity:
             for s in (-1e-6, 1e-6):
                 got = unified_entropy_spectrum(p, EntropicIndices(2.0, s))
                 assert abs(got - ren) < 1e-4
+
+
+DIGITS = decimal.Context(prec=60)
+# c of the bound below, from the largest error on these inputs when it was set:
+# 0.54 eps / |q - 1| at q = 0.99, 0.50 eps at q = 0.5 and 3, 0.31 eps at q = 1
+REFERENCE_C = 1.0
+
+
+def reference_entropy(p, q: float, s: float) -> decimal.Decimal:
+    """S_(q,s) of the positive entries of p to 60 digits, from each double exactly as given."""
+    ctx, exact = DIGITS, DIGITS.create_decimal
+    p, q, s = [exact(float(x)) for x in p if x > 0], exact(q), exact(s)
+    if q == 1:
+        return -sum((ctx.multiply(x, ctx.ln(x)) for x in p), exact(0))
+    log_sum = ctx.ln(sum((ctx.exp(ctx.multiply(q, ctx.ln(x))) for x in p), exact(0)))
+    if s == 0:
+        return ctx.divide(log_sum, 1 - q)
+    return ctx.divide(ctx.exp(ctx.multiply(s, log_sum)) - 1, ctx.multiply(1 - q, s))
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+@pytest.mark.parametrize("q", [1.0, 1 - 1e-4, 1 + 1e-4, 1 - 1e-2, 1 + 1e-2, 0.5, 3.0])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, -1.0])
+def test_unified_entropy_against_a_60_digit_reference(n, q, s):
+    """The error, relative to max(1, |S|), is at most c eps max(1, 1 / |q - 1|).
+
+    Near q = 1, outside REGIME_TOL, ln sum p^q / (1 - q) divides a small
+    difference by a small number, so the error grows as eps / |q - 1|.
+    """
+    p = np.random.default_rng(3).dirichlet(np.ones(n))
+    exact = reference_entropy(p, q, s)
+    error = abs(DIGITS.create_decimal(unified_entropy_spectrum(p, EntropicIndices(q, s))) - exact)
+    amplification = 1.0 if q == 1.0 else max(1.0, 1.0 / abs(q - 1.0))
+    assert float(error) / max(1.0, abs(float(exact))) <= REFERENCE_C * np.finfo(float).eps * amplification
 
 
 spectra = st.integers(2, 6).flatmap(

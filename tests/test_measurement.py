@@ -377,6 +377,7 @@ def test_every_entry_point_rejects_an_unknown_side_alike(side, rng):
         lambda: LocalMeasurement(side, random_basis(2, rng), random_basis(2, rng)),
         lambda: correlations.measure_correlations(rho, side, TS2),
         lambda: correlations.grid_oracle_qubit(rho, side, TS2),
+        lambda: correlations.qubit_oracle(rho, side),
         lambda: families.closed_form(spec, side, TS2),
         lambda: families.pseudopure_closed_form(spec, side, TS2),
     ]
