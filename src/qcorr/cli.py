@@ -6,8 +6,10 @@ from a row of ``families.KINDS``, never both.  All randomized commands
 require ``--seed`` and produce byte-identical CSV bodies for identical
 configs.  CSV output starts with ``#``-prefixed metadata lines (schema
 version, config echo), then a header row; reals carry 17 significant
-digits.  Inequality violations found by the experiment drivers are data,
-never errors: the exit status is nonzero only on hard failures.
+digits.  The config echo is every parsed argument but the output
+destination (``--out``), so two configurations never share one.
+Inequality violations found by the experiment drivers are data, never
+errors: the exit status is nonzero only on hard failures.
 """
 
 from __future__ import annotations
@@ -36,17 +38,26 @@ class ParseError(ValueError):
     pass
 
 
-def _config(command: str, **fields) -> str:
+def _config(args, **parsed) -> str:
     """Echo of one CLI invocation, the ``config:`` line of the CSV metadata.
 
-    Fields are sorted by name; None and empty tuples are skipped, and a
-    tuple is written comma-joined.  Every seeded command echoes its config
-    once its other checks have passed, so a negative seed is refused here.
+    Every parsed argument is a field but argparse's ``func`` and the output
+    destinations (``--out``; a later output path, such as a trace file,
+    joins it), the kind's parameter flag as ``family_parameter``.  ``parsed``
+    replaces a raw ``--q``, ``--s`` or ``--dims`` string by its parsed value
+    and adds derived fields such as ``dims``.  Fields are sorted by name;
+    None and empty tuples are skipped, and a tuple is written comma-joined.
+    Every seeded command echoes its config once its other checks have
+    passed, so a negative seed is refused here.
     """
+    skipped = {"func", "out", *(row.parameter for row in families.KINDS.values())}
+    fields = {key: value for key, value in vars(args).items() if key not in skipped}
+    kind = getattr(args, "family", None)  # the family-curve sweep has --family but no parameter flag
+    fields.update(family_parameter=kind and getattr(args, families.KINDS[kind].parameter, None), **parsed)
     if fields.get("seed", 0) < 0:
         raise ParseError(f"--seed must be >= 0, got {fields['seed']}")
     parts = []
-    for key, value in sorted(dict(fields, command=command).items()):
+    for key, value in sorted(fields.items()):
         if value is None or value == ():
             continue
         if isinstance(value, tuple):
@@ -103,6 +114,8 @@ def parse_state_file(path) -> DensityOperator:
         raise ParseError(f"bad dims line: {lines[0]!r}") from exc
     if not dims:
         raise ParseError("dims line lists no dimensions")
+    if min(dims) < 1:
+        raise ParseError(f"dimensions must be >= 1, got {lines[0]!r}")
     n = math.prod(dims)
     mat = np.zeros((n, n), dtype=complex)
     seen = set()
@@ -180,25 +193,10 @@ def _state_from_args(args) -> DensityOperator:
     if n is None:
         raise ParseError("--family requires --N")
     _require_count(n, "--N")
-    flag = f"--{families.KINDS[args.family].parameter}"
-    if given != [flag]:
-        raise ParseError(f"{args.family} takes {flag} alone, got {' '.join(given) or 'no parameter flag'}")
-    return families.build(families.FamilySpec(args.family, n, n, _family_parameter(args)))
-
-
-def _family_parameter(args):
-    return None if args.family is None else getattr(args, families.KINDS[args.family].parameter)
-
-
-def _source_fields(args) -> dict:
-    """The ``config:`` fields naming where the state came from."""
-    return dict(family=args.family, family_n=args.family_n, family_parameter=_family_parameter(args),
-                state_file=args.state_file)
-
-
-def _search_fields(args) -> dict:
-    """The ``config:`` fields of a search at one index pair."""
-    return dict(q=(args.q_scalar,), s=(args.s_scalar,), seed=args.seed, restarts=args.restarts)
+    parameter = families.KINDS[args.family].parameter
+    if given != [f"--{parameter}"]:
+        raise ParseError(f"{args.family} takes --{parameter} alone, got {' '.join(given) or 'no parameter flag'}")
+    return families.build(families.FamilySpec(args.family, n, n, getattr(args, parameter)))
 
 
 def _require_count(value: int, flag: str):
@@ -220,13 +218,7 @@ def _basis_str(basis) -> str:
 def cmd_entropy(args) -> int:
     rho = _state_from_args(args)
     pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
-    cfg = _config(
-        "entropy",
-        q=tuple(p[0] for p in pairs),
-        s=tuple(p[1] for p in pairs),
-        dims=rho.dims,
-        **_source_fields(args),
-    )
+    cfg = _config(args, q=tuple(p[0] for p in pairs), s=tuple(p[1] for p in pairs), dims=rho.dims)
     rows = []
     for q, s in pairs:
         idx = EntropicIndices(q, s)
@@ -239,17 +231,11 @@ def cmd_entropy(args) -> int:
 def cmd_measure(args) -> int:
     _require_count(args.restarts, "--restarts")
     rho = _state_from_args(args)
-    idx = EntropicIndices(args.q_scalar, args.s_scalar)
-    cfg = _config(
-        "measure",
-        dims=rho.dims,
-        side=args.side,
-        **_search_fields(args),
-        **_source_fields(args),
-    )
+    idx = EntropicIndices(args.q, args.s)
+    cfg = _config(args, dims=rho.dims)
     res = measure_correlations(rho, args.side, idx, OptimizerOptions(restarts=args.restarts, seed=args.seed))
     row = dict(
-        side=args.side, q=args.q_scalar, s=args.s_scalar, value=res.value, spread=res.spread,
+        side=args.side, q=args.q, s=args.s, value=res.value, spread=res.spread,
         converged=res.converged, grad_norm=res.grad_norm, basin_hits=res.basin_hits,
         restarts=res.restarts_used, iterations=res.iterations, nfev=res.nfev,
         basis_a=_basis_str(res.argmin.basis_a), basis_b=_basis_str(res.argmin.basis_b),
@@ -265,15 +251,8 @@ def cmd_family_curve(args) -> int:
     _require_count(n, "--N")
     _require_count(args.grid, "--grid")
     _require_count(args.restarts, "--restarts")
-    idx = EntropicIndices(args.q_scalar, args.s_scalar)
-    cfg = _config(
-        "family-curve",
-        grid=args.grid,
-        side=args.side,
-        family=kind,
-        family_n=n,
-        **_search_fields(args),
-    )
+    idx = EntropicIndices(args.q, args.s)
+    cfg = _config(args)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     rows = []
     for value in np.linspace(*families.KINDS[kind].bounds(n), args.grid).tolist():
@@ -293,27 +272,18 @@ def cmd_fig1(args) -> int:
     _require_count(args.n_states, "--n-states")
     _require_count(args.trials, "--trials")
     q_list = _float_list(args.q, "--q")
-    cfg = _config(
-        "fig1",
-        q=q_list,
-        seed=args.seed,
-        trials=args.trials,
-        n_states=args.n_states,
-        dims=(2, 2),
-    )
+    cfg = _config(args, q=q_list, dims=(2, 2))
+    grid = [(family, EntropicIndices(q, s)) for family, s in (("renyi", 0.0), ("tsallis", 1.0)) for q in sorted(q_list)]
     rows = []
     for state_id in range(args.n_states):
         rho = linalg.random_density((2, 2), np.random.default_rng([args.seed, state_id]))
         spectra = correlations.measurement_pair_spectra(
             rho, args.trials, [args.seed, state_id, 1]
         )
-        # ln sum p^q does not depend on s: one set of sums serves both families
-        sums = {q: correlations.spectral_sums(spectra, EntropicIndices(q, 1.0)) for q in q_list}
-        for family, s in (("renyi", 0.0), ("tsallis", 1.0)):
-            for q in sorted(q_list):
-                min_diff = correlations.contractivity_min_from_spectra(spectra, EntropicIndices(q, s), sums[q])
-                rows.append(dict(state_id=state_id, family=family, q=q, min_difference=min_diff,
-                                 violated=min_diff < -VIOLATION_TOL))
+        mins = correlations.contractivity_min_from_spectra(spectra, [idx for _, idx in grid])
+        for (family, idx), min_diff in zip(grid, mins):
+            rows.append(dict(state_id=state_id, family=family, q=idx.q, min_difference=min_diff,
+                             violated=min_diff < -VIOLATION_TOL))
     n_violated = sum(row["violated"] for row in rows)
     write_csv(args.out, cfg, rows, [f"summary: rows={len(rows)} violations={n_violated}"])
     return 0
@@ -336,16 +306,8 @@ def cmd_ancilla_check(args) -> int:
     _require_count(args.ancilla_dim, "--ancilla-dim")
     _require_count(args.samples, "--samples")
     _require_count(args.restarts, "--restarts")
-    idx = EntropicIndices(args.q_scalar, args.s_scalar)
-    cfg = _config(
-        "ancilla-check",
-        dims=dims,
-        samples=args.samples,
-        ancilla_dim=args.ancilla_dim,
-        ancilla=args.ancilla,
-        grouping=args.grouping,
-        **_search_fields(args),
-    )
+    idx = EntropicIndices(args.q, args.s)
+    cfg = _config(args, dims=dims)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     measured = "ab".index(args.grouping[0])  # the subsystem kept alone, and the side measured before
     rows = []
@@ -378,15 +340,7 @@ def cmd_triangle_scan(args) -> int:
     _require_count(args.n_states, "--n-states")
     _require_count(args.restarts, "--restarts")
     pairs = _zip_qs(_float_list(args.q, "--q"), _float_list(args.s, "--s"))
-    cfg = _config(
-        "triangle-scan",
-        q=tuple(p[0] for p in pairs),
-        s=tuple(p[1] for p in pairs),
-        seed=args.seed,
-        restarts=args.restarts,
-        n_states=args.n_states,
-        dims=(2, 2),
-    )
+    cfg = _config(args, q=tuple(p[0] for p in pairs), s=tuple(p[1] for p in pairs), dims=(2, 2))
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     rows = []
     for state_id in range(args.n_states):
@@ -414,8 +368,8 @@ def _add_state_source(sub):
 
 def _add_search_flags(sub, q=1.0, restarts=8):
     """--q and --s (one index pair), --restarts, --seed and --out of a one-search command."""
-    sub.add_argument("--q", dest="q_scalar", type=float, default=q)
-    sub.add_argument("--s", dest="s_scalar", type=float, default=1.0)
+    sub.add_argument("--q", type=float, default=q)
+    sub.add_argument("--s", type=float, default=1.0)
     sub.add_argument("--restarts", type=int, default=restarts)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--out", default=None)

@@ -127,8 +127,8 @@ class OptimizerOptions:
     more than DECREASE_TOL times the value, when no step rotating the bases
     by more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
     Whichever stops it, it succeeds only at a stationary point
-    (``LocalSearch.success``).  Raises ValueError for restarts < 1,
-    seed < 0 or max_iter < 0.
+    (``LocalSearch.success``).  Raises ValueError, naming the field, unless
+    each field is an integer and restarts >= 1, seed >= 0 and max_iter >= 0.
     """
 
     restarts: int = 32
@@ -136,12 +136,12 @@ class OptimizerOptions:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        for name, low in (("restarts", 1), ("seed", 0), ("max_iter", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,7 +656,7 @@ def triangle_analysis(
             searches[idx.q] = (res_a, res_b, res_ab), pairs
         results, pairs = searches[idx.q]
         m_a, m_b, m_ab = (unified_from_renyi(res.value, idx) for res in results)
-        delta0, delta1 = (contractivity_min_from_spectra(spectra, idx) for spectra in pairs)
+        delta0, delta1 = (contractivity_min_from_spectra(spectra, [idx])[0] for spectra in pairs)
         reports.append(TriangleReport(
             m_a, m_b, m_ab, delta0, delta1,
             triangle_holds=m_a + m_b >= m_ab - tol,
@@ -698,34 +698,30 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     return _pair_spectra(rho, *linalg.haar_batch(np.random.default_rng(seed), trials, dims))
 
 
-def spectral_sums(spectra: dict, idx: EntropicIndices) -> dict:
-    """The ``spectral_sum`` of each spectrum from ``measurement_pair_spectra``.
-
-    The sums depend on the indices only through q, so one set serves every
-    s at the same q.
-    """
-    return {key: spectral_sum(p, idx) for key, p in spectra.items()}
-
-
-def contractivity_min_from_spectra(spectra: dict, idx: EntropicIndices, sums=None) -> float:
-    """min over trials of Delta = D_A + D_B - D_AB, as D_A(rho) - P_B * D_A(post_B), from cached spectra.
+def contractivity_min_from_spectra(spectra: dict, indices) -> list[float]:
+    """min over trials of Delta = D_A + D_B - D_AB, as D_A(rho) - P_B * D_A(post_B), from cached spectra: one per index.
 
     Over Haar pairs this is fig1's ``min_difference``; on one pair, that pair's Delta (``TriangleReport``).
-    ``sums`` may carry the ``spectral_sums`` of the spectra at the same q;
-    they are taken here otherwise.  The sums of ``before`` and ``after_b``
-    serve both disturbances and P_B.  D_A(rho) hands numpy's ufunc to
-    ``entropy_change``, while D_A(post_B) keeps the math-module default of
-    the scalar ``disturbance_spectra``; the two differ in the last bit on
-    about one input in ten, and each term keeps the one it has always used,
-    so the ``qcorr fig1`` rows do not move in the last digit.
+    A ``spectral_sum`` depends on the indices only through q, so each
+    spectrum's is taken once per distinct q and serves every s there; the
+    sums of ``before`` and ``after_b`` serve both disturbances and P_B.
+    D_A(rho) hands numpy's ufunc to ``entropy_change``, while D_A(post_B)
+    keeps the math-module default of the scalar ``disturbance_spectra``;
+    the two differ in the last bit on about one input in ten, and each term
+    keeps the one it has always used, so the ``qcorr fig1`` rows do not move
+    in the last digit.
     """
-    if sums is None:
-        sums = spectral_sums(spectra, idx)
-    before, after_b = sums["before"], sums["after_b"]
-    d_a = entropy_change(sums["after_a"], before, idx, expm1=np.expm1)
-    d_a_post_b = entropy_change(sums["after_ab"], after_b, idx)
-    p_b = purity_ratio_sums(after_b, before, idx)
-    return float(np.min(d_a - p_b * d_a_post_b))
+    by_q, mins = {}, []
+    for idx in indices:
+        if idx.q not in by_q:
+            by_q[idx.q] = {key: spectral_sum(p, idx) for key, p in spectra.items()}
+        sums = by_q[idx.q]
+        before, after_b = sums["before"], sums["after_b"]
+        d_a = entropy_change(sums["after_a"], before, idx, expm1=np.expm1)
+        d_a_post_b = entropy_change(sums["after_ab"], after_b, idx)
+        p_b = purity_ratio_sums(after_b, before, idx)
+        mins.append(float(np.min(d_a - p_b * d_a_post_b)))
+    return mins
 
 
 def contractivity_probe(
@@ -738,5 +734,5 @@ def contractivity_probe(
     contractivity violation.
     """
     return contractivity_min_from_spectra(
-        measurement_pair_spectra(rho, trials, seed), idx
-    )
+        measurement_pair_spectra(rho, trials, seed), [idx]
+    )[0]

@@ -257,7 +257,7 @@ class TestContractivityMin:
         for k in range(2):
             rho = linalg.random_density(dims, rng)
             spectra = measurement_pair_spectra(rho, 300, [41, k])
-            value = contractivity_min_from_spectra(spectra, idx)
+            value = contractivity_min_from_spectra(spectra, [idx])[0]
             assert same_bits(value, reference_contractivity_min(spectra, idx))
 
     @pytest.mark.parametrize("idx", INDICES)
@@ -265,7 +265,7 @@ class TestContractivityMin:
         rng = np.random.default_rng(43)
         for dims, rank in (((2, 2), 1), ((3, 3), 2)):
             spectra = measurement_pair_spectra(rank_deficient(dims, rank, rng), 200, 47)
-            value = contractivity_min_from_spectra(spectra, idx)
+            value = contractivity_min_from_spectra(spectra, [idx])[0]
             assert same_bits(value, reference_contractivity_min(spectra, idx))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import math
 import os
@@ -450,6 +451,63 @@ def test_committed_results_carry_the_current_schema():
     assert stale == []
 
 
+def subcommands(parser):
+    """The parser's subcommand parsers by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# per command, runs that between them give every argument a value; {state} is a state file
+ECHO_RUNS = {
+    "entropy": ["--family werner --N 2 --x 0.2", "--state-file {state}"],
+    "measure": ["--family werner --N 2 --x 0.2 --restarts 1 --seed 1", "--state-file {state} --restarts 1 --seed 1"],
+    "family-curve": ["--family werner --N 2 --grid 1 --restarts 1 --seed 1"],
+    "fig1": ["--n-states 1 --trials 2 --seed 1"],
+    "ancilla-check": ["--samples 1 --restarts 1 --seed 1"],
+    "triangle-scan": ["--n-states 1 --restarts 1 --q 2 --s 1 --seed 1"],
+}
+# the fields a command echoes beyond its own arguments
+DERIVED = {"entropy": {"family_parameter", "dims"}, "measure": {"family_parameter", "dims"},
+           "fig1": {"dims"}, "triangle-scan": {"dims"}}
+
+
+class TestConfigEcho:
+    """The ``# config:`` line echoes every parsed argument but --out, so no per-command list can miss one."""
+
+    @staticmethod
+    def echoed(command, flags, tmp_path):
+        """The config fields of each of ``command``'s ``ECHO_RUNS`` with ``flags`` appended, as dicts."""
+        state = tmp_path / "state.txt"
+        write_state_file(state, linalg.random_density((2, 2), np.random.default_rng(5)))
+        fields = []
+        for k, line in enumerate(ECHO_RUNS[command]):
+            out = tmp_path / f"{k}.csv"
+            assert run([command, *line.format(state=state).split(), *flags, "--out", str(out)]) == 0
+            fields.append(dict(part.split("=", 1) for part in config_line(out).split()[2:]))
+        return fields
+
+    def test_every_command_has_echo_runs(self):
+        assert set(ECHO_RUNS) == set(subcommands(cli.build_parser()))
+
+    @pytest.mark.parametrize("command", list(ECHO_RUNS))
+    def test_keys_are_the_parsed_arguments(self, command, tmp_path):
+        sub = subcommands(cli.build_parser())[command]
+        kind_flags = {row.parameter for row in families.KINDS.values()}
+        dests = {a.dest for a in sub._actions} - {"help", "out"} - kind_flags
+        assert set().union(*self.echoed(command, [], tmp_path)) == dests | {"command"} | DERIVED.get(command, set())
+
+    @pytest.mark.parametrize("command", list(ECHO_RUNS))
+    def test_a_flag_added_to_a_command_is_echoed(self, command, tmp_path, monkeypatch):
+        build = cli.build_parser
+
+        def with_extra_flag():
+            parser = build()
+            subcommands(parser)[command].add_argument("--extra-knob", dest="extra_knob", default="off")
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", with_extra_flag)
+        assert all(fields["extra_knob"] == "on" for fields in self.echoed(command, ["--extra-knob", "on"], tmp_path))
+
+
 class TestErrorsAndDeterminism:
     def test_missing_family_parameter_fails(self, capsys):
         assert run(["measure", "--family", "pseudopure", "--N", "2",
@@ -496,7 +554,11 @@ class TestErrorsAndDeterminism:
         ("dims: 2 two\n0 0 1 0\n", "bad dims line: 'dims: 2 two'"),
         ("dims:\n0 0 1 0\n", "dims line lists no dimensions"),
         ("dims: 2\n0 0 one 0\n1 1 0 0\n", "bad entry line '0 0 one 0'"),
-    ], ids=["non-integer dims", "empty dims", "non-numeric entry"])
+        ("dims: 2 -2\n", "dimensions must be >= 1, got 'dims: 2 -2'"),
+        ("dims: 0 2\n", "dimensions must be >= 1, got 'dims: 0 2'"),
+        ("dims: 0 2\n0 0 1 0\n", "dimensions must be >= 1, got 'dims: 0 2'"),
+    ], ids=["non-integer dims", "empty dims", "non-numeric entry", "negative dim", "zero dim",
+            "zero dim with entries"])
     def test_state_file_errors_are_named(self, text, message, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -508,7 +570,10 @@ class TestErrorsAndDeterminism:
         ("entropy --family werner --N 2 --x 0 --q 1,two", "bad number list '1,two'"),
         ("ancilla-check --dims 2,2,2 --seed 1", "--dims must list exactly two dimensions"),
         ("family-curve --family werner --seed 1", "family-curve requires --N"),
-    ], ids=["q s lengths", "non-numeric q", "three dims", "family-curve without N"])
+        ("ancilla-check --dims 2,x --seed 1", "bad integer list '2,x'"),
+        ("entropy --family werner --x 0.2", "--family requires --N"),
+    ], ids=["q s lengths", "non-numeric q", "three dims", "family-curve without N", "non-integer dims",
+            "family without N"])
     def test_argument_errors_are_named(self, line, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run(line.split() + ["--out", str(out)]) == 1

@@ -16,7 +16,6 @@ from qcorr.correlations import (
     measure_correlations,
     measurement_pair_spectra,
     qubit_oracle,
-    spectral_sums,
     su_generators,
     triangle_analysis,
 )
@@ -476,10 +475,29 @@ def _rescaled_second_steps(rho, basis_a, basis_b, idx):
     ("restarts", 0, "restarts must be >= 1, got 0"),
     ("seed", -1, "seed must be >= 0, got -1"),
     ("max_iter", -1, "max_iter must be >= 0, got -1"),
+    # a float would otherwise fail deep in the search with an unnamed TypeError
+    ("restarts", 2.5, "restarts must be an integer, got 2.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("max_iter", 3.5, "max_iter must be an integer, got 3.5"),
 ])
 def test_optimizer_options_name_each_out_of_range_field(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         OptimizerOptions(**{field: value})
+
+
+def test_optimizer_options_take_numpy_integers():
+    rho = linalg.random_density((2, 2), np.random.default_rng(1))
+    as_numpy = OptimizerOptions(restarts=np.int64(2), seed=np.int64(1), max_iter=np.int64(50))
+    found = measure_correlations(rho, "A", TS2, as_numpy)
+    assert found.value == measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=2, seed=1, max_iter=50)).value
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: measurement_pair_spectra(bell_density(), 0, 1), "trials must be >= 1"),
+], ids=["no trials"])
+def test_named_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestDelta:
@@ -493,7 +511,7 @@ class TestDelta:
     @staticmethod
     def kernel(rho, basis_a, basis_b, idx):
         spectra = correlations._pair_spectra(rho, basis_a.unitary, basis_b.unitary)
-        return contractivity_min_from_spectra(spectra, idx)
+        return contractivity_min_from_spectra(spectra, [idx])[0]
 
     @staticmethod
     def state_level(rho, basis_a, basis_b, idx):
@@ -601,20 +619,17 @@ class TestContractivity:
         assert found, f"no contractivity violation found at q={q}"
 
     def test_shared_sums_give_identical_rows(self, rng):
-        # the fig1 driver takes the sums once per q for its Renyi and Tsallis rows
+        # the fig1 driver makes one call for its Renyi and Tsallis rows, which share the sums of each q
         rho = linalg.random_density((2, 2), rng)
         spectra = measurement_pair_spectra(rho, 60, 5)
-        for q in (0.5, 1.0, 2.0, 4.0):
-            sums = spectral_sums(spectra, EntropicIndices(q, 1.0))
-            for s in (0.0, 1.0):
-                idx = EntropicIndices(q, s)
-                shared = contractivity_min_from_spectra(spectra, idx, sums)
-                assert shared == contractivity_min_from_spectra(spectra, idx)
+        indices = [EntropicIndices(q, s) for s in (0.0, 1.0) for q in (0.5, 1.0, 2.0, 4.0)]
+        shared = contractivity_min_from_spectra(spectra, indices)
+        assert shared == [contractivity_min_from_spectra(spectra, [idx])[0] for idx in indices]
 
     def test_probe_matches_split_api(self, rng):
         rho = linalg.random_density((2, 2), rng)
         spectra = measurement_pair_spectra(rho, 50, 123)
         for idx in IDX_GRID:
             direct = contractivity_probe(rho, idx, 50, 123)
-            cached = contractivity_min_from_spectra(spectra, idx)
+            cached = contractivity_min_from_spectra(spectra, [idx])[0]
             assert_allclose(direct, cached, atol=1e-14)

@@ -25,12 +25,21 @@ from qcorr.entropy import (
     unified_entropy,
     unified_entropy_spectrum,
 )
-from util import IDX_GRID, plus_density
+from util import IDX_GRID, bell_density, plus_density
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: max_entropy(0, EntropicIndices(2.0, 1.0)), ValueError, "dimension must be >= 1"),
+    (lambda: relative_entropy(plus_density(), bell_density()), linalg.DimMismatch, "states must share a Hilbert space"),
+], ids=["max entropy dim 0", "relative entropy dims"])
+def test_named_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 class TestIndices:

@@ -31,6 +31,16 @@ def rng():
     return np.random.default_rng(2718)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: FamilySpec("pseudopure", 0, 2, 0.5), "side dimensions must be >= 1"),
+    (lambda: FamilySpec("pseudopure", 2, 0, 0.5), "side dimensions must be >= 1"),
+    (lambda: FamilySpec("werner", 2, 2, 0.0, psi=maximally_entangled(2)), "psi only applies to pseudopure states"),
+], ids=["n_a 0", "n_b 0", "werner psi"])
+def test_named_errors(call, message):
+    with pytest.raises(BadParameter, match=f"^{message}$"):
+        call()
+
+
 class TestFamilySpec:
     def test_bad_kind(self):
         with pytest.raises(BadKind):

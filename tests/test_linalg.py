@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,22 @@ from numpy.testing import assert_allclose
 
 from qcorr import linalg
 from util import bell_density, plus_density, pure_density
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: linalg.check_unitary(np.eye(2, 3)), linalg.NotUnitary, "expected a square matrix, got shape (2, 3)"),
+    (lambda: linalg.permute_subsystems(bell_density(), [0, 0]), linalg.BadSubsystemIndex,
+     "order [0, 0] is not a permutation of 2 subsystems"),
+    (lambda: linalg.schmidt(np.ones(3) / np.sqrt(3), (2, 2)), linalg.DimMismatch,
+     "vector of size 3 does not split as (2, 2)"),
+    (lambda: linalg.haar_unitary(0, np.random.default_rng(0)), linalg.DimMismatch, "dimension must be >= 1"),
+    (lambda: linalg.random_density(0, np.random.default_rng(0)), linalg.DimMismatch, "dimension must be >= 1"),
+    (lambda: linalg.random_pure(0, np.random.default_rng(0)), linalg.DimMismatch, "dimension must be >= 1"),
+], ids=["non-square unitary", "non-permutation", "schmidt size", "haar dim 0", "random density dim 0",
+        "random pure dim 0"])
+def test_named_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.fixture
