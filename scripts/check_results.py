@@ -5,7 +5,8 @@ Runs scripts/reproduce.py's ``RUNS`` in this process, with this checkout's src/ 
 For each CSV, prints "identical" when its "#" metadata lines, header and rows match the committed file
 byte for byte, and otherwise the number of rows that moved, the largest absolute difference in each
 numeric column that moved and the number of cells changed in each other column (a flag such as
-``*_holds`` or ``violated``); then the run's wall time.  Exits 1 on any difference or failed run.
+``*_holds`` or ``violated``); then the run's wall time.  Ends with the line count of src/qcorr.
+Exits 1 on any difference or failed run.
 
     python scripts/check_results.py
 """
@@ -69,6 +70,8 @@ def main() -> int:
             took = "" if seconds is None else f" ({seconds:.2f} s)"
             print(f"{name}: {'; '.join(notes) or 'identical'}{took}")
             failed |= bool(notes)
+    lines = sum(len(path.read_bytes().splitlines()) for path in (ROOT / "src" / "qcorr").glob("*.py"))
+    print(f"src/qcorr: {lines} lines")
     return 1 if failed else 0
 
 

@@ -70,7 +70,7 @@ def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+        return f"{float(value) + 0.0:.17g}"  # + 0.0 writes -0.0 as 0 and keeps every other value's bits
     return str(value)
 
 
@@ -231,6 +231,8 @@ def cmd_entropy(args) -> int:
 def cmd_measure(args) -> int:
     _require_count(args.restarts, "--restarts")
     rho = _state_from_args(args)
+    if len(rho.dims) != 2:
+        raise ParseError(f"measure takes two subsystems: write the dims line as 'dims: N_A N_B', got dims {rho.dims}")
     idx = EntropicIndices(args.q, args.s)
     cfg = _config(args, dims=rho.dims)
     res = measure_correlations(rho, args.side, idx, OptimizerOptions(restarts=args.restarts, seed=args.seed))

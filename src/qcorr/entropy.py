@@ -71,26 +71,16 @@ class EntropicIndices:
 
 
 def _positive_sums(p: np.ndarray, term):
-    """sum(term(row[row > 0])) over the last axis of p, added as a 1-D np.sum would.
+    """sum(term(entry)) over the positive entries of the last axis of p; NaN counts as positive.
 
-    NaN counts as positive, so it reaches the sum.  Rows of a stack are
-    grouped by their count of positive entries and each group is summed over
-    a (rows, count) array, which numpy adds in the same order as a 1-D array
-    of that length.  Zero padding would change that order past eight.
+    A non-positive entry adds an exact zero where it stands (0^q := 0, 0 ln 0 := 0).
     """
     positive = ~(p <= 0.0)
     if p.size and positive.all():
         return term(p).sum(axis=-1)
     if not positive.any(axis=-1).all():
         raise ValueError("spectrum has no positive weight")
-    rows = p.reshape(-1, p.shape[-1])
-    positive = positive.reshape(rows.shape)
-    counts = np.count_nonzero(positive, axis=-1)
-    out = np.empty(rows.shape[0])
-    for k in np.unique(counts):
-        sel = counts == k
-        out[sel] = np.sum(term(rows[sel][positive[sel]].reshape(-1, k)), axis=-1)
-    return out.reshape(p.shape[:-1])
+    return np.where(positive, term(np.where(positive, p, 1.0)), 0.0).sum(axis=-1)
 
 
 def log_power_sum(p, q: float):

@@ -126,9 +126,8 @@ def dephase(rho: DensityOperator, basis: ProjectiveBasis) -> DensityOperator:
 
 
 def _dephase_side_a(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The state tensor t with side A dephased in basis u."""
-    t = np.einsum("ai,abcd,ck->ibkd", u.conj(), t, u) * np.eye(len(u))[:, None, :, None]
-    return np.einsum("ai,ibkd,ck->abcd", u, t, u.conj())
+    """The state tensor t with side A dephased in basis u: sum_k |u_k><u_k| (x) block k of ``_blocks_side_a``."""
+    return np.einsum("ak,kbd,ck->abcd", u, _blocks_side_a(t, u), u.conj())
 
 
 def apply_local(rho: DensityOperator, m: LocalMeasurement) -> DensityOperator:

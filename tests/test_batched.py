@@ -196,6 +196,26 @@ class TestStackedSpectra:
             assert same_bits(batched[key], looped[key])
 
 
+def zeros_in_every_position():
+    """300 spectra of 9 entries, each entry zero with probability 0.35, no row without weight."""
+    rng = np.random.default_rng(29)
+    p = rng.uniform(0.0, 1.0, (300, 9))
+    p[rng.uniform(size=p.shape) < 0.35] = 0.0
+    p[:, 4] += 0.05
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 1.0])
+def test_zero_entries_add_nothing_in_place(q):
+    """Each row's sum is the 1-D sum of its terms with a zero left where each zero entry stands (0^q := 0)."""
+    p = zeros_in_every_position()
+    terms, x = np.zeros_like(p), p[p > 0]
+    terms[p > 0] = x * np.log(x) if q == 1.0 else x**q
+    expected = [-row.sum() if q == 1.0 else np.log(row.sum()) for row in terms]
+    assert same_bits(spectral_sum(p, EntropicIndices(q, 1.0)), np.array(expected))
+
+
 class TestDisturbanceRows:
     """Stacked disturbance_spectra against one call per row."""
 
@@ -222,11 +242,7 @@ class TestDisturbanceRows:
 
     @pytest.mark.parametrize("idx", INDICES)
     def test_zeros_in_every_position(self, idx):
-        rng = np.random.default_rng(29)
-        p = rng.uniform(0.0, 1.0, (300, 9))
-        p[rng.uniform(size=p.shape) < 0.35] = 0.0
-        p[:, 4] += 0.05  # no row without weight
-        p /= p.sum(axis=-1, keepdims=True)
+        p = zeros_in_every_position()
         self.check(p[:150], p[150:], idx)
 
     def test_series_branch(self):

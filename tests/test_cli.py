@@ -123,6 +123,14 @@ class TestEntropyCommand:
         assert abs(float(cell(header, rows[0], "entropy"))) < 1e-12
         assert_allclose(float(cell(header, rows[0], "max_entropy")), 0.75, atol=1e-12)
 
+    def test_exact_zero_prints_unsigned(self, tmp_path):
+        """-sum p ln p of a pure spectrum is -0.0, and a CSV cell writes it as 0."""
+        state, out = tmp_path / "s.txt", tmp_path / "e.csv"
+        state.write_text("dims: 2 2 2\n0 0 1 0\n")
+        assert run(["entropy", "--state-file", str(state), "--q", "1", "--s", "1", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert cell(header, rows[0], "entropy") == "0"
+
     def test_state_file_source(self, tmp_path):
         state = tmp_path / "s.txt"
         write_state_file(state, bell_density())
@@ -444,6 +452,12 @@ def test_every_committed_csv_has_a_documented_run():
     assert set(RUNS) == {p.name for p in RESULTS.glob("*.csv")}
 
 
+def test_no_committed_cell_reads_minus_zero():
+    signed = [(p.name, i) for p in sorted(RESULTS.glob("*.csv"))
+              for i, line in enumerate(p.read_text().splitlines()) if "-0" in line.split(",")]
+    assert signed == []
+
+
 def test_committed_results_carry_the_current_schema():
     paths = sorted(RESULTS.glob("*.csv"))
     assert paths
@@ -564,6 +578,15 @@ class TestErrorsAndDeterminism:
         path.write_text(text)
         assert run(["entropy", "--state-file", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_measure_takes_two_subsystems(self, tmp_path, capsys):
+        """A state file of three subsystems is refused with how to write it, before the seed check."""
+        state, out = tmp_path / "s.txt", tmp_path / "out.csv"
+        state.write_text("dims: 2 2 2\n0 0 1 0\n")
+        assert run(["measure", "--state-file", str(state), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: measure takes two subsystems: write the dims line as 'dims: N_A N_B', got dims (2, 2, 2)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("entropy --family werner --N 2 --x 0 --q 1,2 --s 1,2,3", "--q and --s lists must have matching lengths"),
