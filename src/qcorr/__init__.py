@@ -7,7 +7,6 @@ from .correlations import (
     bilocal_decomposition_check,
     contractivity_probe,
     entanglement_lower_bound,
-    grid_oracle_qubit,
     measure_correlations,
     qubit_oracle,
     triangle_analysis,

@@ -12,7 +12,6 @@ from qcorr.correlations import (
     contractivity_min_from_spectra,
     contractivity_probe,
     entanglement_lower_bound,
-    grid_oracle_qubit,
     measure_correlations,
     measurement_pair_spectra,
     qubit_oracle,
@@ -320,7 +319,9 @@ class TestQubitOracle:
             for side in ("A", "B"):
                 assert_allclose(qubit_oracle(rho, side), self.dakic_vedral_brukner(rho, side), atol=1e-14)
 
-    @pytest.mark.parametrize("dims, side", [((2, 2), "A"), ((2, 3), "A"), ((2, 4), "A"), ((3, 2), "B")])
+    @pytest.mark.parametrize(
+        "dims, side", [((2, 2), "A"), ((2, 3), "A"), ((2, 4), "A"), ((3, 2), "B"), ((2, 2), "B"), ((2, 2), "AB")]
+    )
     def test_search_matches_oracle(self, rng, dims, side):
         """At (2, 1), and at (2, 0) and (2, -1) through the oracle's Renyi value R_2 = -log1p(-M_(2,1))."""
         opts = OptimizerOptions(restarts=8, seed=3)
@@ -332,57 +333,74 @@ class TestQubitOracle:
                 assert abs(found - exact) <= 1e-9, s
 
     def test_rejects_other_sides(self, rng):
-        with pytest.raises(DimMismatch):
-            qubit_oracle(linalg.random_density((3, 2), rng), "A")
-        with pytest.raises(ValueError, match="^the qubit oracle covers sides A and B$"):
-            qubit_oracle(linalg.random_density((2, 2), rng), "AB")
-
-
-class TestGridOracle:
-    def test_product_state(self, rng):
-        prod = linalg.tensor(linalg.random_density(2, rng), linalg.random_density(2, rng))
-        assert grid_oracle_qubit(prod, "A", TS2) < 1e-4
-
-    def test_bell_von_neumann(self):
-        got = grid_oracle_qubit(bell_density(), "A", VN)
-        assert abs(got - math.log(2)) < 1e-4
-
-    def test_bell_bilocal(self):
-        got = grid_oracle_qubit(bell_density(), "AB", VN)
-        assert abs(got - math.log(2)) < 1e-4
-
-    def test_rejects_measured_qutrit(self, rng):
-        for dims, side in (((3, 2), "A"), ((2, 3), "B"), ((2, 3), "AB")):
-            with pytest.raises(DimMismatch):
-                grid_oracle_qubit(linalg.random_density(dims, rng), side, TS2)
-
-    @pytest.mark.parametrize("dims,side", [((2, 3), "A"), ((3, 2), "B"), ((2, 4), "A")])
-    def test_qudit_partner_matches_qubit_oracle(self, rng, dims, side):
-        # the grid upper-bounds the exact measured-qubit value and lands close to it
-        for _ in range(3):
-            rho = linalg.random_density(dims, rng)
-            exact = qubit_oracle(rho, side)
-            assert exact - 1e-12 <= grid_oracle_qubit(rho, side, TS2) <= exact + 1e-6
+        for dims, side in (((3, 2), "A"), ((2, 3), "B"), ((2, 3), "AB"), ((3, 3), "AB")):
+            with pytest.raises(DimMismatch, match=f"^side {side} must measure qubits only"):
+                qubit_oracle(linalg.random_density(dims, rng), side)
 
     def test_agrees_with_optimizer_on_random_states(self, rng):
         for _ in range(50):
             rho = linalg.random_density((2, 2), rng)
             found = measure_correlations(rho, "A", TS2, FAST).value
-            oracle = grid_oracle_qubit(rho, "A", TS2)
-            assert abs(found - oracle) <= 1e-4
+            assert abs(found - qubit_oracle(rho, "A")) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "side,resolution,states,tol", [("B", (64, 128), 20, 1e-4), ("AB", (8, 16), 10, 2e-3)]
-    )
-    def test_other_sides_agree_with_optimizer(self, rng, side, resolution, states, tol):
-        # no grid point beats the search; the coarse side-AB grid ends up to
-        # 9.6e-4 above it on these states.  Each tolerance holds at its grid
-        assert correlations.GRID_CELLS[side] == resolution
-        for _ in range(states):
+    def test_product_state(self, rng):
+        # with a maximally mixed factor (x = 0, T = 0), one side's block matrix of the ascent is 0
+        mixed = linalg.make_density(np.eye(2) / 2, (2,))
+        for a in (linalg.random_density(2, rng), mixed):
+            prod = linalg.tensor(a, linalg.random_density(2, rng))
+            for side in ("A", "B", "AB"):
+                assert abs(qubit_oracle(prod, side)) <= 1e-15, side
+
+    def test_bell_state(self):
+        # 1 - (1 + 1) / 4 over Tr rho^2 = 1 on every side; side AB lands within roundoff of it
+        for side in ("A", "B", "AB"):
+            assert abs(qubit_oracle(bell_density(), side) - 0.5) <= 1e-15, side
+
+    def test_side_ab_matches_search_on_random_states(self):
+        """The 8-restart search (seed 1) meets the side-AB oracle at q = 2, s = 1 and 0, so never falls below it."""
+        opts = OptimizerOptions(restarts=8, seed=1)
+        for k in range(20):
+            rho = linalg.random_density((2, 2), np.random.default_rng([12, k]))
+            renyi = -math.log1p(-qubit_oracle(rho, "AB"))
+            for idx in (TS2, EntropicIndices(2.0, 0.0)):
+                found = measure_correlations(rho, "AB", idx, opts).value
+                assert abs(found - unified_from_renyi(renyi, idx)) <= 1e-12, (k, idx)
+
+    def test_side_ab_narrow_peak_matches_search(self):
+        # state 48 of this stream has a narrow peak that polishing only the best cells of a grid misses
+        rng = np.random.default_rng(31337)
+        rho = [linalg.random_density((2, 2), rng) for _ in range(49)][48]
+        found = measure_correlations(rho, "AB", TS2, OptimizerOptions(restarts=8, seed=1)).value
+        assert abs(qubit_oracle(rho, "AB") - found) <= 1e-12
+
+    def test_side_ab_finds_the_global_peak_off_the_best_cells(self):
+        """rho = (I + a Z (x) I + a I (x) Z + t X (x) X)/4 has two local maxima of sum p^2 over the Bloch pair.
+
+        With t^2 just above 2 a^2, n = m = z gives 2 a^2, a broad peak on the grid's best cells, and
+        n = m = x gives t^2, a narrow one between them; f is bilinear in (n_z^2, m_z^2) on the
+        x-z great circles, so max f = t^2 and M_(2,1) = 1 - (1 + t^2) / (1 + 2 a^2 + t^2).
+        """
+        a, t = 0.3, 0.43
+        x, z, eye = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)
+        matrix = np.eye(4) + a * np.kron(z, eye) + a * np.kron(eye, z) + t * np.kron(x, x)
+        rho = linalg.make_density(matrix / 4, (2, 2))
+        exact = 2 * a * a / (1 + 2 * a * a + t * t)
+        assert abs(qubit_oracle(rho, "AB") - exact) <= 1e-14
+        assert abs(measure_correlations(rho, "AB", TS2, OptimizerOptions(restarts=8, seed=1)).value - exact) <= 1e-12
+
+    def test_side_ab_beats_every_haar_pair(self, rng):
+        """No Haar pair scored by the side-AB value kernel lies below the oracle: it maximizes sum p^2 over all pairs."""
+        for _ in range(3):
             rho = linalg.random_density((2, 2), rng)
-            found = measure_correlations(rho, side, TS2, FAST).value
-            oracle = grid_oracle_qubit(rho, side, TS2)
-            assert -1e-9 <= oracle - found <= tol
+            spectra = measurement._spectrum_side_ab(measurement._tensor(rho), *linalg.haar_batch(rng, 2000, (2, 2)))
+            values = measurement.disturbance_spectra(linalg.spectrum(rho), spectra, TS2)
+            assert values.min() >= qubit_oracle(rho, "AB") - 1e-13
+
+    def test_side_ab_is_at_least_either_side(self, rng):
+        # measuring both sides majorizes measuring one, so M_AB >= max(M_A, M_B)
+        for _ in range(10):
+            rho = linalg.random_density((2, 2), rng)
+            assert qubit_oracle(rho, "AB") >= max(qubit_oracle(rho, "A"), qubit_oracle(rho, "B")) - 1e-15
 
 
 class TestEntanglementLowerBound:
@@ -452,6 +470,23 @@ class TestTriangleAnalysis:
             (report,) = triangle_analysis(rho, [VN], FAST)
             assert report.triangle_holds and report.ordering_holds
             assert report.m_ab >= max(report.m_a, report.m_b) - 1e-8
+
+    @pytest.mark.parametrize("k, violated", [(22, True), (51, True), (95, True), (0, False), (1, False)])
+    def test_exact_at_q_two(self, k, violated):
+        """At q = 2 each measure is qubit_oracle's Renyi value mapped to s; at s = -8 three states violate the triangle.
+
+        c = s (1 - q) = 8 > 0 there, where the unified relation need not follow the Renyi one.  The
+        exact gaps m_ab - m_a - m_b of the violators are 1.4e-2, 1.6e-4 and 0.21.
+        """
+        rho = linalg.random_density((2, 2), np.random.default_rng([31, k]))
+        indices = [EntropicIndices(2.0, s) for s in (1.0, 0.0, -8.0)]
+        reports = triangle_analysis(rho, indices, OptimizerOptions(restarts=8, seed=1))
+        renyi = [-math.log1p(-qubit_oracle(rho, side)) for side in ("A", "B", "AB")]
+        for idx, report in zip(indices, reports):
+            for found, r in zip((report.m_a, report.m_b, report.m_ab), renyi):
+                exact = unified_from_renyi(r, idx)
+                assert abs(found - exact) <= 1e-10 * max(1.0, abs(exact)), (idx, found, exact)
+        assert [report.triangle_holds for report in reports] == [True, True, not violated]
 
 
 def _rescaled_second_steps(rho, basis_a, basis_b, idx):

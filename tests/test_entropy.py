@@ -24,6 +24,7 @@ from qcorr.entropy import (
     spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
+    unified_from_renyi,
 )
 from util import IDX_GRID, bell_density, plus_density
 
@@ -260,6 +261,21 @@ class TestRegimeContinuity:
             for s in (-1e-6, 1e-6):
                 got = unified_entropy_spectrum(p, EntropicIndices(2.0, s))
                 assert abs(got - ren) < 1e-4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 1.0), st.floats(0.05, 5.0), st.floats(0.0, 16.0)
+)
+def test_unified_triangle_follows_the_renyi_one_where_c_is_not_positive(r_a, r_b, share, q, size):
+    """R_ab <= R_a + R_b gives M_ab <= M_a + M_b wherever c = s (1 - q) <= 0.
+
+    Every unified value is h(R_q) = expm1(c R_q) / c; for c <= 0, h is increasing, concave and
+    h(0) = 0, hence subadditive on R >= 0.  s takes the sign of q - 1, so c <= 0 on every draw.
+    """
+    idx = EntropicIndices(q, math.copysign(size, q - 1.0))
+    m_a, m_b, m_ab = (unified_from_renyi(r, idx) for r in (r_a, r_b, share * (r_a + r_b)))
+    assert m_ab <= m_a + m_b + 1e-14 * max(1.0, m_a + m_b)
 
 
 DIGITS = decimal.Context(prec=60)

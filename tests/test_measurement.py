@@ -376,7 +376,6 @@ def test_every_entry_point_rejects_an_unknown_side_alike(side, rng):
     calls = [
         lambda: LocalMeasurement(side, random_basis(2, rng), random_basis(2, rng)),
         lambda: correlations.measure_correlations(rho, side, TS2),
-        lambda: correlations.grid_oracle_qubit(rho, side, TS2),
         lambda: correlations.qubit_oracle(rho, side),
         lambda: families.closed_form(spec, side, TS2),
         lambda: families.pseudopure_closed_form(spec, side, TS2),
@@ -393,7 +392,6 @@ def test_every_state_entry_point_needs_two_blocks(rng):
     calls = [
         lambda: correlations.measure_correlations(rho, "A", TS2),
         lambda: correlations.triangle_analysis(rho, [TS2]),
-        lambda: correlations.grid_oracle_qubit(rho, "A", TS2),
         lambda: correlations.qubit_oracle(rho, "A"),
         lambda: correlations.entanglement_lower_bound(rho, TS2),
         lambda: correlations.measurement_pair_spectra(rho, 2, 0),
