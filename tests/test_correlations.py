@@ -352,7 +352,7 @@ class TestQubitOracle:
                 assert abs(qubit_oracle(prod, side)) <= 1e-15, side
 
     def test_bell_state(self):
-        # 1 - (1 + 1) / 4 over Tr rho^2 = 1 on every side; side AB lands within roundoff of it
+        # Tr rho^2 = 1 and the best measurement keeps half of it on every side; side AB ends within roundoff
         for side in ("A", "B", "AB"):
             assert abs(qubit_oracle(bell_density(), side) - 0.5) <= 1e-15, side
 
@@ -377,8 +377,9 @@ class TestQubitOracle:
         """rho = (I + a Z (x) I + a I (x) Z + t X (x) X)/4 has two local maxima of sum p^2 over the Bloch pair.
 
         With t^2 just above 2 a^2, n = m = z gives 2 a^2, a broad peak on the grid's best cells, and
-        n = m = x gives t^2, a narrow one between them; f is bilinear in (n_z^2, m_z^2) on the
-        x-z great circles, so max f = t^2 and M_(2,1) = 1 - (1 + t^2) / (1 + 2 a^2 + t^2).
+        n = m = x gives t^2, a narrow one between them.  f = a^2 n_z^2 + a^2 m_z^2 + t^2 n_x^2 m_x^2 is
+        largest with no y components, where it is bilinear in (n_z^2, m_z^2), so max f = t^2 and
+        M_(2,1) = 1 - (1 + t^2) / (1 + 2 a^2 + t^2).
         """
         a, t = 0.3, 0.43
         x, z, eye = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)
