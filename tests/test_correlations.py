@@ -332,10 +332,15 @@ class TestQubitOracle:
                 found = measure_correlations(rho, side, EntropicIndices(2.0, s), opts).value
                 assert abs(found - exact) <= 1e-9, s
 
-    def test_rejects_other_sides(self, rng):
+    def test_rejects_measured_qutrit(self, rng):
         for dims, side in (((3, 2), "A"), ((2, 3), "B"), ((2, 3), "AB"), ((3, 3), "AB")):
             with pytest.raises(DimMismatch, match=f"^side {side} must measure qubits only"):
                 qubit_oracle(linalg.random_density(dims, rng), side)
+
+    def test_rejects_other_sides(self, rng):
+        for side in ("C", "BA", "a"):
+            with pytest.raises(ValueError, match="^side must be A, B or AB"):
+                qubit_oracle(linalg.random_density((2, 2), rng), side)
 
     def test_agrees_with_optimizer_on_random_states(self, rng):
         for _ in range(50):
