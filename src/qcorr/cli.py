@@ -170,6 +170,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad integer list {text!r}") from exc
 
 
+def _once(values, name):  # a value listed twice would write its rows twice; name(value) words it
+    if (repeat := next((v for i, v in enumerate(values) if v in values[:i]), None)) is not None:
+        raise ParseError(f"{name(repeat)} twice")
+    return values
+
+
 def _zip_qs(q_list, s_list):
     if len(q_list) == 1 and len(s_list) > 1:
         q_list = q_list * len(s_list)
@@ -177,7 +183,7 @@ def _zip_qs(q_list, s_list):
         s_list = s_list * len(q_list)
     if len(q_list) != len(s_list):
         raise ParseError("--q and --s lists must have matching lengths")
-    return list(zip(q_list, s_list))
+    return _once(list(zip(q_list, s_list)), lambda qs: "--q and --s list the pair q={}, s={}".format(*map(_fmt, qs)))
 
 
 def _state_from_args(args) -> DensityOperator:
@@ -273,7 +279,7 @@ def cmd_family_curve(args) -> int:
 def cmd_fig1(args) -> int:
     _require_count(args.n_states, "--n-states")
     _require_count(args.trials, "--trials")
-    q_list = _float_list(args.q, "--q")
+    q_list = _once(_float_list(args.q, "--q"), lambda q: f"--q lists {_fmt(q)}")
     cfg = _config(args, q=q_list, dims=(2, 2))
     grid = [(family, EntropicIndices(q, s)) for family, s in (("renyi", 0.0), ("tsallis", 1.0)) for q in sorted(q_list)]
     rows = []

@@ -44,6 +44,7 @@ from . import linalg, measurement
 from .entropy import (
     EntropicIndices,
     entropy_change,
+    min_difference,
     purity_ratio_sums,
     spectral_slope,
     spectral_sum,
@@ -678,25 +679,22 @@ def contractivity_min_from_spectra(spectra: dict, indices) -> list[float]:
     """min over trials of Delta = D_A + D_B - D_AB, as D_A(rho) - P_B * D_A(post_B), from cached spectra: one per index.
 
     Over Haar pairs this is fig1's ``min_difference``; on one pair, that pair's Delta (``TriangleReport``).
-    A ``spectral_sum`` depends on the indices only through q, so each
-    spectrum's is taken once per distinct q and serves every s there; the
-    sums of ``before`` and ``after_b`` serve both disturbances and P_B.
-    D_A(rho) hands numpy's ufunc to ``entropy_change``, while D_A(post_B)
-    keeps the math-module default of the scalar ``disturbance_spectra``;
-    the two differ in the last bit on about one input in ten, and each term
-    keeps the one it has always used, so the ``qcorr fig1`` rows do not move
-    in the last digit.
+    Per distinct q, one ``spectral_sum`` of ``before`` and one of the stacked after-spectra (row by row, so
+    each spectrum keeps its own bits) serve every s; the sums of ``before`` and ``after_b`` serve both
+    disturbances and P_B.  D_A(rho) hands numpy's ufunc to ``entropy_change``, while D_A(post_B) keeps the
+    math-module default of the scalar ``disturbance_spectra``, mapped by ``entropy.min_difference`` only on
+    the trials that can hold the minimum; the two differ in the last bit on about one input in ten, and each
+    term keeps the one it has always used, so the ``qcorr fig1`` rows do not move in the last digit.
     """
+    after = np.stack([spectra["after_a"], spectra["after_b"], spectra["after_ab"]])
     by_q, mins = {}, []
     for idx in indices:
         if idx.q not in by_q:
-            by_q[idx.q] = {key: spectral_sum(p, idx) for key, p in spectra.items()}
-        sums = by_q[idx.q]
-        before, after_b = sums["before"], sums["after_b"]
-        d_a = entropy_change(sums["after_a"], before, idx, expm1=np.expm1)
-        d_a_post_b = entropy_change(sums["after_ab"], after_b, idx)
+            by_q[idx.q] = spectral_sum(spectra["before"], idx), spectral_sum(after, idx)
+        before, (after_a, after_b, after_ab) = by_q[idx.q]
+        d_a = entropy_change(after_a, before, idx, expm1=np.expm1)
         p_b = purity_ratio_sums(after_b, before, idx)
-        mins.append(float(np.min(d_a - p_b * d_a_post_b)))
+        mins.append(min_difference(d_a, p_b, after_ab, after_b, idx))
     return mins
 
 

@@ -285,6 +285,91 @@ class TestContractivityMin:
             assert same_bits(value, reference_contractivity_min(spectra, idx))
 
 
+class TestRowSums:
+    """The row sum under every spectral sum against numpy's ``sum(axis=-1)``.
+
+    Below 8 entries numpy adds a row left to right from +0.0, and a stack of
+    256 rows or more is summed one column at a time in that order; if a
+    numpy release changes its reduction order, these fail before any result
+    moves.
+    """
+
+    @staticmethod
+    def rows(rng, shape):
+        """Entries over 16 decades, with exact zeros and negative zeros."""
+        x = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 8, shape)
+        x[rng.uniform(size=shape) < 0.2] = 0.0
+        x[rng.uniform(size=shape) < 0.1] = -0.0
+        return x
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("stack", [(), (40,), (300,), (2, 3, 5), (2, 4, 40)])
+    def test_equals_numpy_sum(self, n, stack):
+        x = self.rows(np.random.default_rng([67, n, *stack]), stack + (n,))
+        for view in (x, np.asfortranarray(x), x[..., ::-1]):
+            assert same_bits(entropy._row_sums(view), view.sum(axis=-1))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 9])
+    @pytest.mark.parametrize("rows", [40, 300])
+    def test_zeros_through_the_masked_path(self, n, rows):
+        p = self.rows(np.random.default_rng([71, n, rows]), (rows, n))
+        p[:, 0] += 0.5  # every row keeps some weight
+        positive = p > 0.0
+        terms = np.where(positive, np.where(positive, p, 1.0) ** 2.5, 0.0)
+        assert not positive.all()
+        assert same_bits(entropy._positive_sums(p, lambda pz: pz**2.5), terms.sum(axis=-1))
+
+
+class TestMinDifference:
+    """entropy.min_difference against the expression it filters, base - weight * entropy_change."""
+
+    IDX = EntropicIndices(2.0, 1.0)  # (1 - q) s = -1, so each row is base + weight * expm1(after - before)
+
+    @staticmethod
+    def unfiltered(base, weight, after, before, idx):
+        return float(np.min(base - weight * entropy_change(after, before, idx)))
+
+    def test_rows_the_two_expm1_order_apart(self):
+        """Two rows whose order under numpy's expm1 is the reverse of their order under math.expm1.
+
+        Row 0 has an x where the two expm1 differ by an ulp u, and a base
+        that cancels the larger, so its value is 0 under one and -u under
+        the other; row 1 sits at -u/2 under both (x = 0).  Only a slack of
+        at least u/2 keeps both rows, and the other rows lie far above.
+        """
+        rng = np.random.default_rng(73)
+        x = rng.uniform(0.1, 1.0, 10_000)
+        differs = np.expm1(x) != np.array([math.expm1(v) for v in x.tolist()])
+        x0 = x[differs][0] if differs.any() else x[0]  # a platform whose two expm1 agree cannot miss
+        e_np, e_math = float(np.expm1(x0)), math.expm1(x0)
+        gap = abs(e_np - e_math)
+        after = np.concatenate([[x0, 0.0], rng.uniform(0.1, 1.0, 50)])
+        base = np.concatenate([[-max(e_np, e_math), -gap / 2], rng.uniform(0.5, 1.0, 50)])
+        weight = np.concatenate([[1.0, 0.75], rng.uniform(0.5, 1.0, 50)])
+        before = np.zeros_like(after)
+        expected = self.unfiltered(base, weight, after, before, self.IDX)
+        assert expected == min(e_math - max(e_np, e_math), -gap / 2)
+        assert same_bits(entropy.min_difference(base, weight, after, before, self.IDX), expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["base", "weight", "after", "before"])
+    def test_non_finite_rows(self, bad, where):
+        rng = np.random.default_rng(79)
+        args = dict(base=rng.uniform(-1.0, 1.0, 20), weight=rng.uniform(0.5, 1.0, 20),
+                    after=rng.uniform(-2.0, 0.0, 20), before=rng.uniform(-2.0, 0.0, 20))
+        args[where][7] = bad
+        expected = self.unfiltered(*args.values(), self.IDX)
+        assert same_bits(entropy.min_difference(*args.values(), self.IDX), expected)
+
+    def test_math_overflow_stands(self):
+        """A row past math.expm1's range raises its OverflowError, as the unfiltered expression does."""
+        after = np.array([0.5, 800.0, 0.25])
+        args = (np.zeros(3), np.ones(3), after, np.zeros(3), self.IDX)
+        for kernel in (self.unfiltered, entropy.min_difference):
+            with pytest.raises(OverflowError):
+                kernel(*args)
+
+
 # rows of 1 to 10 probabilities with zeros anywhere; a row is rescaled to
 # unit sum unless it has no weight, and such rows are replaced below
 ROW_STACKS = st.integers(1, 10).flatmap(

@@ -6,6 +6,8 @@ function would silently drop its metrics.  Its workloads call the package
 object ``qc`` by attribute, so a renamed name would break a run.  These
 tests check every binding the tracer wraps and every ``qc`` attribute chain
 the benchmark's files spell out, reading the files without running them.
+Its fig1 workload byte-compares rows against a copy of ``results/fig1.csv``,
+which must stay in step with the committed file.
 """
 
 import ast
@@ -19,7 +21,8 @@ import qcorr
 import qcorr.cli  # the benchmark imports it beside the package
 from qcorr import correlations
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 # listed by the tracer, but no caller looks it up there: every log_power_sum
@@ -102,3 +105,17 @@ def test_pair_spectra_call_each_kernel_through_correlations(monkeypatch):
     rho = qcorr.random_density((2, 2), np.random.default_rng(0))
     correlations.measurement_pair_spectra(rho, 3, 1)
     assert calls == {"_spectrum_side_a": 1, "_spectrum_side_b": 1, "_spectrum_side_ab": 1}
+
+
+def test_benchmark_fig1_copy_matches_results():
+    """Every line of the benchmark's fig1 data but the schema line equals results/fig1.csv.
+
+    A change that moves fig1's rows must re-record the benchmark's copy in
+    the same step, or every fig1-sweep run fails its byte compare.  The
+    schema line differs until that copy is next re-recorded.
+    """
+    def body(path):
+        return [line for line in path.read_text(encoding="ascii").splitlines()
+                if not line.startswith("# schema_version=")]
+
+    assert body(PERFBENCH / "data" / "fig1-20260810.csv") == body(ROOT / "results" / "fig1.csv")

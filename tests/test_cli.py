@@ -155,6 +155,14 @@ class TestEntropyCommand:
         qs, ss = (",".join(column) for column in zip(*pairs))
         assert config_line(out).endswith(f" q={qs} s={ss}")
 
+    def test_q_repeats_with_another_s(self, tmp_path):
+        """Only a repeated (q, s) pair is refused; one q may pair with several s."""
+        out = tmp_path / "e.csv"
+        assert run(["entropy", "--family", "werner", "--N", "2", "--x", "0.3",
+                    "--q", "2,2", "--s", "0,1", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert [(cell(header, r, "q"), cell(header, r, "s")) for r in rows] == [("2", "0"), ("2", "1")]
+
     def test_large_q_entropy_is_finite(self, tmp_path):
         # Tr rho^q of the spectrum (1/2, 1/6, 1/6, 1/6) underflows at q = 2000 unless 1/2 is factored out
         out = tmp_path / "e.csv"
@@ -448,6 +456,25 @@ def test_check_results_counts_changed_flags(tmp_path):
         "2 of 3 rows moved", "delta0: 1 cells, largest difference 0.25", "sandwich_holds: 2 cells changed"]
 
 
+def test_bench_pairs_summary():
+    """Medians, their ratio, the reference's quartile distance and the pairs won, on canned result lines."""
+    def result(items, p50, correct=True):
+        return {"correct": correct, "attempted": 40, "failed": 0 if correct else 2,
+                "metrics": {"items_per_s": {"value": items, "unit": "1/s"},
+                            "item_p50_ms": {"value": p50, "unit": "ms"}}}
+
+    ref = [result(100.0, 10.0), result(104.0, 9.0), result(96.0, 11.0), result(110.0, 8.0), result(90.0, 12.0)]
+    new = [result(120.0, 8.0), result(118.0, 9.0), result(101.0, 11.0), result(108.0, 8.5), result(125.0, 7.0, False)]
+    metrics = [{"name": "items_per_s", "better": "higher"}, {"name": "item_p50_ms", "better": "lower"}]
+    assert load_script("bench_pairs").summarize(list(zip(ref, new)), metrics) == [
+        # ref 90/96/100/104/110: quartiles 96 and 104; every pair but the fourth is higher
+        "items_per_s: 100 -> 118 (x1.18), ref IQR 8, won 4/5",
+        # ref 8/9/10/11/12: quartiles 9 and 11; pairs 1 and 5 are lower, 2 and 3 tie
+        "item_p50_ms: 10 -> 8.5 (x0.85), ref IQR 2, won 2/5",
+        "pair 5 this: not correct, 2 of 40 failed",
+    ]
+
+
 def test_every_committed_csv_has_a_documented_run():
     assert set(RUNS) == {p.name for p in RESULTS.glob("*.csv")}
 
@@ -595,8 +622,11 @@ class TestErrorsAndDeterminism:
         ("family-curve --family werner --seed 1", "family-curve requires --N"),
         ("ancilla-check --dims 2,x --seed 1", "bad integer list '2,x'"),
         ("entropy --family werner --x 0.2", "--family requires --N"),
+        ("fig1 --q 2,0.5,2 --n-states 1 --trials 3 --seed 1", "--q lists 2 twice"),
+        ("triangle-scan --q 2,2 --s 1,1 --n-states 1 --seed 1", "--q and --s list the pair q=2, s=1 twice"),
+        ("entropy --family werner --N 2 --x 0 --q 0.5,0.5 --s 0", "--q and --s list the pair q=0.5, s=0 twice"),
     ], ids=["q s lengths", "non-numeric q", "three dims", "family-curve without N", "non-integer dims",
-            "family without N"])
+            "family without N", "fig1 repeated q", "triangle-scan repeated pair", "entropy repeated pair"])
     def test_argument_errors_are_named(self, line, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run(line.split() + ["--out", str(out)]) == 1
@@ -671,8 +701,10 @@ class TestErrorsAndDeterminism:
         ("fig1 --trials 0", "--trials must be >= 1, got 0"),
         ("ancilla-check --dims 2,2,2", "--dims must list exactly two dimensions"),
         ("triangle-scan --q 1,2 --s 1,2,3", "--q and --s lists must have matching lengths"),
+        ("fig1 --q 2,2", "--q lists 2 twice"),
+        ("triangle-scan --q 2,2 --s 1", "--q and --s list the pair q=2, s=1 twice"),
     ], ids=["measure-restarts", "measure-parameter", "measure-indices", "family-curve-grid", "fig1-trials",
-            "ancilla-check-dims", "triangle-scan-lists"])
+            "ancilla-check-dims", "triangle-scan-lists", "fig1-repeated-q", "triangle-scan-repeated-pair"])
     def test_negative_seed_is_checked_last(self, line, message, capsys):
         """The seed check comes after every other check, so each of their messages stands."""
         assert run([*line.split(), "--seed", "-1"]) == 1
