@@ -10,14 +10,18 @@ a descent into another cusp.  Prints one SHA-256 per call over ``value``,
 ``basin_hits`` and the argmin unitaries' bytes, with the value and the
 ``converged`` flag, then one digest over all 315.  Takes about 20 s;
 ``--against`` runs this script again on another checkout's src/ in a
-subprocess and exits 1 if any call's digest differs.  It prints each differing call's two values and their difference
-(this checkout's minus the other's), then per group (benchmark calls at
-s = 0 or q = 1, the other benchmark calls, the cusp gate at q = 0.3 and at
-q = 0.5) the count that differ and the largest move up and down, and how
-many calls report ``converged`` in each checkout and how many flipped.
+subprocess and exits 1 if any call's digest differs; an argument that is
+not a directory is a commit, exported with ``git archive`` into a temporary
+directory as ``bench_pairs.py`` does.  It prints each differing call's two
+values and their difference (this checkout's minus the other's), then per
+group (benchmark calls at s = 0 or q = 1, the other benchmark calls, the
+cusp gate at q = 0.3 and at q = 0.5) the count that differ and the largest
+move up and down, and how many calls report ``converged`` in each checkout
+and how many flipped.
 
     python scripts/check_search_bits.py
     python scripts/check_search_bits.py --against ../other-checkout
+    python scripts/check_search_bits.py --against HEAD~1
 """
 
 import argparse
@@ -27,6 +31,9 @@ import math
 import pathlib
 import subprocess
 import sys
+import tempfile
+
+from bench_pairs import export
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -78,18 +85,23 @@ def call_digests(src: pathlib.Path) -> tuple[list[str], list[str]]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=pathlib.Path, default=ROOT / "src", help="import qcorr from here")
-    parser.add_argument("--against", type=pathlib.Path, help="another checkout: print every call that differs")
+    parser.add_argument("--against", help="another checkout, or a commit: print every call that differs")
     args = parser.parse_args()
     groups, lines = call_digests(args.src.resolve())
     overall = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print("\n".join(lines) + f"\noverall: {overall}")
     if args.against is None:
         return 0
-    # the other run's errors pass through to stderr; a failed run raises here
-    other = subprocess.run(
-        [sys.executable, __file__, "--src", str(args.against.resolve() / "src")],
-        stdout=subprocess.PIPE, text=True, check=True,
-    ).stdout.splitlines()[:-1]
+    with tempfile.TemporaryDirectory(prefix="qcorr-bits-ref-") as tmp:
+        tree = pathlib.Path(args.against)
+        if not tree.is_dir():
+            tree = pathlib.Path(tmp)
+            export(args.against, tree)
+        # the other run's errors pass through to stderr; a failed run raises here
+        other = subprocess.run(
+            [sys.executable, __file__, "--src", str(tree.resolve() / "src")],
+            stdout=subprocess.PIPE, text=True, check=True,
+        ).stdout.splitlines()[:-1]
     moved = {group: [] for group in groups}  # the value differences, this checkout's minus the other's
     converged = {group: [0, 0, 0] for group in groups}  # calls converged here, there, and flipped
     for group, a, b in itertools.zip_longest(groups, lines, other, fillvalue=""):

@@ -193,12 +193,12 @@ def spectral_slope(p: np.ndarray, idx: EntropicIndices) -> np.ndarray:
     eigenvalues, or the joint outcome table); any axes before them are stack
     axes.  -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q),
     the slope of ln(Tr p^q) / (1-q).  The value counts
-    entries below the numerical-rank cut-off of ``measurement._flat_spectrum``
-    (N eps for a spectrum of N entries) as zero; there ln p and, for q < 1,
-    p^(q-1) diverge, so the slope takes them at that cut-off.
+    entries below ``linalg.rank_cutoff`` of a trace-one spectrum of N entries
+    (scale 1, as ``measurement._flat_spectrum`` cuts them) as zero; there
+    ln p and, for q < 1, p^(q-1) diverge, so the slope takes them at that cut-off.
     """
     n = p.shape[-2] * p.shape[-1]
-    pz = np.maximum(p, n * linalg.EPS)
+    pz = np.maximum(p, linalg.rank_cutoff(n, 1.0))
     if idx.regime is Regime.VON_NEUMANN:
         return -(np.log(pz) + 1.0)
     powers, scale = np.maximum(p, 0.0), idx.q / (1.0 - idx.q)
@@ -229,8 +229,8 @@ def max_entropy(n: int, idx: EntropicIndices) -> float:
 def relative_entropy(rho: linalg.DensityOperator, sigma: linalg.DensityOperator) -> float:
     """Quantum relative entropy S(rho||sigma) = Tr(rho (ln rho - ln sigma)).
 
-    Computed in sigma's eigenbasis.  Returns math.inf when rho has weight
-    above 1e-9 on a direction where sigma's eigenvalue is below 1e-12.
+    Computed in sigma's eigenbasis.  Returns math.inf when rho has weight above
+    1e-9 in sigma's kernel, the eigenvalues ``linalg.eig_hermitian`` cut to zero.
     """
     if rho.dim != sigma.dim:
         raise linalg.DimMismatch("states must share a Hilbert space")
@@ -238,10 +238,10 @@ def relative_entropy(rho: linalg.DensityOperator, sigma: linalg.DensityOperator)
     # weights of rho along sigma's eigenvectors
     d = np.real(np.einsum("ij,jk,ki->i", linalg.dag(v), rho.matrix, v))
     d = np.clip(d, 0.0, None)
-    tiny = w < 1e-12
-    if np.any(d[tiny] > 1e-9):
+    kernel = w == 0.0
+    if np.any(d[kernel] > 1e-9):
         return math.inf
-    cross = float(np.sum(d[~tiny] * np.log(w[~tiny])))
+    cross = float(np.sum(d[~kernel] * np.log(w[~kernel])))
     val = -spectral_sum(linalg.spectrum(rho), EntropicIndices(1.0, 1.0)) - cross
     # Klein inequality guarantees nonnegativity; clamp roundoff only
     return max(val, 0.0)

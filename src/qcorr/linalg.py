@@ -14,10 +14,9 @@ import numpy as np
 
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
-TOL_SCHMIDT = 1e-12
 TOL_UNITARY = 1e-10
 TOL_MAJORIZATION = 1e-10  # slack of each partial-sum comparison in majorizes
-EPS = float(np.finfo(float).eps)  # n EPS (times the largest eigenvalue) is the numerical-rank cut-off
+EPS = float(np.finfo(float).eps)  # machine epsilon, the unit of rank_cutoff
 
 
 class NotSquare(ValueError):
@@ -77,10 +76,10 @@ class DensityOperator:
 class SchmidtDecomposition:
     """Biorthogonal expansion of a bipartite pure state.
 
-    ``coefficients`` are the squared Schmidt coefficients above TOL_SCHMIDT in
-    decreasing order; ``basis_a``/``basis_b`` are complete orthonormal bases
-    whose k-th columns pair up in the expansion; ``schmidt_number`` counts the
-    retained coefficients.
+    ``coefficients`` are the squared Schmidt coefficients not below
+    ``rank_cutoff`` of the largest, in decreasing order; ``basis_a``/``basis_b``
+    are complete orthonormal bases whose k-th columns pair up in the
+    expansion; ``schmidt_number`` counts the retained coefficients.
     """
 
     coefficients: np.ndarray
@@ -196,28 +195,35 @@ def _eigh(h: np.ndarray):
         raise ConvergenceFailure(str(exc)) from exc
 
 
+def rank_cutoff(n: int, scale) -> float:
+    """n eps scale, the ``numpy.linalg.matrix_rank`` tolerance for n eigenvalues whose largest is ``scale``.
+
+    Every rank cut in the package zeros the entries below it (Golub and Van Loan,
+    Matrix Computations, 4th ed., sec. 5.4): at q < 1 an entry x adds about x^q to Tr p^q.
+    """
+    return n * EPS * scale
+
+
 def eig_hermitian(rho: DensityOperator):
     """Spectral decomposition of a state.
 
-    Returns (spectrum, basis): eigenvalues sorted decreasing and clipped at
-    zero, and the matching orthonormal eigenvector columns.
+    Returns (spectrum, basis): eigenvalues sorted decreasing and cut at
+    ``rank_cutoff`` of the largest, as ``spectrum`` cuts them, and the
+    matching orthonormal eigenvector columns.
     """
     w, v = _eigh(rho.matrix)
     order = np.argsort(w)[::-1]
-    return np.clip(w[order], 0.0, None), v[:, order]
+    w = w[order]
+    return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w), v[:, order]
 
 
 def spectrum(rho: DensityOperator) -> np.ndarray:
-    """Eigenvalues only, sorted decreasing; those below n eps lambda_max are zeroed.
-
-    That is the numerical-rank cut-off of ``numpy.linalg.matrix_rank``: below
-    it an eigenvalue is roundoff, which at q < 1 would add about p^q to Tr rho^q.
-    """
+    """Eigenvalues only, sorted decreasing; those below ``rank_cutoff`` of the largest are zeroed."""
     try:
         w = np.linalg.eigvalsh(rho.matrix)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return np.where(w < w.size * EPS * w[0], 0.0, w)
+    return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w)
 
 
 def hs_norm_sq(a) -> float:
@@ -238,7 +244,7 @@ def schmidt(psi, dims) -> SchmidtDecomposition:
         raise NotNormalized(f"norm {np.linalg.norm(psi):.12f} != 1")
     u, sv, vh = np.linalg.svd(psi.reshape(dims), full_matrices=True)
     lam = sv**2
-    n = int(np.count_nonzero(lam > TOL_SCHMIDT))
+    n = int(np.count_nonzero(lam >= rank_cutoff(lam.size, lam[0])))
     return SchmidtDecomposition(lam[:n], u, vh.T, n)
 
 

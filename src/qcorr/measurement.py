@@ -174,9 +174,9 @@ def _joint_probabilities(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.nd
 
 
 def _flat_spectrum(vals: np.ndarray) -> np.ndarray:
-    # the last two axes hold one spectrum of trace 1, so linalg.spectrum's rank cut-off is N eps
+    # the last two axes hold one spectrum of trace 1, so its rank cut-off takes scale 1
     vals = vals.reshape(vals.shape[:-2] + (-1,))
-    return np.where(vals < vals.shape[-1] * linalg.EPS, 0.0, vals)
+    return np.where(vals < linalg.rank_cutoff(vals.shape[-1], 1.0), 0.0, vals)
 
 
 def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:

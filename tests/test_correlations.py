@@ -520,6 +520,9 @@ def _rescaled_second_steps(rho, basis_a, basis_b, idx):
     ("restarts", 2.5, "restarts must be an integer, got 2.5"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("max_iter", 3.5, "max_iter must be an integer, got 3.5"),
+    # bool is an int subclass, so True would run one restart without a word
+    ("restarts", True, "restarts must be an integer, got True"),
+    ("seed", False, "seed must be an integer, got False"),
 ])
 def test_optimizer_options_name_each_out_of_range_field(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

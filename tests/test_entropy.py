@@ -341,6 +341,13 @@ class TestRelativeEntropy:
         zero = linalg.make_density(np.diag([1.0, 0.0]), [2])
         assert relative_entropy(plus_density(), zero) == math.inf
 
+    def test_tiny_eigenvalue_is_in_the_support(self):
+        # 1e-13 is far above sigma's rank cut-off 2 eps, so S is finite:
+        # -(ln(1 - 1e-13) + ln 1e-13) / 2
+        sigma = linalg.make_density(np.diag([1.0 - 1e-13, 1e-13]), [2])
+        exact = -0.5 * math.log1p(-1e-13) - 0.5 * math.log(1e-13)
+        assert abs(relative_entropy(plus_density(), sigma) - exact) <= 1e-12 * exact
+
     def test_nonnegative_with_equality_iff_equal(self, rng):
         for _ in range(25):
             rho = linalg.random_density(3, rng)

@@ -222,6 +222,20 @@ class TestPseudopureClosedForm:
         with pytest.raises(BadKind):
             pseudopure_closed_form(FamilySpec("werner", 2, 2, 0.5), "A", TS2)
 
+    @pytest.mark.parametrize("idx", [EntropicIndices(q, s) for q in (0.3, 1.0, 2.0) for s in (0.0, 1.0)])
+    def test_tiny_schmidt_weight_is_kept(self, idx):
+        # a Schmidt weight of 1e-13 is far above the rank cut-off 2 eps; dropping it
+        # leaves an after-spectrum of trace 1 - 1e-13 and a closed form near -4e-14 at q = 0.3
+        psi = np.zeros(4)
+        psi[0], psi[3] = math.sqrt(1.0 - 1e-13), math.sqrt(1e-13)
+        spec = FamilySpec("pseudopure", 2, 2, 1.0, psi=psi)
+        rho = build(spec)
+        closed = pseudopure_closed_form(spec, "A", idx)
+        found = measure_correlations(rho, "A", idx, OptimizerOptions(restarts=8, seed=1)).value
+        assert abs(found - closed) <= 1e-12
+        # a pure state saturates the entanglement lower bound
+        assert abs(correlations.entanglement_lower_bound(rho, idx) - closed) <= 1e-12
+
 
 class TestIsotropicClosedForm:
     @pytest.mark.parametrize("idx", IDX_GRID)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qcorr import linalg
+from qcorr import linalg, measurement
 from util import bell_density, plus_density, pure_density
 
 
@@ -188,6 +188,37 @@ class TestEig:
             spec, v = linalg.eig_hermitian(rho)
             assert_allclose((v * spec) @ v.conj().T, rho.matrix, atol=1e-9)
             assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_one_rank_rule_everywhere(big, low, high, seed):
+    # trace-one spectra with entries planted at half and at twice rank_cutoff: every rank cut
+    # zeros exactly the low ones and keeps every other entry bit for bit
+    big = np.array(big) / sum(big)
+    n = big.size + low + high
+    order = np.random.default_rng(seed).permutation(n)
+    planted_low = (order >= big.size) & (order < big.size + low)
+
+    def planted(scale):
+        cut = linalg.rank_cutoff(n, scale)
+        p = np.concatenate([big, np.full(low, 0.5 * cut), np.full(high, 2.0 * cut)])[order]
+        return p, np.where(planted_low, 0.0, p)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    p, kept = planted(big.max())  # a diagonal's eigenvalues are its entries, exactly
+    rho = linalg.DensityOperator(np.diag(p).astype(complex), (n,))
+    assert same_bits(linalg.spectrum(rho), np.sort(kept)[::-1])
+    assert same_bits(linalg.eig_hermitian(rho)[0], np.sort(kept)[::-1])
+    root = np.diag(np.sqrt(p)).astype(complex)
+    lam = np.linalg.svd(root)[1] ** 2  # the squared Schmidt coefficients before the cut
+    dec = linalg.schmidt(root.ravel(), (n, n))
+    assert dec.schmidt_number == n - low and same_bits(dec.coefficients, lam[: n - low])
+    p, kept = planted(1.0)  # a measured spectrum's scale
+    assert same_bits(measurement._flat_spectrum(p.reshape(1, n)), kept)
 
 
 class TestHSNorm:
