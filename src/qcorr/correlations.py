@@ -9,8 +9,9 @@ the local eigenbases of the reduced states (the exact optimum for pure and
 pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
-from one measured spectrum, and each exponential call covers all rows that
-need it; every row is its start's lone descent, bit for bit.  A basis is
+from one measured spectrum (``entropy.renyi_change_and_slope``), and each
+exponential call covers all rows that need it; every row is its start's
+lone descent, bit for bit.  A basis is
 carried as its unitary throughout: the starts, the argmin and the warm
 starts are ``LocalMeasurement``s, and ``qcorr measure`` prints the argmin's
 unitary entries.
@@ -46,7 +47,7 @@ from .entropy import (
     entropy_change,
     min_difference,
     purity_ratio_sums,
-    spectral_slope,
+    renyi_change_and_slope,
     spectral_sum,
     unified_entropy_spectrum,  # unused here; the benchmark's tracer wraps it under this module
     unified_from_renyi,
@@ -56,7 +57,6 @@ from .measurement import (
     LocalMeasurement,
     ProjectiveBasis,
     _blocks_side_a,
-    _flat_spectrum,
     _spectrum_side_a,
     _spectrum_side_ab,
     _spectrum_side_b,
@@ -204,10 +204,11 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
     spectral sum of its spectrum at q.  The returned ``evaluate`` takes one stack
     of unitaries (shape (R, n, n)) for side A or B and two for side AB, and
     returns one value per row and one real (R, sum n(n - 1)) gradient stack,
-    both from one measured spectrum.  With W the state in the rotated
-    product basis and F the matrix of the slopes in the measured eigenbasis
-    (diagonal for side AB, block-diagonal over the outcomes for side A),
-    the disturbance changes by Tr(K C), C = -i[W, F], under U -> U exp(iK)
+    both from one pass of ``renyi_change_and_slope`` over one measured
+    spectrum.  With W the state in the rotated product basis and F the
+    matrix of the slopes in the measured eigenbasis (diagonal for side AB,
+    block-diagonal over the outcomes for side A), the disturbance changes
+    by Tr(K C), C = -i[W, F], under U -> U exp(iK)
     on side A; the gradient is the partial trace of C over B, which has no
     diagonal, read off as ``_coordinates`` of x = Tr_B(W F).  Side A takes
     one ``eigh`` of the conditional blocks (``measurement._blocks_side_a``),
@@ -217,13 +218,9 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
     """
     idx = EntropicIndices(q, 0.0)
 
-    def measured(lam):
-        value = entropy_change(spectral_sum(_flat_spectrum(lam), idx), before, idx)
-        return value, spectral_slope(lam, idx)
-
     def conditional(blocks):
         lam, vec = np.linalg.eigh(blocks)
-        value, g = measured(lam)
+        value, g = renyi_change_and_slope(lam, before, idx)
         return value, (vec * g[..., None, :]) @ dag(vec)
 
     if side != "AB":
@@ -243,7 +240,7 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
             # and x_B[j, l] = sum_i W[ij, il] g[i, l]
             u = np.einsum("...ai,...bj->...abij", ua, ub).reshape(ua.shape[:-2] + rho.shape)
             w = (dag(u) @ rho @ u).reshape(ua.shape[:-2] + (na, nb, na, nb))
-            value, g = measured(np.einsum("...ijij->...ij", w).real)
+            value, g = renyi_change_and_slope(np.einsum("...ijij->...ij", w).real, before, idx)
             x_a = np.einsum("...ijkj,...kj->...ik", w, g)
             x_b = np.einsum("...ijil,...il->...jl", w, g)
             return value, np.concatenate([_coordinates(x_a), _coordinates(x_b)], axis=1)
@@ -263,9 +260,9 @@ def _exp_path(u: np.ndarray, c: np.ndarray):
     return lambda steps: (uv * np.exp(steps[:, None] * iw)[:, None, :]) @ vh
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> list:
-    """Tr(K_x K_y) over the sides, per row of two coordinate stacks, each from that row alone."""
-    return np.einsum("ri,ri->r", x, y).tolist()
+def _inner(x, y) -> list:
+    """Tr(K_x K_y) over the sides, per row of two coordinate stacks (or two sequences of them), each from that row alone."""
+    return np.einsum("...ri,...ri->...r", x, y).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +352,6 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     """
     f, g = evaluate(*us)
     f = f.tolist()
-    gg = _inner(g, g)
     d = -g
     h = np.tile(np.eye(g.shape[1]), (len(f), 1, 1))
     ends = np.cumsum([u.shape[-1] * (u.shape[-1] - 1) for u in us]).tolist()
@@ -373,6 +369,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
         ended.add(k)
 
     for it in range(opts.max_iter + 1):
+        gg, slope, dd = _inner((g, d, d), (g, g, d))  # |g|^2, the slope and |d|^2, in one call
         for k in range(len(rows)):  # the rows in ended stalled in the last line search
             if k not in ended and (gg[k] < GRAD_TOL * GRAD_TOL or decreased[k] or it == opts.max_iter):
                 settle(k, it)
@@ -380,10 +377,9 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
             keep = [k for k in range(len(rows)) if k not in ended]
             ended.clear()
             us, g, d, h, scaled = tuple(u[keep] for u in us), g[keep], d[keep], h[keep], scaled[keep]
-            f, gg, nfev, rows, decreased = ([c[k] for k in keep] for c in (f, gg, nfev, rows, decreased))
+            f, gg, slope, dd, nfev, rows, decreased = ([c[k] for k in keep] for c in (f, gg, slope, dd, nfev, rows, decreased))
         if not rows:
             break
-        slope, dd = _inner(d, g), _inner(d, d)
         step = []
         for k, (s, unit) in enumerate(zip(slope, scaled.tolist())):
             if s >= 0.0:  # not a descent direction: restart along -g
@@ -402,7 +398,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
             # evaluated; the others repeat the point they already accepted
             steps = np.array(step)
             trial = tuple(path(steps) for path in paths)
-            values, grads = evaluate(*(x.take(pending, axis=0) for x in trial))
+            values, grads = evaluate(*(x if len(pending) == len(rows) else x.take(pending, axis=0) for x in trial))
             g_new[pending] = grads
             retry = []
             for k, value in zip(pending, values.tolist()):
@@ -425,8 +421,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
         decreased = [not back and f0 - f1 <= DECREASE_TOL * abs(f1) for f0, f1, back in zip(f, f_trial, backtracked)]
         us, f = trial, f_trial
         h, scaled = _bfgs_update(h, scaled, np.array(step)[:, None] * d, g_new - g)
-        g, gg = g_new, _inner(g_new, g_new)
-        d = _bfgs_direction(h, g)
+        g, d = g_new, _bfgs_direction(h, g_new)
     return out
 
 
@@ -486,7 +481,7 @@ def measure_correlations(
         stacks = [np.concatenate([s, u]) for s, u in zip(stacks, drawn)]
 
     runs = _lockstep(evaluate, tuple(stacks), opts)
-    values = [unified_from_renyi(r.fun, idx) for r in runs]
+    values = unified_from_renyi(np.array([r.fun for r in runs]), idx).tolist()
     best, value = min(zip(runs, values), key=lambda pair: pair[1])
     bases = {f"basis_{name.lower()}": ProjectiveBasis(u) for name, u in zip(side, best.unitaries)}
     return CorrelationResult(

@@ -10,9 +10,9 @@ through two array functions over the last axis: ``spectral_sum`` reduces a
 spectrum (or a stack of them) to the sum its entropy is built from, and
 ``entropy_change`` maps two such sums to the purity-rescaled entropy
 change.  Beside them, ``purity_ratio_sums`` maps two sums to the purity ratio,
-``unified_from_renyi`` maps the Renyi measure to the (q, s) one, ``spectral_slope``
-differentiates it by each entry of a spectrum, and ``min_difference`` minimizes a
-weighted ``entropy_change`` over a stack.  These six kernels are the package's one
+``unified_from_renyi`` maps the Renyi measure to the (q, s) one, ``renyi_change_and_slope``
+gives its change and its slope by each entry of a spectrum in one pass, and ``min_difference``
+minimizes a weighted ``entropy_change`` over a stack.  These six kernels are the package's one
 switch between the von Neumann, Renyi and unified regimes: no other module branches on ``Regime``.
 """
 
@@ -186,27 +186,39 @@ def purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
     return np.exp(idx.s * (after_sum - before_sum))
 
 
-def spectral_slope(p: np.ndarray, idx: EntropicIndices) -> np.ndarray:
-    """dR/dp, the derivative of the Renyi measure R of p (von Neumann at q = 1) by each entry of p, whatever s.
+def renyi_change_and_slope(p: np.ndarray, before_sum: float, idx: EntropicIndices):
+    """R(p) - R(before) and dR/dp, for the Renyi measure R (von Neumann at q = 1) of p, whatever s.
 
-    The spectrum fills the last two axes of p (outcomes by conditional
-    eigenvalues, or the joint outcome table); any axes before them are stack
-    axes.  -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q),
-    the slope of ln(Tr p^q) / (1-q).  The value counts
-    entries below ``linalg.rank_cutoff`` of a trace-one spectrum of N entries
-    (scale 1, as ``measurement._flat_spectrum`` cuts them) as zero; there
-    ln p and, for q < 1, p^(q-1) diverge, so the slope takes them at that cut-off.
+    The spectrum fills the last two axes of p (outcomes by conditional eigenvalues, or the joint
+    outcome table); any axes before them are stack axes, and ``before_sum`` is the spectral_sum before.
+    The value counts entries below ``linalg.rank_cutoff`` of a trace-one spectrum of N entries (scale 1)
+    as zero: it is entropy_change(spectral_sum(cut p), before_sum) bit for bit, and raises where that does.
+    The slope is -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q), whose Tr p^q keeps the
+    uncut positive entries; ln p and, for q < 1, p^(q-1) diverge, so it takes cut entries at the cut-off.
     """
     n = p.shape[-2] * p.shape[-1]
-    pz = np.maximum(p, linalg.rank_cutoff(n, 1.0))
+    cut = linalg.rank_cutoff(n, 1.0)
+    below = p < cut  # NaN is kept, and counts as positive
+    cuts = below.any()
+    if cuts and below.all(axis=(-2, -1)).any():
+        raise ValueError("spectrum has no positive weight")
+    flat = p.shape[:-2] + (n,)
     if idx.regime is Regime.VON_NEUMANN:
-        return -(np.log(pz) + 1.0)
-    powers, scale = np.maximum(p, 0.0), idx.q / (1.0 - idx.q)
-    if idx.q * math.log(n) > UNDERFLOW_LOG:  # as in log_power_sum: factor out the largest entry
+        log = np.log(np.maximum(p, cut))
+        terms = np.where(below, 0.0, p * log) if cuts else p * log
+        return -_row_sums(terms.reshape(flat)) - before_sum, -(log + 1.0)
+    q, top = idx.q, None
+    powers, pz, scale = np.maximum(p, 0.0), np.maximum(p, cut), q / (1.0 - q)
+    if q * math.log(n) > UNDERFLOW_LOG:  # as in log_power_sum: factor out the largest entry
         top = p.max(axis=(-2, -1), keepdims=True)
         powers, pz, scale = powers / top, pz / top, scale / top[..., 0, 0]
-    total = (powers**idx.q).sum(axis=(-2, -1))  # Tr p^q, over top^q when factored
-    return (scale / total)[..., None, None] * pz ** (idx.q - 1.0)
+    powers = powers**q  # p^q, over top^q when factored
+    trace = powers.sum(axis=(-2, -1))  # Tr p^q; numpy adds the last two axes as _row_sums adds a flat row
+    total = np.log(_row_sums(np.where(below, 0.0, powers).reshape(flat)) if cuts else trace)
+    if top is not None:
+        total = total + q * np.log(top[..., 0, 0])
+    slope = (scale / trace)[..., None, None] * pz ** (q - 1.0)
+    return (total - before_sum) / (1.0 - q), slope
 
 
 def unified_entropy_spectrum(p, idx: EntropicIndices):

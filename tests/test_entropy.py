@@ -20,7 +20,7 @@ from qcorr.entropy import (
     log_power_sum,
     max_entropy,
     relative_entropy,
-    spectral_slope,
+    renyi_change_and_slope,
     spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
@@ -117,7 +117,7 @@ class TestSpectralSlope:
         # fills the last two axes, and the first is a stack axis
         rng = np.random.default_rng(67)
         p = rng.dirichlet(np.ones(6), 3).reshape(3, 2, 3)
-        slope = spectral_slope(p, idx)
+        slope = renyi_change_and_slope(p, 0.0, idx)[1]
         assert slope.shape == p.shape
 
         def value(row):
@@ -130,6 +130,62 @@ class TestSpectralSlope:
             down[i, j] -= h
             numeric = (value(up) - value(down)) / (2.0 * h)
             assert abs(slope[r, i, j] - numeric) <= 1e-7 * max(1.0, abs(numeric))
+
+
+def chained_change_and_slope(p, before, idx):
+    """The measured value and slope as once computed: the cut spectrum through spectral_sum and
+    entropy_change, and the slope from its own pass, whose Tr p^q keeps the entries below the cut."""
+    n = p.shape[-2] * p.shape[-1]
+    value = entropy_change(spectral_sum(measurement._flat_spectrum(p), idx), before, idx)
+    pz = np.maximum(p, linalg.rank_cutoff(n, 1.0))
+    if idx.regime is Regime.VON_NEUMANN:
+        return value, -(np.log(pz) + 1.0)
+    powers, scale = np.maximum(p, 0.0), idx.q / (1.0 - idx.q)
+    if idx.q * math.log(n) > UNDERFLOW_LOG:
+        top = p.max(axis=(-2, -1), keepdims=True)
+        powers, pz, scale = powers / top, pz / top, scale / top[..., 0, 0]
+    total = (powers**idx.q).sum(axis=(-2, -1))
+    return value, (scale / total)[..., None, None] * pz ** (idx.q - 1.0)
+
+
+def outcome(fn, *args):
+    """fn's result, or the ValueError it raised, as comparable bytes."""
+    try:
+        with np.errstate(all="ignore"):
+            return [np.asarray(x).tobytes() for x in fn(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(1, 2, 2), (5, 2, 3), (3, 3, 3), (2, 2, 4), (256, 2, 2), (300, 2, 3), (256, 3, 3)]),
+    st.one_of(st.just(1.0), st.floats(0.05, 5.0), st.floats(0.1, 2.0).map(lambda x: x * UNDERFLOW_LOG / math.log(4.0))),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.3),
+    st.booleans(),
+)
+def test_change_and_slope_is_the_chain_bit_for_bit(shape, q, before, seed, odd, dead):
+    """One pass gives the chain's value and slope to the last bit, or raises where it raises.
+
+    Each draw replaces a share ``odd`` of a stack of trace-one rows with zeros, entries below the
+    cut-off, small negative entries and NaN, and a ``dead`` stack has a first row with nothing left
+    above the cut; q ln N falls on both sides of UNDERFLOW_LOG, and 256 or more rows of under 8
+    entries take ``_row_sums``' column path.
+    """
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(shape[1] * shape[2]), shape[0])
+    cut = linalg.rank_cutoff(p.shape[-1], 1.0)
+    kinds = rng.choice(5, size=p.shape, p=[1.0 - odd] + [odd / 4] * 4)
+    odd_values = [p, np.zeros_like(p), rng.uniform(0.0, cut, p.shape), -rng.uniform(0.0, cut, p.shape),
+                  np.full_like(p, math.nan)]
+    p = np.choose(kinds, odd_values)
+    if dead:
+        p[0] = odd_values[rng.integers(1, 4)][0]
+    p = p.reshape(shape)
+    idx = EntropicIndices(q, 0.0)
+    assert outcome(renyi_change_and_slope, p, before, idx) == outcome(chained_change_and_slope, p, before, idx)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcorr"
@@ -238,7 +294,7 @@ class TestLargeQ:
     def test_slope(self):
         # q p^(q-1) / ((1-q) Tr p^q), with Tr p^q = 2 0.6^q (1 + (0.4/0.6)^q / 2) far below the smallest double
         q, p = 2000.0, np.array([[[0.6, 0.0], [0.4, 0.0]]])
-        slope = spectral_slope(p, EntropicIndices(q, 0.0))
+        slope = renyi_change_and_slope(p, 0.0, EntropicIndices(q, 0.0))[1]
         log_total = scaled_log_power_sum([0.6, 0.4], q)
         assert abs(slope[0, 0, 0] - q / (1 - q) * math.exp((q - 1) * math.log(0.6) - log_total)) < 1e-12
         assert abs(slope[0, 1, 0] - q / (1 - q) * math.exp((q - 1) * math.log(0.4) - log_total)) < 1e-12
