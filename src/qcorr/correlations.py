@@ -10,8 +10,8 @@ pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
 from one measured spectrum (``entropy.renyi_change_and_slope``), and each
-exponential call covers all rows that need it; every row is its start's
-lone descent, bit for bit.  A basis is
+exponential call covers all rows that need it, in closed form on a measured
+qubit; every row is its start's lone descent, bit for bit.  A basis is
 carried as its unitary throughout: the starts, the argmin and the warm
 starts are ``LocalMeasurement``s, and ``qcorr measure`` prints the argmin's
 unitary entries.
@@ -251,11 +251,17 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
 def _exp_path(u: np.ndarray, c: np.ndarray):
     """steps -> u exp(i step K), row by row, with K = c @ B on ``_tangent_basis``.
 
-    ``u`` holds unitaries, ``c`` one direction per row and ``steps`` one
-    step length per row.  Each K is diagonalized once, by one stacked
+    ``u`` holds unitaries, ``c`` one direction per row and ``steps`` one step length per row.  A qubit's
+    K^2 = r^2 I, r = |c| / sqrt 2, gives u exp(i t K) = cos(t r) u + sin(t r) i u K / r: one matmul per
+    path, and a row with r = 0 stays at u.  For n >= 3 each K is diagonalized once, by one stacked
     ``eigh``, and every step reuses u times its eigenbasis: one matmul.
     """
-    w, v = np.linalg.eigh((c[:, None] @ _tangent_basis(u.shape[-1])[0])[:, 0].reshape(u.shape))
+    k = (c[:, None] @ _tangent_basis(u.shape[-1])[0])[:, 0].reshape(u.shape)
+    if u.shape[-1] == 2:
+        r = np.hypot(c[:, 0], c[:, 1]) / math.sqrt(2.0)
+        iuk = 1j * (u @ k) / np.where(r > 0.0, r, 1.0)[:, None, None]
+        return lambda steps: np.cos(angle := (steps * r)[:, None, None]) * u + np.sin(angle) * iuk
+    w, v = np.linalg.eigh(k)
     uv, vh, iw = u @ v, dag(v), 1j * w
     return lambda steps: (uv * np.exp(steps[:, None] * iw)[:, None, :]) @ vh
 

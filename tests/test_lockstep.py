@@ -470,15 +470,81 @@ def test_side_b_is_side_a_of_the_swapped_state(dims, idx):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_exp_path_is_the_matrix_exponential(n):
-    """``_exp_path(u, c)(steps)`` is u exp(i step K), K = c @ B, row by row, global phase included."""
+    """``_exp_path(u, c)(steps)`` is u exp(i step K), K = c @ B, row by row, global phase included.
+
+    The rows include a zero direction, which stays at u exactly, and directions of norm 1e-160 and
+    1e-200, whose |c|^2 underflows; steps reach 50 rad, and every result is unitary to 1e-14.
+    """
     rng = np.random.default_rng([43, n])
-    u = linalg.haar_from_normals(rng.standard_normal((6, 2 * n * n)), n)
-    c = rng.standard_normal((6, n * (n - 1)))
+    u = linalg.haar_from_normals(rng.standard_normal((10, 2 * n * n)), n)
+    c = rng.standard_normal((10, n * (n - 1)))
+    c[6] = 0.0
+    c[7:9] *= np.array([[1e-160], [1e-200]]) / np.linalg.norm(c[7:9], axis=1, keepdims=True)
     k = tangent_matrices(c, n)
-    steps = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0])
+    steps = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 50.0, 50.0, 50.0, 50.0])
     moved = correlations._exp_path(u, c)(steps)
     for row, step in enumerate(steps):
         np.testing.assert_allclose(moved[row], u[row] @ expm(1j * step * k[row]), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(linalg.dag(moved) @ moved, np.broadcast_to(np.eye(n), moved.shape), rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(moved[6], u[6])
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("state", ["product", "diag(0.3, 0.7) x I/2"])
+def test_side_ab_row_with_a_still_side(monkeypatch, state, q):
+    """A side-AB row whose B half of every direction is exactly zero keeps its B basis, with no warning.
+
+    rho_B is diagonal and the warm start (row 1) measures B in the standard basis, so the rotated
+    state has no B off-diagonal entry and B's gradient, step and BFGS block stay exactly zero: the
+    qubit exponential meets r = 0 inside ``_lockstep`` and must return u for that row.
+    """
+    rng = np.random.default_rng(47)
+    a = linalg.random_density(2, rng) if state == "product" else linalg.make_density(np.diag([0.3, 0.7]), (2,))
+    b = linalg.make_density(np.diag([0.2, 0.8]) if state == "product" else np.eye(2) / 2, (2,))
+    warm = LocalMeasurement("AB", ProjectiveBasis(linalg.haar_unitary(2, rng)), ProjectiveBasis(np.eye(2)))
+    still_rows, exp_path = [], correlations._exp_path
+
+    def spy(u, c):
+        still, path = ~c.any(axis=1), exp_path(u, c)
+        still_rows.append(int(still.sum()))
+
+        def moved(steps):
+            out = path(steps)
+            np.testing.assert_array_equal(out[still], u[still])
+            return out
+
+        return moved
+
+    monkeypatch.setattr(correlations, "_exp_path", spy)
+    calls = record_rows(monkeypatch)
+    res = measure_correlations(linalg.tensor(a, b), "AB", EntropicIndices(q, 1.0), OptimizerOptions(restarts=8, seed=2),
+                               warm_starts=(warm,))
+    assert sum(still_rows) > 0
+    assert abs(res.value) <= 1e-14
+    (_, runs), = calls
+    np.testing.assert_array_equal(runs[1].unitaries[1], np.eye(2))
+
+
+@pytest.mark.parametrize("side", ["A", "B", "AB"])
+def test_qubit_search_diagonalizes_no_direction(monkeypatch, side):
+    """A 2x2 search calls ``eigh`` only on the conditional blocks and for the eigenbasis starts.
+
+    Each step follows the qubit exponential in closed form; a stacked (R, 2, 2) ``eigh`` of the
+    directions would show here.
+    """
+    rho = linalg.random_density((2, 2), np.random.default_rng(53))
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    res = measure_correlations(rho, side, TS2, OptimizerOptions(restarts=8, seed=5))
+    starts, blocks = ([s for s in shapes if len(s) == ndim] for ndim in (2, 4))
+    assert res.iterations > 0
+    assert len(starts) == len(side) and len(starts) + len(blocks) == len(shapes)
+    assert len(blocks) > 0 if side != "AB" else not blocks
 
 
 def record_bfgs(monkeypatch):
