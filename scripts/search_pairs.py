@@ -12,9 +12,11 @@ runs then enters the comparison.  A pass runs ``measure_correlations`` on the
 57 items of the benchmark's ``measure`` workload (perfbench/workloads.py's
 ``measure_items`` at ``--seed``, imported read-only) at its 8 restarts, once
 in each tree, the first tree alternating from pass to pass.  Prints, for each
-tree, the median and the minimum pass time, then the median over passes of
-this checkout's time over REF's, the number of passes this checkout won, and
-the largest |value difference| between the trees over all items.
+tree, the median and the minimum pass time, then the interquartile range of
+REF's pass times (inclusive method, as ``bench_pairs.summarize``) and whether
+the two medians differ by more than it, then the median over passes of this
+checkout's time over REF's, the number of passes this checkout won, and the
+largest |value difference| between the trees over all items.
 """
 
 import argparse
@@ -77,6 +79,10 @@ def main(argv=None) -> int:
     for name in trees:
         print(f"{name}: median pass {statistics.median(times[name]):.4f} s, fastest {min(times[name]):.4f} s"
               f" ({len(items[name])} items)")
+    q1, _, q3 = statistics.quantiles(times["ref"], n=4, method="inclusive") if args.passes > 1 else (0.0,) * 3
+    gap = statistics.median(times["this"]) - statistics.median(times["ref"])
+    print(f"ref IQR {q3 - q1:.4f} s; the medians differ by {gap:+.4f} s,"
+          f" {'more' if abs(gap) > q3 - q1 else 'no more'} than that")
     ratios = [b / a for a, b in zip(times["ref"], times["this"])]
     won = sum(r < 1.0 for r in ratios)
     largest = max(abs(a - b) for a, b in zip(values["ref"], values["this"]))

@@ -343,18 +343,22 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     each retry is the minimizer of the quadratic through the current value,
     slope and failed trial, kept within [0.1, 0.5] of the failed step.
 
-    The rows descend in lockstep.  Each line-search round makes one stacked
+    The rows descend in lockstep, and row r is start r from the first
+    iteration to the last.  Each line-search round makes one stacked
     ``evaluate`` call on the rows whose trial is pending, which gives their
     values and their gradients together, so an accepted trial already has
     its gradient; a rejected trial pays for one it does not use.  Every row
     keeps its own step, slope, inverse Hessian and stopping state under the
-    rules of a lone descent.  Each iteration first settles, in this order,
-    the rows whose gradient norm is below GRAD_TOL, whose last full first
-    step lowered the value by at most DECREASE_TOL of it, or that ran
-    ``max_iter`` iterations, and trims them off the stack together with the
-    rows whose line search stalled; the last pass only settles.  Each kernel
-    computes a row from that row's data alone, so row r is the lone descent
-    from start r in every field, whatever else the stack holds.
+    rules of a lone descent.  A row whose line search stalls gets back the
+    point, value and gradient it had before its failed trials.  Every stop
+    is settled at one site, the top of each iteration: the rows whose
+    gradient norm is below GRAD_TOL, whose last line search stalled or whose
+    last full first step lowered the value by at most DECREASE_TOL of it, or
+    that ran ``max_iter`` iterations; the last pass only settles.  An ended
+    row keeps its place with a zero gradient and direction, so it takes no
+    step, is never evaluated and gets no BFGS update.  Each kernel computes
+    a row from that row's data alone, so row r is the lone descent from
+    start r in every field, whatever else the stack holds.
     """
     f, g = evaluate(*us)
     f = f.tolist()
@@ -363,54 +367,42 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     ends = np.cumsum([u.shape[-1] * (u.shape[-1] - 1) for u in us]).tolist()
     parts = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
     scaled = np.zeros(len(f), dtype=bool)  # the rows whose h is an inverse Hessian
-    rows = list(range(len(f)))  # the start each live row descends from
     nfev = [1] * len(f)
-    decreased = [False] * len(f)  # the row's last full first step met the decrease test
+    stop = [False] * len(f)  # the row's last iteration stalled, or its full first step met the decrease test
     out = [None] * len(f)
-    ended = set()  # live rows settled since the stack was last trimmed
-
-    def settle(k, nit):  # success is stationarity, by one rule at every stop
-        success = gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k])
-        out[rows[k]] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], nit, success)
-        ended.add(k)
-
     for it in range(opts.max_iter + 1):
         gg, slope, dd = _inner((g, d, d), (g, g, d))  # |g|^2, the slope and |d|^2, in one call
-        for k in range(len(rows)):  # the rows in ended stalled in the last line search
-            if k not in ended and (gg[k] < GRAD_TOL * GRAD_TOL or decreased[k] or it == opts.max_iter):
-                settle(k, it)
-        if ended:  # the stack loses the rows that ended
-            keep = [k for k in range(len(rows)) if k not in ended]
-            ended.clear()
-            us, g, d, h, scaled = tuple(u[keep] for u in us), g[keep], d[keep], h[keep], scaled[keep]
-            f, gg, slope, dd, nfev, rows, decreased = ([c[k] for k in keep] for c in (f, gg, slope, dd, nfev, rows, decreased))
-        if not rows:
+        for k in range(len(f)):
+            if out[k] is None and (gg[k] < GRAD_TOL * GRAD_TOL or stop[k] or it == opts.max_iter):
+                success = gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k])  # stationarity
+                out[k] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], it, success)
+                g[k] = d[k] = 0.0
+        pending = [k for k, run in enumerate(out) if run is None]
+        if not pending:
             break
-        step = []
-        for k, (s, unit) in enumerate(zip(slope, scaled.tolist())):
-            if s >= 0.0:  # not a descent direction: restart along -g
+        step, unit = [0.0] * len(f), scaled.tolist()
+        for k in pending:
+            if slope[k] >= 0.0:  # not a descent direction: restart along -g
                 d[k] = -g[k]
-                slope[k] = s = -gg[k]
+                slope[k] = -gg[k]
                 dd[k] = gg[k]
             cap = 0.5 / math.sqrt(dd[k])
-            step.append(min(1.0, cap) if unit else cap)
+            step[k] = min(1.0, cap) if unit[k] else cap
         paths = [_exp_path(u, d[:, part]) for u, part in zip(us, parts)]
-        backtracked = [False] * len(rows)
-        f_trial = [0.0] * len(rows)
-        g_new = np.empty_like(g)
-        pending = list(range(len(rows)))
+        backtracked = [False] * len(f)
+        f_trial, g_new, stalled = list(f), g.copy(), []
         while pending:
             # every row moves by its current step and the pending rows are
             # evaluated; the others repeat the point they already accepted
             steps = np.array(step)
             trial = tuple(path(steps) for path in paths)
-            values, grads = evaluate(*(x if len(pending) == len(rows) else x.take(pending, axis=0) for x in trial))
+            values, grads = evaluate(*(x if len(pending) == len(f) else x.take(pending, axis=0) for x in trial))
             g_new[pending] = grads
             retry = []
             for k, value in zip(pending, values.tolist()):
                 nfev[k] += 1
-                f_trial[k] = value
                 if value <= f[k] + ARMIJO * step[k] * slope[k]:
+                    f_trial[k] = value
                     continue
                 backtracked[k] = True
                 curvature = value - f[k] - slope[k] * step[k]
@@ -419,12 +411,18 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
                 if step[k] * math.sqrt(dd[k]) >= MIN_ANGLE:
                     retry.append(k)
                 else:  # a stall
-                    settle(k, it + 1)
+                    stalled.append(k)
             pending = retry
 
         # a small decrease after backtracking reflects a poor trial step, not
         # a flat objective, so only a full first step can end the descent
-        decreased = [not back and f0 - f1 <= DECREASE_TOL * abs(f1) for f0, f1, back in zip(f, f_trial, backtracked)]
+        stop = [not back and f0 - f1 <= DECREASE_TOL * abs(f1) for f0, f1, back in zip(f, f_trial, backtracked)]
+        if stalled:  # back to the point and gradient before the failed trials, to be settled next
+            for x, u in zip(trial, us):
+                x[stalled] = u[stalled]
+            g_new[stalled] = g[stalled]
+            for k in stalled:
+                stop[k] = True
         us, f = trial, f_trial
         h, scaled = _bfgs_update(h, scaled, np.array(step)[:, None] * d, g_new - g)
         g, d = g_new, _bfgs_direction(h, g_new)

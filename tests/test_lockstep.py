@@ -32,7 +32,9 @@ def reference_descent(evaluate, us, opts):
     kernels (``evaluate``, ``_exp_path``, ``_inner`` and the BFGS update and
     direction) on a stack of one row, so its arithmetic is that of
     ``lone_descent`` and the results must be equal.  Gradients and directions
-    are coordinate rows, each side's columns in turn.
+    are coordinate rows, each side's columns in turn.  Returns a
+    ``LocalSearch`` whose unitaries are the end point's: after a stall, the
+    point before the failed trials.
     """
     us = tuple(u[None] for u in us)
     f, g = evaluate(*us)
@@ -42,7 +44,7 @@ def reference_descent(evaluate, us, opts):
 
     def result(nit, grad2):
         # success is stationarity, whichever test ended the descent
-        return (f, nit, nfev, stationary(f, grad2), math.sqrt(grad2))
+        return correlations.LocalSearch(f, tuple(u[0] for u in us), math.sqrt(grad2), nfev, nit, stationary(f, grad2))
 
     d = -g
     for it in range(opts.max_iter):
@@ -131,20 +133,17 @@ def test_minimize_matches_per_restart_loop(state, side, idx, max_iter):
     starts += [[linalg.haar_unitary(n, rng) for n in side_dims(rho, side)] for _ in range(3)]
     for start in starts:
         run = lone_descent(evaluate, start, opts)
-        reference = reference_descent(evaluate, start, opts)
-        assert (run.fun, run.nit, run.nfev, run.success, run.grad_norm) == reference
+        assert_same_run(run, reference_descent(evaluate, start, opts))
         # the boundaries of the one site that settles stops: no iteration,
         # one, and the caps just before and at the run's own end, where the
         # cap and the test that ended the run fire in the same pass
         for cap in (0, 1, run.nit - 1, run.nit):
             capped = OptimizerOptions(restarts=1, max_iter=max(cap, 0))
-            short = lone_descent(evaluate, start, capped)
-            reference = reference_descent(evaluate, start, capped)
-            assert (short.fun, short.nit, short.nfev, short.success, short.grad_norm) == reference
+            assert_same_run(lone_descent(evaluate, start, capped), reference_descent(evaluate, start, capped))
     # the same starts as one stack: each row is its start's lone descent
     stacked = correlations._lockstep(evaluate, tuple(np.array(s) for s in zip(*starts)), opts)
-    for start, row in zip(starts, stacked):
-        assert (row.fun, row.nit, row.nfev, row.success, row.grad_norm) == reference_descent(evaluate, start, opts)
+    for start, row in zip(starts, stacked, strict=True):
+        assert_same_run(row, reference_descent(evaluate, start, opts))
 
 
 def side_dims(rho, side):
