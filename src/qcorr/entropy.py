@@ -193,8 +193,8 @@ def renyi_change_and_slope(p: np.ndarray, before_sum: float, idx: EntropicIndice
     outcome table); any axes before them are stack axes, and ``before_sum`` is the spectral_sum before.
     The value counts entries below ``linalg.rank_cutoff`` of a trace-one spectrum of N entries (scale 1)
     as zero: it is entropy_change(spectral_sum(cut p), before_sum) bit for bit, and raises where that does.
-    The slope is -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q), whose Tr p^q keeps the
-    uncut positive entries; ln p and, for q < 1, p^(q-1) diverge, so it takes cut entries at the cut-off.
+    The slope is -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q), with the value's Tr p^q of
+    the cut spectrum; ln p and, for q < 1, p^(q-1) diverge, so it takes cut entries at the cut-off.
     """
     n = p.shape[-2] * p.shape[-1]
     cut = linalg.rank_cutoff(n, 1.0)
@@ -213,8 +213,9 @@ def renyi_change_and_slope(p: np.ndarray, before_sum: float, idx: EntropicIndice
         top = p.max(axis=(-2, -1), keepdims=True)
         powers, pz, scale = powers / top, pz / top, scale / top[..., 0, 0]
     powers = powers**q  # p^q, over top^q when factored
-    trace = powers.sum(axis=(-2, -1))  # Tr p^q; numpy adds the last two axes as _row_sums adds a flat row
-    total = np.log(_row_sums(np.where(below, 0.0, powers).reshape(flat)) if cuts else trace)
+    # Tr p^q of the cut spectrum; numpy adds the last two axes as _row_sums adds a flat row
+    trace = _row_sums(np.where(below, 0.0, powers).reshape(flat)) if cuts else powers.sum(axis=(-2, -1))
+    total = np.log(trace)
     if top is not None:
         total = total + q * np.log(top[..., 0, 0])
     slope = (scale / trace)[..., None, None] * pz ** (q - 1.0)

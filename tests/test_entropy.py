@@ -133,18 +133,19 @@ class TestSpectralSlope:
 
 
 def chained_change_and_slope(p, before, idx):
-    """The measured value and slope as once computed: the cut spectrum through spectral_sum and
-    entropy_change, and the slope from its own pass, whose Tr p^q keeps the entries below the cut."""
+    """The measured value and slope as a chain: the cut spectrum through spectral_sum and
+    entropy_change, and the slope from its own pass, whose Tr p^q is that of the same cut spectrum."""
     n = p.shape[-2] * p.shape[-1]
-    value = entropy_change(spectral_sum(measurement._flat_spectrum(p), idx), before, idx)
+    cut = measurement._flat_spectrum(p)
+    value = entropy_change(spectral_sum(cut, idx), before, idx)
     pz = np.maximum(p, linalg.rank_cutoff(n, 1.0))
     if idx.regime is Regime.VON_NEUMANN:
         return value, -(np.log(pz) + 1.0)
-    powers, scale = np.maximum(p, 0.0), idx.q / (1.0 - idx.q)
+    powers, scale = np.maximum(cut, 0.0), idx.q / (1.0 - idx.q)
     if idx.q * math.log(n) > UNDERFLOW_LOG:
         top = p.max(axis=(-2, -1), keepdims=True)
-        powers, pz, scale = powers / top, pz / top, scale / top[..., 0, 0]
-    total = (powers**idx.q).sum(axis=(-2, -1))
+        powers, pz, scale = powers / top[..., 0], pz / top, scale / top[..., 0, 0]
+    total = (powers**idx.q).sum(axis=-1)
     return value, (scale / total)[..., None, None] * pz ** (idx.q - 1.0)
 
 
@@ -186,6 +187,19 @@ def test_change_and_slope_is_the_chain_bit_for_bit(shape, q, before, seed, odd, 
     p = p.reshape(shape)
     idx = EntropicIndices(q, 0.0)
     assert outcome(renyi_change_and_slope, p, before, idx) == outcome(chained_change_and_slope, p, before, idx)
+
+
+def test_slope_is_that_of_the_cut_value():
+    """An entry below the cut-off counts as zero in the slope's Tr p^q, as in the value.
+
+    p = (0.6, 0.4 - 3e-16, 3e-16, 0) at q = 0.3: the first slope is
+    q 0.6^(q-1) / ((1-q) (0.6^q + (0.4 - 3e-16)^q)), which a Tr p^q that kept
+    the 3e-16 entry would move by -1.4e-5 of itself.
+    """
+    p = np.array([[[0.6, 0.4 - 3e-16], [3e-16, 0.0]]])
+    assert 3e-16 < linalg.rank_cutoff(4, 1.0)
+    slope = renyi_change_and_slope(p, 0.0, EntropicIndices(0.3, 1.0))[1]
+    assert_allclose(slope[0, 0, 0], 0.37883745905225563, rtol=1e-15, atol=0.0)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcorr"
