@@ -5,17 +5,24 @@ Runs scripts/reproduce.py's ``RUNS`` in this process, with this checkout's src/ 
 For each CSV, prints "identical" when its "#" metadata lines, header and rows match the committed file
 byte for byte, and otherwise the number of rows that moved, the largest absolute difference in each
 numeric column that moved and the number of cells changed in each other column (a flag such as
-``*_holds`` or ``violated``); then the run's wall time.  Ends with the line count of src/qcorr.
+``*_holds`` or ``violated``); then the run's wall time.  Ends with the line count of src/qcorr and the
+time to import ``qcorr`` and ``qcorr.cli``: the median over 7 fresh interpreters with
+PYTHONDONTWRITEBYTECODE=1, timed after numpy is imported.  With no ``__pycache__`` under src/ (that setting
+writes none), each import compiles src/qcorr from source, as the benchmark's ``setup_s`` laps do.
 Exits 1 on any difference or failed run.
 
     python scripts/check_results.py
 """
 
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+IMPORT_PROBE = "import time, numpy; t = time.perf_counter(); import qcorr, qcorr.cli; print(time.perf_counter() - t)"
 
 
 def split(path):
@@ -53,6 +60,14 @@ def compare(new, old) -> list[str]:
     return notes
 
 
+def import_seconds(runs: int = 7) -> float:
+    """Median seconds to import qcorr and qcorr.cli from src/ in ``runs`` fresh interpreters, numpy already imported."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    probe = [sys.executable, "-c", IMPORT_PROBE]
+    return statistics.median(
+        float(subprocess.run(probe, env=env, capture_output=True, text=True, check=True).stdout) for _ in range(runs))
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))  # reproduce imports qcorr from this checkout
     from reproduce import run_all
@@ -72,6 +87,7 @@ def main() -> int:
             failed |= bool(notes)
     lines = sum(len(path.read_bytes().splitlines()) for path in (ROOT / "src" / "qcorr").glob("*.py"))
     print(f"src/qcorr: {lines} lines")
+    print(f"import qcorr, qcorr.cli: {1e3 * import_seconds():.1f} ms (median of 7 fresh interpreters, from source)")
     return 1 if failed else 0
 
 

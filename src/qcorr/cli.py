@@ -15,7 +15,6 @@ errors: the exit status is nonzero only on hard failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -355,7 +354,7 @@ def cmd_triangle_scan(args) -> int:
         rho = linalg.random_density((2, 2), np.random.default_rng([args.seed, state_id]))
         reports = correlations.triangle_analysis(rho, [EntropicIndices(q, s) for q, s in pairs], opts)
         for (q, s), report in zip(pairs, reports):
-            rows.append(dict(state_id=state_id, q=q, s=s, **dataclasses.asdict(report)))
+            rows.append(dict(state_id=state_id, q=q, s=s, **report._asdict()))
     counts = [f"{flag}_violations={sum(not row[flag + '_holds'] for row in rows)}"
               for flag in ("triangle", "sandwich", "ordering")]
     write_csv(args.out, cfg, rows, [" ".join([f"summary: rows={len(rows)}", *counts])])

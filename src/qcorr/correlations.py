@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +117,8 @@ def _unitary_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
     return (v * np.exp(1.0j * w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
+@linalg.validated
+class OptimizerOptions(NamedTuple):
     """Search budget: ``restarts`` descents, each stopped by a test or at ``max_iter``.
 
     A descent stops when its Riemannian gradient norm falls below GRAD_TOL,
@@ -134,7 +134,7 @@ class OptimizerOptions:
     seed: int = 0
     max_iter: int = 2000
 
-    def __post_init__(self):
+    def _check(self):
         for name, low in (("restarts", 1), ("seed", 0), ("max_iter", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -143,14 +143,14 @@ class OptimizerOptions:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """The minimized measure and the evidence behind it.
 
     ``spread`` is the range of the restarts' Renyi values mapped to (q, s),
     and ``basin_hits`` the number of them within BASIN_TOL of the best.
     ``converged`` and ``grad_norm`` describe the restart that gave ``value``:
-    its Renyi search ended at a stationary point (``LocalSearch.success``),
+    its Renyi search ended at a stationary point (``LocalSearch.success``,
+    on the roundoff scale of R_q(rho), so an exact minimum 0 is one),
     where ``value`` has that Riemannian gradient norm.  ``iterations`` and ``nfev``
     (objective values) are totals over the restarts.  ``argmin`` is the
     measurement that gave ``value``.
@@ -167,8 +167,7 @@ class CorrelationResult:
     nfev: int
 
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(NamedTuple):
     """The three minimized measures, Delta_0 and Delta_1, and the relations ``qcorr triangle-scan`` flags.
 
     Delta_0 and Delta_1 are D_A + D_B - D_AB at the bilocal argmin (Pi*_A, Pi*_B) and at
@@ -271,14 +270,16 @@ def _inner(x, y) -> list:
     return np.einsum("...ri,...ri->...r", x, y).tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class LocalSearch:
+class LocalSearch(NamedTuple):
     """Outcome of one restart: ``fun`` at ``unitaries``, on the scale of the stopping tests (Renyi in ``measure_correlations``).
 
     ``success`` is stationarity at the end point, by one rule whichever test
     stopped the restart (gradient, decrease, stall or ``max_iter``): the
     gradient norm is below GRAD_TOL, or its square is at most DECREASE_TOL
-    times |fun| (roundoff near a smooth minimum).  A decrease test or a stall
+    times |fun| + ``_lockstep``'s ``entropy``, the entropy ``fun`` is a change
+    from (R_q(rho) in ``measure_correlations``, else 0): roundoff near a
+    smooth minimum scales with the entropies, not with their difference, so
+    an exact minimum 0 passes too.  A decrease test or a stall
     at a cusp, where a measured probability reaches 0 and p^q has an
     infinite slope at q < 1, is not a success.
     """
@@ -324,7 +325,7 @@ def _bfgs_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -(h @ g[:, :, None])[:, :, 0]
 
 
-def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
+def _lockstep(evaluate, us, opts: OptimizerOptions, entropy: float = 0.0) -> list[LocalSearch]:
     """Riemannian BFGS on U(n) (x U(m)), one descent per row.
 
     ``evaluate`` is an ``_objective_factory`` function.  ``us`` holds one
@@ -354,7 +355,8 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
     is settled at one site, the top of each iteration: the rows whose
     gradient norm is below GRAD_TOL, whose last line search stalled or whose
     last full first step lowered the value by at most DECREASE_TOL of it, or
-    that ran ``max_iter`` iterations; the last pass only settles.  An ended
+    that ran ``max_iter`` iterations; the last pass only settles.  Success
+    is judged there on the scale |f| + ``entropy`` (``LocalSearch``).  An ended
     row keeps its place with a zero gradient and direction, so it takes no
     step, is never evaluated and gets no BFGS update.  Each kernel computes
     a row from that row's data alone, so row r is the lone descent from
@@ -374,7 +376,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions) -> list[LocalSearch]:
         gg, slope, dd = _inner((g, d, d), (g, g, d))  # |g|^2, the slope and |d|^2, in one call
         for k in range(len(f)):
             if out[k] is None and (gg[k] < GRAD_TOL * GRAD_TOL or stop[k] or it == opts.max_iter):
-                success = gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * abs(f[k])  # stationarity
+                success = gg[k] < GRAD_TOL * GRAD_TOL or gg[k] <= DECREASE_TOL * (abs(f[k]) + entropy)
                 out[k] = LocalSearch(f[k], tuple(u[k] for u in us), math.sqrt(gg[k]), nfev[k], it, success)
                 g[k] = d[k] = 0.0
         pending = [k for k, run in enumerate(out) if run is None]
@@ -484,7 +486,8 @@ def measure_correlations(
         drawn = linalg.haar_batch(np.random.default_rng(opts.seed), haar, dims)
         stacks = [np.concatenate([s, u]) for s, u in zip(stacks, drawn)]
 
-    runs = _lockstep(evaluate, tuple(stacks), opts)
+    entropy = entropy_change(before, 0.0, EntropicIndices(idx.q, 0.0))  # R_q(rho), the scale of LocalSearch.success
+    runs = _lockstep(evaluate, tuple(stacks), opts, entropy)
     values = unified_from_renyi(np.array([r.fun for r in runs]), idx).tolist()
     best, value = min(zip(runs, values), key=lambda pair: pair[1])
     bases = {f"basis_{name.lower()}": ProjectiveBasis(u) for name, u in zip(side, best.unitaries)}

@@ -19,8 +19,8 @@ switch between the von Neumann, Renyi and unified regimes: no other module branc
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class Regime(Enum):
     UNIFIED = "unified"
 
 
-@dataclass(frozen=True)
-class EntropicIndices:
+@linalg.validated
+class EntropicIndices(NamedTuple):
     """Index pair (q, s); both finite, q positive.
 
     q within REGIME_TOL of 1 selects the von Neumann limit regardless of s;
@@ -55,7 +55,7 @@ class EntropicIndices:
     q: float
     s: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.q) and math.isfinite(self.s)):
             raise BadIndices(f"q and s must be finite, got q={self.q}, s={self.s}")
         if not self.q > 0:

@@ -18,7 +18,6 @@ spectra, so this module does not branch on the regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,8 +36,8 @@ class BadParameter(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class FamilySpec:
+@linalg.validated
+class FamilySpec(NamedTuple):
     """One-parameter family member: kind, side dimensions and mix parameter.
 
     The parameter is p in [0, 1] for pseudopure, y in [1/N^2, 1] for
@@ -54,7 +53,7 @@ class FamilySpec:
     parameter: float
     psi: np.ndarray | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in KINDS:
             raise BadKind(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.n_a < 1 or self.n_b < 1:

@@ -1,14 +1,15 @@
 """Dense complex linear algebra for small multipartite quantum states.
 
-Everything operates on plain numpy arrays wrapped in a few thin dataclasses.
+Everything operates on plain numpy arrays wrapped in a few thin NamedTuples.
 States live on Hilbert spaces of total dimension <= ~64, so clarity and
 robustness win over asymptotic performance throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,26 @@ class NotFinite(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+def validated(fields: type) -> type:
+    """The NamedTuple ``fields`` as a type whose every construction runs its ``_check``.
+
+    The returned class subclasses ``fields`` under the same name.  Its ``__new__`` builds the tuple,
+    by position or by keyword with ``fields``' defaults, then calls ``_check``, which raises on an
+    invalid record; ``_make`` and ``_replace`` go through ``__new__`` too.
+    """
+    @functools.wraps(fields.__new__)  # keeps the field signature for help() and inspect
+    def __new__(cls, *args, **kwargs):
+        record = fields.__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    return type(fields.__name__, (fields,), dict(
+        __slots__=(), __new__=__new__, __doc__=fields.__doc__, __module__=fields.__module__,
+        _make=classmethod(lambda cls, values: cls(*values)),
+    ))
+
+
+class DensityOperator(NamedTuple):
     """Trace-one positive semidefinite matrix with a declared subsystem split.
 
     Construct through :func:`make_density`, which hermitizes, clips tiny
@@ -72,8 +91,7 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
+class SchmidtDecomposition(NamedTuple):
     """Biorthogonal expansion of a bipartite pure state.
 
     ``coefficients`` are the squared Schmidt coefficients not below

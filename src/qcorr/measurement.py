@@ -17,7 +17,7 @@ and the rescale factor and the purity ratio come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +40,13 @@ def check_side(side: str) -> None:
         raise ValueError(f"side must be A, B or AB, got {side!r}")
 
 
-@dataclass(frozen=True)
-class ProjectiveBasis:
+@linalg.validated
+class ProjectiveBasis(NamedTuple):
     """Orthonormal basis given as unitary columns; P_i = |col_i><col_i|."""
 
     unitary: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         linalg.check_unitary(self.unitary)
 
     @property
@@ -54,15 +54,15 @@ class ProjectiveBasis:
         return self.unitary.shape[0]
 
 
-@dataclass(frozen=True)
-class LocalMeasurement:
+@linalg.validated
+class LocalMeasurement(NamedTuple):
     """A projective measurement on side A, B, or both, of a bipartite split."""
 
     side: str
     basis_a: ProjectiveBasis | None = None
     basis_b: ProjectiveBasis | None = None
 
-    def __post_init__(self):
+    def _check(self):
         check_side(self.side)
         for name, basis in zip("AB", (self.basis_a, self.basis_b)):
             if name in self.side and basis is None:
@@ -74,12 +74,12 @@ class LocalMeasurement:
         return tuple(b.unitary for name, b in zip("AB", (self.basis_a, self.basis_b)) if name in self.side)
 
 
-@dataclass(frozen=True)
-class ConditionalDecomposition:
+class ConditionalDecomposition(NamedTuple):
     """Outcome probabilities and conditional states of a local measurement.
 
     For side A (B), ``conditionals`` holds the post-outcome states of the
-    unmeasured side, with None where the outcome probability is below 1e-12.
+    unmeasured side, with None where the outcome probability is below
+    ``linalg.rank_cutoff`` of the N outcomes at scale 1 (they sum to one).
     For side AB, ``probabilities`` is the joint (N_A, N_B) table and
     ``conditionals`` is empty.
     """
@@ -89,8 +89,7 @@ class ConditionalDecomposition:
     conditionals: tuple[DensityOperator | None, ...]
 
 
-@dataclass(frozen=True)
-class DisturbanceReport:
+class DisturbanceReport(NamedTuple):
     entropy_before: float
     entropy_after: float
     purity_ratio: float
@@ -222,9 +221,9 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
         t = _swap_sides(t)
     blocks = _blocks_side_a(t, *m.unitaries)
     probs = np.clip(np.real(np.trace(blocks, axis1=1, axis2=2)), 0.0, None)
-    conditionals = []
+    conditionals, cut = [], linalg.rank_cutoff(len(probs), 1.0)
     for blk, p in zip(blocks, probs):
-        if p < 1e-12:
+        if p < cut:
             conditionals.append(None)
             continue
         c = blk / p

@@ -272,6 +272,25 @@ class TestRiemannianSearch:
         assert abs(res.value - exact.value) <= 1e-11
         assert res.grad_norm <= 1e-6
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_exact_zero_minimum_is_converged(self, q):
+        """A state without measurement-induced correlations on a side reports ``converged`` at its minimum 0.
+
+        Roundoff near that minimum scales with R_q(rho), not with the value:
+        under the rule |g|^2 <= DECREASE_TOL |value| alone, 6 of the 9
+        product-state calls and 1 of the 3 side-A calls on the
+        classical-quantum state report False, at gradient norms up to 2.3e-8.
+        """
+        rng = np.random.default_rng(5)
+        a, b = linalg.random_density(2, rng), linalg.random_density(2, rng)
+        product = linalg.make_density(np.kron(a.matrix, b.matrix), (2, 2))
+        classical_a = cq_state(np.random.default_rng(1), 3, 2, probs=np.array([0.5, 0.3, 0.2]))
+        opts = OptimizerOptions(restarts=8, seed=1)
+        for rho, sides in ((product, ("A", "B", "AB")), (classical_a, ("A",))):
+            for side in sides:
+                res = measure_correlations(rho, side, EntropicIndices(q, 1.0), opts)
+                assert abs(res.value) <= 1e-13 and res.converged, (side, res.value, res.grad_norm)
+
     def test_cusp_stall_is_not_converged(self):
         # a rank-2 3x3 state at q = 0.3: restarts stall where a measured
         # probability reaches 0 and p^q has an infinite slope

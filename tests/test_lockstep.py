@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import OptimizerOptions, measure_correlations
-from qcorr.entropy import EntropicIndices, spectral_sum, unified_from_renyi
+from qcorr.entropy import EntropicIndices, spectral_sum, unified_entropy, unified_from_renyi
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
 from util import cc_state, cq_state
 
@@ -87,9 +87,9 @@ def lone_descent(evaluate, start, opts):
     return run
 
 
-def stationary(f, grad2):
-    """The stationarity test: a gradient below GRAD_TOL, or one promising at most DECREASE_TOL of the value."""
-    return grad2 < correlations.GRAD_TOL * correlations.GRAD_TOL or grad2 <= correlations.DECREASE_TOL * abs(f)
+def stationary(f, grad2, entropy=0.0):
+    """The stationarity test: a gradient below GRAD_TOL, or one promising at most DECREASE_TOL of |f| + ``entropy``."""
+    return grad2 < correlations.GRAD_TOL * correlations.GRAD_TOL or grad2 <= correlations.DECREASE_TOL * (abs(f) + entropy)
 
 
 def side_columns(c, us):
@@ -154,8 +154,8 @@ def record_rows(monkeypatch):
     """Collect the per-row results (and inputs) of every lockstep call."""
     calls, lockstep = [], correlations._lockstep
 
-    def spy(evaluate, us, opts):
-        runs = lockstep(evaluate, us, opts)
+    def spy(evaluate, us, opts, entropy=0.0):
+        runs = lockstep(evaluate, us, opts, entropy)
         calls.append((us, runs))
         return runs
 
@@ -265,11 +265,13 @@ def test_success_means_stationary_at_a_cusp(monkeypatch):
     norm of 0.044.
     """
     calls = record_rows(monkeypatch)
-    measure_correlations(cusp_gate_state(0), "AB", EntropicIndices(0.5, 1.0), OptimizerOptions(restarts=8, seed=0))
+    rho = cusp_gate_state(0)
+    measure_correlations(rho, "AB", EntropicIndices(0.5, 1.0), OptimizerOptions(restarts=8, seed=0))
     (_, runs), = calls
     assert max(r.grad_norm for r in runs) > 1e-2
+    entropy = unified_entropy(rho, EntropicIndices(0.5, 0.0))
     for r in runs:
-        assert not r.success or stationary(r.fun, r.grad_norm**2), (r.fun, r.grad_norm, r.nit)
+        assert not r.success or stationary(r.fun, r.grad_norm**2, entropy), (r.fun, r.grad_norm, r.nit)
 
 
 def haar_warm_start(side, dims, seed):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qcorr import correlations, families, linalg
 from qcorr.entropy import EntropicIndices, Regime, relative_entropy
-from qcorr.linalg import DimMismatch
+from qcorr.linalg import DensityOperator, DimMismatch
 from qcorr.measurement import (
     LocalMeasurement,
     ProjectiveBasis,
@@ -241,6 +241,22 @@ class TestConditionalDecomposition:
         assert_allclose(dec.probabilities, [1.0, 0.0], atol=1e-15)
         assert dec.conditionals[1] is None
         assert_allclose(dec.conditionals[0].matrix, np.eye(2) / 2, atol=1e-15)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_outcomes_cut_at_the_rank_cutoff(self, side):
+        # outcome probabilities 1e-14 and 1e-16 on three outcomes: the first is
+        # above the cut 3 eps, though below 1e-12, and the second is below it
+        weights = np.array([1.0 - 1e-14 - 1e-16, 1e-14, 1e-16])
+        half = np.diag([0.25, 0.75])
+        pair = (np.diag(weights), half) if side == "A" else (half, np.diag(weights))
+        rho = DensityOperator(np.kron(*pair), (3, 2) if side == "A" else (2, 3))
+        m = LocalMeasurement(side, **{f"basis_{side.lower()}": computational(3)})
+        dec = conditional_decomposition(rho, m)
+        assert 1e-16 < linalg.rank_cutoff(3, 1.0) < 1e-14
+        assert_allclose(dec.probabilities, weights, rtol=1e-12, atol=0.0)
+        assert dec.conditionals[2] is None
+        for cond in dec.conditionals[:2]:
+            assert_allclose(cond.matrix, half, rtol=1e-12, atol=0.0)
 
     def test_joint_probabilities_for_ab(self, rng):
         rho = linalg.random_density((2, 2), rng)
