@@ -80,7 +80,7 @@ def test_validating_record_raises_its_named_error(valid, field, bad, error, mess
 
 
 def test_import_leaves_out_dataclasses():
-    """No qcorr module imports dataclasses, whose class building was most of the package's import time."""
+    """No qcorr module imports dataclasses, whose class building was most of the module-body time of the import."""
     src = pathlib.Path(qcorr.__file__).resolve().parent.parent
     code = "import sys, qcorr, qcorr.cli; sys.exit('dataclasses' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
