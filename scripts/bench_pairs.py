@@ -9,9 +9,8 @@ worktree is added and this checkout is not touched.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in the
 exported tree and once here, one run at a time, with the first side
 alternating from pair to pair.  For each end-to-end metric of
-BENCHMARK.json it prints REF's median, this checkout's median, their ratio,
-REF's interquartile range and the number of pairs this checkout won, then
-every run that did not read ``correct: true``.
+BENCHMARK.json it prints ``compare``'s medians, ratio, REF's interquartile
+range and pairs won, then every run that did not read ``correct: true``.
 """
 
 import argparse
@@ -43,25 +42,26 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
-    """One line per metric over (ref result, this result) pairs, then one per run that was not correct.
+def compare(ref: list[float], new: list[float], higher: bool) -> tuple[float, float, float, float, int]:
+    """Over paired values: REF's median, the new median, new over REF, REF's IQR (inclusive quartiles, as numpy's
+    default percentile) and the pairs won, a win being a new value strictly higher, or lower if not ``higher``."""
+    won = sum((b > a) if higher else (b < a) for a, b in zip(ref, new))
+    q1, _, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else (ref[0],) * 3
+    ref_median, new_median = statistics.median(ref), statistics.median(new)
+    return ref_median, new_median, new_median / ref_median, q3 - q1, won
 
-    A result is run.py's last line: ``correct``, ``attempted``, ``failed``
-    and ``metrics``, each metric a dict with its ``value``.  ``metrics`` are
-    BENCHMARK.json's ``end_to_end`` entries.  A pair is won when this
-    checkout's value is strictly better in the metric's direction.  The IQR
-    is the distance between the quartiles of REF's runs (inclusive method,
-    as numpy's default percentile).
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
+    """Per metric, ``compare`` over (ref result, this result) pairs; then each run that was not correct.
+
+    A result is run.py's last line: ``correct``, ``attempted``, ``failed`` and ``metrics``, each metric
+    a dict with its ``value``.  ``metrics`` are BENCHMARK.json's ``end_to_end`` entries.
     """
     lines = []
     for metric in metrics:
-        name, higher = metric["name"], metric["better"] == "higher"
-        ref, new = ([result["metrics"][name]["value"] for result in side] for side in zip(*pairs))
-        won = sum((b > a) if higher else (b < a) for a, b in zip(ref, new))
-        q1, _, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else (ref[0],) * 3
-        ref_median, new_median = statistics.median(ref), statistics.median(new)
-        lines.append(f"{name}: {ref_median:.6g} -> {new_median:.6g} (x{new_median / ref_median:.4g}), "
-                     f"ref IQR {q3 - q1:.3g}, won {won}/{len(pairs)}")
+        ref, new = ([result["metrics"][metric["name"]]["value"] for result in side] for side in zip(*pairs))
+        a, b, ratio, iqr, won = compare(ref, new, metric["better"] == "higher")
+        lines.append(f"{metric['name']}: {a:.6g} -> {b:.6g} (x{ratio:.4g}), ref IQR {iqr:.3g}, won {won}/{len(pairs)}")
     for k, pair in enumerate(pairs):
         for side, result in zip(("ref", "this"), pair):
             if not result["correct"]:

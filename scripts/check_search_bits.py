@@ -1,95 +1,150 @@
 #!/usr/bin/env python3
 """Digest the benchmark's measure calls and the cusp-gate calls, to check that a change moves no bit of the search.
 
-Runs ``measure_correlations`` on the benchmark workload's 57 items at seeds
-1, 2 and 20260810 (perfbench/workloads.py's ``measure_items``, imported
+    python scripts/check_search_bits.py
+    python scripts/check_search_bits.py --against HEAD~1 --passes 20 --seed 1
+
+Runs ``measure_correlations`` on the benchmark workload's 57 items at seeds 1,
+2 and 20260810 (perfbench/workloads.py's ``measure_items``, imported
 read-only), and on ROADMAP item 4's 24 cusp-gate states at q in {0.3, 0.5},
-every side, 8 restarts, seed = state index, where a last-bit change can send
-a descent into another cusp.  Prints one SHA-256 per call over ``value``,
+every side, 8 restarts, seed = state index, where a last-bit change can send a
+descent into another cusp.  Prints one SHA-256 per call over ``value``,
 ``nfev``, ``iterations``, ``grad_norm``, ``converged``, ``spread``,
 ``basin_hits`` and the argmin unitaries' bytes, with the value and the
-``converged`` flag, then one digest over all 315.  Takes about 20 s;
-``--against`` runs this script again on another checkout's src/ in a
-subprocess and exits 1 if any call's digest differs; an argument that is
-not a directory is a commit, exported with ``git archive`` into a temporary
-directory as ``bench_pairs.py`` does.  It prints each differing call's two
-values and their difference (this checkout's minus the other's), then per
-group (benchmark calls at s = 0 or q = 1, the other benchmark calls, the
-cusp gate at q = 0.3 and at q = 0.5) the count that differ and the largest
-move up and down, and how many calls report ``converged`` in each checkout
-and how many flipped.
+``converged`` flag, then one digest over all 315.  On a 2-vCPU shared host it
+took 6.6-8.6 s, and 12.9-14.5 s with ``--against``.
 
-    python scripts/check_search_bits.py
-    python scripts/check_search_bits.py --against ../other-checkout
-    python scripts/check_search_bits.py --against HEAD~1
+``--against REF`` (a checkout's directory, or a commit, exported by
+``bench_pairs.export``) imports REF's src/qcorr into this process too, under
+another name (the package's imports are all relative), digests the same
+calls with it and exits 1 if any differs.  It prints each differing call's
+two values and their difference (this checkout's minus REF's), then per
+group (benchmark calls at s = 0 or q = 1, the other benchmark calls, the
+cusp gate at q = 0.3 and at q = 0.5) the count that differ, the largest move
+up and down, and the calls converged in each tree and flipped.  ``--passes
+N`` then times N passes over the 57 items at ``--seed`` in each tree, the
+first alternating, and prints each tree's median and fastest pass, then by
+``bench_pairs.compare`` REF's IQR and whether the medians differ by more,
+this median over REF's, the passes won and the largest |value difference|.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 import math
 import pathlib
-import subprocess
 import sys
 import tempfile
+import time
 
-from bench_pairs import export
+import numpy as np
+
+from bench_pairs import compare, export
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def calls(qcorr, np):
-    """(group, label, rho, side, indices, options) of every digested call."""
+def load(src: pathlib.Path, name: str):
+    """The package at ``src``/qcorr, imported as the top-level module ``name``."""
+    package = src / "qcorr"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_calls(qc, seed: int):
+    """(group, label, rho, side, indices, options) of the benchmark's ``measure`` items at ``seed``."""
     import workloads
 
-    for seed in (1, 2, 20260810):
-        for k, it in enumerate(workloads.measure_items(qcorr, seed)):
-            opts = qcorr.OptimizerOptions(restarts=workloads.RESTARTS, seed=it.opt_seed)
-            group = "benchmark, s = 0 or q = 1" if it.s == 0.0 or it.q == 1.0 else "benchmark, other"
-            yield group, f"{seed} {k} {it.label}", it.rho, it.side, qcorr.EntropicIndices(it.q, it.s), opts
-    # the cusp-gate states: per rank and dims, four mixtures of random pure states, from one stream
+    for k, it in enumerate(workloads.measure_items(qc, seed)):
+        opts = qc.OptimizerOptions(restarts=workloads.RESTARTS, seed=it.opt_seed)
+        group = "benchmark, s = 0 or q = 1" if it.s == 0.0 or it.q == 1.0 else "benchmark, other"
+        yield group, f"{seed} {k} {it.label}", it.rho, it.side, qc.EntropicIndices(it.q, it.s), opts
+
+
+def cusp_calls(qc):
+    """The cusp gate's calls, as ``bench_calls``: per rank and dims, four mixtures of random pure states."""
     rng = np.random.default_rng(7)
     for k, (rank, dims, _) in enumerate(itertools.product((2, 3), ((2, 2), (2, 3), (3, 3)), range(4))):
         weights = rng.dirichlet(np.ones(rank))
-        vectors = [qcorr.random_pure(dims, rng) for _ in range(rank)]
-        rho = qcorr.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)), dims)
+        vectors = [qc.random_pure(dims, rng) for _ in range(rank)]
+        rho = qc.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)), dims)
         for q, side in itertools.product((0.3, 0.5), ("A", "B", "AB")):
-            opts = qcorr.OptimizerOptions(restarts=8, seed=k)
-            yield f"cusp gate, q = {q}", f"cusp {k} rank {rank} {dims} q={q} {side}", rho, side, qcorr.EntropicIndices(q, 1.0), opts
+            opts = qc.OptimizerOptions(restarts=8, seed=k)
+            yield f"cusp gate, q = {q}", f"cusp {k} rank {rank} {dims} q={q} {side}", rho, side, qc.EntropicIndices(q, 1.0), opts
 
 
-def call_digests(src: pathlib.Path) -> tuple[list[str], list[str]]:
-    """Each call's group, and its "label: sha256 value converged=flag" line, with qcorr imported from ``src``."""
-    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import numpy as np
-
-    import qcorr
-
-    groups, lines = [], []
-    for group, label, rho, side, idx, opts in calls(qcorr, np):
-        res = qcorr.measure_correlations(rho, side, idx, opts)
-        h = hashlib.sha256(repr((
-            float(res.value).hex(), res.nfev, res.iterations, float(res.grad_norm).hex(),
-            bool(res.converged), float(res.spread).hex(), res.basin_hits,
-        )).encode())
-        for basis in (res.argmin.basis_a, res.argmin.basis_b):
-            if basis is not None:
-                u = np.ascontiguousarray(basis.unitary)
-                h.update(repr((u.dtype.str, u.shape)).encode() + u.tobytes())
-        groups.append(group)
-        lines.append(f"{label}: {h.hexdigest()} {float(res.value)!r} converged={bool(res.converged)}")
-    return groups, lines
+def digest(qc, group: str, label: str, *args) -> tuple[str, str, float, bool]:
+    """(group, "label: sha256 value converged=flag", value, converged) of one call, with the package ``qc``."""
+    res = qc.measure_correlations(*args)
+    h = hashlib.sha256(repr((float(res.value).hex(), res.nfev, res.iterations, float(res.grad_norm).hex(),
+                             bool(res.converged), float(res.spread).hex(), res.basin_hits)).encode())
+    for basis in (res.argmin.basis_a, res.argmin.basis_b):
+        if basis is not None:
+            u = np.ascontiguousarray(basis.unitary)
+            h.update(repr((u.dtype.str, u.shape)).encode() + u.tobytes())
+    value, converged = float(res.value), bool(res.converged)
+    return group, f"{label}: {h.hexdigest()} {value!r} converged={converged}", value, converged
 
 
-def main() -> int:
+def digests(qc) -> list[tuple[str, str, float, bool]]:
+    """``digest`` of every call: the benchmark's at three seeds, then the cusp gate's."""
+    calls = itertools.chain(*(bench_calls(qc, seed) for seed in (1, 2, 20260810)), cusp_calls(qc))
+    return [digest(qc, *call) for call in calls]
+
+
+def differences(here: list, there: list) -> tuple[list[str], int]:
+    """The lines that report where two trees' ``digests`` differ, per call and per group, and the count that differ."""
+    lines, groups = [], {}
+    for (group, a, value, conv), (_, b, other, other_conv) in zip(here, there, strict=True):
+        moved, counts = groups.setdefault(group, ([], [0, 0, 0, 0]))  # calls, converged here, there, flipped
+        counts[:] = [n + flag for n, flag in zip(counts, (1, conv, other_conv, conv != other_conv))]
+        if a != b:
+            moved.append(value - other)
+            lines.append(f"differs: {a.rsplit(':', 1)[0]}: {value!r} against {other!r}, difference {moved[-1]:.3g}"
+                         f" ({moved[-1] / abs(other) if other else math.inf:.3g} relative)")
+    for group, (moved, (calls, conv, other_conv, flipped)) in groups.items():
+        sizes = f"; largest move up {max(moved):.3g}, down {min(moved):.3g}" if moved else ""
+        lines.append(f"{group}: {len(moved)} of {calls} calls differ{sizes};"
+                     f" converged on {conv} here, {other_conv} there, {flipped} flipped")
+    return lines, sum(len(moved) for moved, _ in groups.values())
+
+
+def timed_passes(trees: dict, seed: int, passes: int) -> list[str]:
+    """The lines that compare ``passes`` timed passes over the ``measure`` items at ``seed`` in the two ``trees``."""
+    calls = {name: [call[2:] for call in bench_calls(qc, seed)] for name, qc in trees.items()}
+    times, values = {name: [] for name in trees}, {}
+    for k in range(passes):
+        for name in list(trees)[::1 if k % 2 == 0 else -1]:
+            start = time.perf_counter()
+            values[name] = [trees[name].measure_correlations(*call).value for call in calls[name]]
+            times[name].append(time.perf_counter() - start)
+    ref_median, this_median, ratio, iqr, won = compare(times["ref"], times["this"], higher=False)
+    gap, largest = this_median - ref_median, max(abs(a - b) for a, b in zip(values["ref"], values["this"]))
+    return [f"{name}: median pass {median:.4f} s, fastest {min(times[name]):.4f} s ({len(calls[name])} items)"
+            for name, median in (("ref", ref_median), ("this", this_median))] + [
+        f"ref IQR {iqr:.4f} s; the medians differ by {gap:+.4f} s, {'more' if abs(gap) > iqr else 'no more'} than that",
+        f"this / ref: median ratio {ratio:.4f}, this won {won} of {passes} passes; largest |value difference| {largest:.3g}"]
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=pathlib.Path, default=ROOT / "src", help="import qcorr from here")
     parser.add_argument("--against", help="another checkout, or a commit: print every call that differs")
-    args = parser.parse_args()
-    groups, lines = call_digests(args.src.resolve())
-    overall = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print("\n".join(lines) + f"\noverall: {overall}")
+    parser.add_argument("--passes", type=int, default=0, help="then time this many passes in each tree")
+    parser.add_argument("--seed", type=int, default=1, help="the seed of the timed passes' items")
+    args = parser.parse_args(argv)
+    if args.passes < 0 or (args.passes and args.against is None):
+        parser.error("--passes must be >= 0, and needs --against")
+    sys.dont_write_bytecode = True  # leave no __pycache__ in either tree or under perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    trees = {"this": load(ROOT / "src", "qcorr_this")}
+    here = digests(trees["this"])
+    text = "\n".join(line for _, line, _, _ in here)
+    print(f"{text}\noverall: {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
     if args.against is None:
         return 0
     with tempfile.TemporaryDirectory(prefix="qcorr-bits-ref-") as tmp:
@@ -97,30 +152,12 @@ def main() -> int:
         if not tree.is_dir():
             tree = pathlib.Path(tmp)
             export(args.against, tree)
-        # the other run's errors pass through to stderr; a failed run raises here
-        other = subprocess.run(
-            [sys.executable, __file__, "--src", str(tree.resolve() / "src")],
-            stdout=subprocess.PIPE, text=True, check=True,
-        ).stdout.splitlines()[:-1]
-    moved = {group: [] for group in groups}  # the value differences, this checkout's minus the other's
-    converged = {group: [0, 0, 0] for group in groups}  # calls converged here, there, and flipped
-    for group, a, b in itertools.zip_longest(groups, lines, other, fillvalue=""):
-        here, there = (x.endswith("converged=True") for x in (a, b))
-        converged[group] = [n + k for n, k in zip(converged[group], (here, there, here != there))]
-        if a != b:
-            value, other_value = (float(x.split()[-2]) if x else math.nan for x in (a, b))
-            diff = value - other_value
-            moved[group].append(diff)
-            print(f"differs: {a.rsplit(':', 1)[0]}: {value!r} against {other_value!r}, difference {diff:.3g}"
-                  f" ({diff / abs(other_value) if other_value else math.inf:.3g} relative)")
-    for group, diffs in moved.items():
-        sizes = f"; largest move up {max(diffs):.3g}, down {min(diffs):.3g}" if diffs else ""
-        here, there, flipped = converged[group]
-        print(f"{group}: {len(diffs)} of {groups.count(group)} calls differ{sizes};"
-              f" converged on {here} here, {there} there, {flipped} flipped")
-    count = sum(map(len, moved.values()))
-    verdict = f"{count} of {len(lines)} calls differ" if count else f"all {len(lines)} calls identical"
-    print(f"against {args.against}: {verdict}")
+        trees = {"ref": load(tree.resolve() / "src", "qcorr_ref"), **trees}
+        report, count = differences(here, digests(trees["ref"]))
+        verdict = f"{count} of {len(here)} calls differ" if count else f"all {len(here)} calls identical"
+        print("\n".join(report) + f"\nagainst {args.against}: {verdict}", flush=True)
+        if args.passes:
+            print("\n".join(timed_passes(trees, args.seed, args.passes)))
     return 1 if count else 0
 
 

@@ -119,15 +119,15 @@ def _unitary_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
 
 @linalg.validated
 class OptimizerOptions(NamedTuple):
-    """Search budget: ``restarts`` descents, each stopped by a test or at ``max_iter``.
+    """Search budget: at least ``restarts`` descents, each stopped by a test or at ``max_iter``.
 
-    A descent stops when its Riemannian gradient norm falls below GRAD_TOL,
-    when an iteration that took its first trial step lowers the value by no
-    more than DECREASE_TOL times the value, when no step rotating the bases
-    by more than MIN_ANGLE lowers it, or after ``max_iter`` iterations.
-    Whichever stops it, it succeeds only at a stationary point
-    (``LocalSearch.success``).  Raises ValueError, naming the field, unless
-    each field is an integer and restarts >= 1, seed >= 0 and max_iter >= 0.
+    The eigenbasis start and every warm start of ``measure_correlations`` always run, and Haar starts fill
+    up to ``restarts``: max(restarts, 1 + warm starts) descents in all.  A descent stops when its Riemannian
+    gradient norm falls below GRAD_TOL, when an iteration that took its first trial step lowers the value by
+    no more than DECREASE_TOL times the value, when no step rotating the bases by more than MIN_ANGLE lowers
+    it, or after ``max_iter`` iterations.  Whichever stops it, it succeeds only at a stationary point
+    (``LocalSearch.success``).  Raises ValueError, naming the field, unless each field is an integer and
+    restarts >= 1, seed >= 0 and max_iter >= 0.
     """
 
     restarts: int = 32
@@ -137,7 +137,7 @@ class OptimizerOptions(NamedTuple):
     def _check(self):
         for name, low in (("restarts", 1), ("seed", 0), ("max_iter", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not linalg.is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -457,12 +457,12 @@ def measure_correlations(
 
     Multistart Riemannian BFGS over the local unitaries, all restarts in one
     lockstep descent; deterministic given ``opts.seed``.  The starts are the
-    eigenbases of the reduced states, then ``warm_starts``
-    (``LocalMeasurement``s on ``side``), then Haar-random unitaries, all
-    drawn from one ``default_rng(opts.seed)`` batch.  The result's
-    ``argmin`` is the ``LocalMeasurement`` that gave its value.  Raises
-    DimMismatch when a measured side has dimension 1 or a warm start's basis
-    has the wrong dimension, and ValueError for a warm start on another side.
+    reduced states' eigenbases, then ``warm_starts`` (``LocalMeasurement``s on
+    ``side``), then Haar-random unitaries from one ``default_rng(opts.seed)``
+    batch up to ``opts.restarts`` starts: max(restarts, 1 + len(warm_starts))
+    descents.  The result's ``argmin`` is the ``LocalMeasurement`` that gave its
+    value.  Raises DimMismatch when a measured side has dimension 1 or a warm
+    start's basis has the wrong dimension, and ValueError for one on another side.
     """
     check_side(side)
     opts = opts or OptimizerOptions()

@@ -56,6 +56,8 @@ class FamilySpec(NamedTuple):
     def _check(self):
         if self.kind not in KINDS:
             raise BadKind(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
+        if not (linalg.is_integer(self.n_a) and linalg.is_integer(self.n_b)):
+            raise BadParameter(f"side dimensions must be integers, got {self.n_a!r} and {self.n_b!r}")
         if self.n_a < 1 or self.n_b < 1:
             raise BadParameter("side dimensions must be >= 1")
         row = KINDS[self.kind]

@@ -111,6 +111,27 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer but not a bool: the package's one rule for an integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_dims(dims) -> tuple[int, ...]:
+    """``dims``, one integer or a sequence of them, as a tuple of ints; DimMismatch unless each is an integer >= 1."""
+    dims = tuple(dims) if np.iterable(dims) else (dims,)
+    if not all(is_integer(d) and d >= 1 for d in dims):
+        raise DimMismatch("dimension must be >= 1" if all(map(is_integer, dims)) else f"dims {dims} are not integers")
+    return tuple(map(int, dims))
+
+
+def check_indices(indices, dims) -> list[int]:
+    """``indices`` as a list of ints; BadSubsystemIndex unless each is an integer naming a subsystem of ``dims``."""
+    indices = list(indices)
+    if not all(is_integer(i) and 0 <= i < len(dims) for i in indices):
+        raise BadSubsystemIndex(f"subsystem indices {indices} invalid for dims {dims}")
+    return [int(i) for i in indices]
+
+
 def check_unitary(u: np.ndarray) -> None:
     """Raise NotUnitary unless u is finite (NaN passes any bound test) and u^dag u = I entrywise within TOL_UNITARY."""
     u = np.asarray(u)
@@ -138,8 +159,8 @@ def make_density(matrix, dims) -> DensityOperator:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotFinite("matrix has a NaN or infinite entry")
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
+    dims = check_dims(dims)
+    if math.prod(dims) != m.shape[0]:
         raise DimMismatch(f"dims {dims} incompatible with dimension {m.shape[0]}")
     h = 0.5 * (m + dag(m))
     w, v = _eigh(h)
@@ -161,8 +182,8 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Reduced state on the subsystems listed in ``keep`` (original order)."""
     dims = rho.dims
-    keep = sorted({int(i) for i in keep})
-    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
+    keep = sorted(set(check_indices(keep, dims)))
+    if not keep:
         raise BadSubsystemIndex(f"keep={keep} invalid for dims {dims}")
     t = rho.matrix.reshape(dims + dims)
     nsub = len(dims)
@@ -177,7 +198,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 def permute_subsystems(rho: DensityOperator, order) -> DensityOperator:
     """Reorder the tensor factors of ``rho`` according to ``order``."""
     dims = rho.dims
-    order = [int(i) for i in order]
+    order = check_indices(order, dims)
     if sorted(order) != list(range(len(dims))):
         raise BadSubsystemIndex(f"order {order} is not a permutation of {len(dims)} subsystems")
     k = len(dims)
@@ -195,10 +216,9 @@ def regroup(rho: DensityOperator, block) -> DensityOperator:
     and fused into a single factor; the remaining subsystems are fused into
     the second factor.  Result always has two dims.
     """
-    block = [int(i) for i in block]
+    block = check_indices(block, rho.dims)
     rest = [i for i in range(len(rho.dims)) if i not in block]
-    if not block or not rest or len(set(block)) != len(block) \
-            or any(i < 0 or i >= len(rho.dims) for i in block):
+    if not block or not rest or len(set(block)) != len(block):
         raise BadSubsystemIndex(f"block {block} invalid for dims {rho.dims}")
     perm = permute_subsystems(rho, block + rest)
     na = math.prod(rho.dims[i] for i in block)
@@ -253,7 +273,7 @@ def hs_norm_sq(a) -> float:
 def schmidt(psi, dims) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector on dims [N_A, N_B]; NotFinite for a NaN or inf entry."""
     psi = np.asarray(psi, dtype=complex).ravel()
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     if len(dims) != 2 or psi.size != dims[0] * dims[1]:
         raise DimMismatch(f"vector of size {psi.size} does not split as {dims}")
     if not np.isfinite(psi).all():
@@ -272,8 +292,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     Consumes 2 n^2 standard normals from ``rng``: the n x n real parts in
     row-major order, then the imaginary parts (``haar_batch``'s stream).
     """
-    if n < 1:
-        raise DimMismatch("dimension must be >= 1")
+    check_dims(n)
     return haar_from_normals(rng.standard_normal(2 * n * n), n)
 
 
@@ -308,12 +327,8 @@ def haar_batch(rng: np.random.Generator, count: int, dims) -> list:
 
 def random_density(dims, rng: np.random.Generator) -> DensityOperator:
     """Hilbert-Schmidt-induced random state: G G^dag / Tr, G square Ginibre."""
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     n = math.prod(dims)
-    if n < 1:
-        raise DimMismatch("dimension must be >= 1")
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ dag(g)
     m /= np.trace(m).real
@@ -322,11 +337,7 @@ def random_density(dims, rng: np.random.Generator) -> DensityOperator:
 
 def random_pure(dims, rng: np.random.Generator) -> np.ndarray:
     """Normalized complex Gaussian vector on the given dims."""
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    n = math.prod(int(d) for d in dims)
-    if n < 1:
-        raise DimMismatch("dimension must be >= 1")
+    n = math.prod(check_dims(dims))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 

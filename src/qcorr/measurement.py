@@ -67,6 +67,8 @@ class LocalMeasurement(NamedTuple):
         for name, basis in zip("AB", (self.basis_a, self.basis_b)):
             if name in self.side and basis is None:
                 raise ValueError(f"side {self.side} requires basis_{name.lower()}")
+            if not isinstance(basis, (ProjectiveBasis, type(None))):
+                raise ValueError(f"basis_{name.lower()} must be a ProjectiveBasis or None, got {type(basis).__name__}")
 
     @property
     def unitaries(self) -> tuple[np.ndarray, ...]:

@@ -475,6 +475,35 @@ def test_bench_pairs_summary():
     ]
 
 
+def test_check_search_bits_summary(monkeypatch):
+    """Per call and per group, where two trees' digests differ, on canned digest rows."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    here = [("bench", "1 0 a: 11 0.5 converged=True", 0.5, True),
+            ("bench", "1 1 b: 22 0.25 converged=True", 0.25, True),
+            ("cusp", "cusp 0 c: 33 1.0 converged=False", 1.0, False)]
+    there = [here[0], ("bench", "1 1 b: 44 0.125 converged=True", 0.125, True),
+             ("cusp", "cusp 0 c: 55 1.0 converged=True", 1.0, True)]
+    assert load_script("check_search_bits").differences(here, there) == ([
+        "differs: 1 1 b: 0.25 against 0.125, difference 0.125 (1 relative)",
+        "differs: cusp 0 c: 1.0 against 1.0, difference 0 (0 relative)",
+        "bench: 1 of 2 calls differ; largest move up 0.125, down 0.125; converged on 2 here, 2 there, 0 flipped",
+        "cusp: 1 of 1 calls differ; largest move up 0, down 0; converged on 0 here, 1 there, 1 flipped",
+    ], 2)
+
+
+def test_check_search_bits_loads_two_trees_in_one_process(monkeypatch):
+    """This checkout's src/ imported twice under two names gives two packages with equal digests."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    script = load_script("check_search_bits")
+    trees = [script.load(ROOT / "src", f"qcorr_test_tree_{k}") for k in range(2)]
+    assert trees[0].linalg is not trees[1].linalg
+    rows = [script.digest(qc, "bell", "bell A", qc.make_density(bell_density().matrix, (2, 2)), "A",
+                          qc.EntropicIndices(2.0, 1.0), qc.OptimizerOptions(restarts=2, seed=1)) for qc in trees]
+    assert rows[0] == rows[1]
+    assert script.differences(rows[:1], rows[1:]) == (
+        ["bell: 0 of 1 calls differ; converged on 1 here, 1 there, 0 flipped"], 0)
+
+
 def test_every_committed_csv_has_a_documented_run():
     assert set(RUNS) == {p.name for p in RESULTS.glob("*.csv")}
 

@@ -124,6 +124,14 @@ class TestMeasureCorrelations:
         with pytest.raises(NotUnitary, match=r"entry \(1, 0\) is not finite"):
             measure_correlations(rho, "A", TS2, FAST, warm_starts=(LocalMeasurement("A", ProjectiveBasis(u)),))
 
+    @pytest.mark.parametrize("restarts, warm, used", [(1, 0, 1), (1, 3, 4), (4, 3, 4), (6, 3, 6)])
+    def test_restart_budget_with_warm_starts(self, rng, restarts, warm, used):
+        """The eigenbasis start and every warm start run, and Haar starts fill up to ``restarts``."""
+        rho = linalg.random_density((2, 2), rng)
+        starts = tuple(LocalMeasurement("A", ProjectiveBasis(linalg.haar_unitary(2, rng))) for _ in range(warm))
+        res = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=restarts, seed=3), warm_starts=starts)
+        assert res.restarts_used == used == max(restarts, 1 + warm)
+
     def test_deterministic_given_seed(self, rng):
         rho = linalg.random_density((2, 2), rng)
         r1 = measure_correlations(rho, "A", TS2, OptimizerOptions(restarts=3, seed=5))

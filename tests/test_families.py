@@ -42,6 +42,10 @@ def test_named_errors(call, message):
 
 
 class TestFamilySpec:
+    def test_numpy_integer_dims_build(self):
+        spec = FamilySpec("werner", np.int64(2), np.int32(2), 0.5)
+        assert build(spec).dims == (2, 2)
+
     def test_bad_kind(self):
         with pytest.raises(BadKind):
             FamilySpec("ghz", 2, 2, 0.5)

@@ -19,11 +19,37 @@ from util import bell_density, plus_density, pure_density
     (lambda: linalg.haar_unitary(0, np.random.default_rng(0)), linalg.DimMismatch, "dimension must be >= 1"),
     (lambda: linalg.random_density(0, np.random.default_rng(0)), linalg.DimMismatch, "dimension must be >= 1"),
     (lambda: linalg.random_pure(0, np.random.default_rng(0)), linalg.DimMismatch, "dimension must be >= 1"),
+    # one integer rule for every dimension and subsystem index: a Python or numpy integer, never a bool or a float
+    (lambda: linalg.make_density(np.eye(4) / 4, (2.5, 2)), linalg.DimMismatch, "dims (2.5, 2) are not integers"),
+    (lambda: linalg.random_pure((2.9, 2), np.random.default_rng(0)), linalg.DimMismatch,
+     "dims (2.9, 2) are not integers"),
+    (lambda: linalg.random_density((2, True), np.random.default_rng(0)), linalg.DimMismatch,
+     "dims (2, True) are not integers"),
+    (lambda: linalg.schmidt(np.ones(4) / 2, (2.0, 2)), linalg.DimMismatch, "dims (2.0, 2) are not integers"),
+    (lambda: linalg.haar_unitary(2.0, np.random.default_rng(0)), linalg.DimMismatch, "dims (2.0,) are not integers"),
+    (lambda: linalg.partial_trace(bell_density(), [0.7]), linalg.BadSubsystemIndex,
+     "subsystem indices [0.7] invalid for dims (2, 2)"),
+    (lambda: linalg.partial_trace(bell_density(), [False]), linalg.BadSubsystemIndex,
+     "subsystem indices [False] invalid for dims (2, 2)"),
+    (lambda: linalg.permute_subsystems(bell_density(), [1.2, 0.1]), linalg.BadSubsystemIndex,
+     "subsystem indices [1.2, 0.1] invalid for dims (2, 2)"),
+    (lambda: linalg.regroup(bell_density(), [0.9]), linalg.BadSubsystemIndex,
+     "subsystem indices [0.9] invalid for dims (2, 2)"),
 ], ids=["non-square unitary", "non-permutation", "schmidt size", "haar dim 0", "random density dim 0",
-        "random pure dim 0"])
+        "random pure dim 0", "make_density float dim", "random_pure float dim", "random_density bool dim",
+        "schmidt float dim", "haar_unitary float dim", "partial_trace float index", "partial_trace bool index",
+        "permute_subsystems float index", "regroup float index"])
 def test_named_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_numpy_integer_dims_and_indices_accepted():
+    rho = linalg.make_density(np.eye(4) / 4, (np.int64(2), np.int32(2)))
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+    assert linalg.partial_trace(rho, [np.int64(1)]).dims == (2,)
+    assert linalg.permute_subsystems(rho, np.array([1, 0])).dims == (2, 2)
+    assert linalg.random_density(np.int64(3), np.random.default_rng(0)).dims == (3,)
 
 
 @pytest.fixture

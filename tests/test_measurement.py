@@ -62,6 +62,13 @@ class TestBasisTypes:
         with pytest.raises(ValueError):
             LocalMeasurement("C", basis_a=random_basis(2, rng))
 
+    def test_basis_must_be_a_projective_basis(self, rng):
+        # a bare unitary once constructed, then failed in measured_spectrum with an AttributeError
+        with pytest.raises(ValueError, match="^basis_a must be a ProjectiveBasis or None, got ndarray$"):
+            LocalMeasurement("A", basis_a=np.eye(2))
+        with pytest.raises(ValueError, match="^basis_a must be a ProjectiveBasis or None, got ndarray$"):
+            LocalMeasurement("B", np.eye(2), random_basis(2, rng))
+
 
 class TestDephase:
     def test_eigenbasis_leaves_state_alone(self, rng):

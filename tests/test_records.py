@@ -64,8 +64,12 @@ INVALID = [
     (ProjectiveBasis(np.eye(2)), "unitary", np.ones((2, 2)), NotUnitary, "deviation from unitarity"),
     (LocalMeasurement("A", BASIS), "side", "C", ValueError, "side must be A, B or AB, got 'C'"),
     (LocalMeasurement("A", BASIS), "basis_a", None, ValueError, "side A requires basis_a"),
+    (LocalMeasurement("AB", BASIS, BASIS), "basis_b", np.eye(2), ValueError,
+     "basis_b must be a ProjectiveBasis or None, got ndarray"),
     (FamilySpec("werner", 2, 2, 0.3), "kind", "bell", BadKind, "kind must be one of"),
     (FamilySpec("werner", 2, 2, 0.3), "parameter", 2.0, BadParameter, "werner x must be in [-1, 1], got 2.0"),
+    (FamilySpec("werner", 2, 2, 0.3), "n_a", 2.5, BadParameter, "side dimensions must be integers, got 2.5 and 2"),
+    (FamilySpec("werner", 2, 2, 0.3), "n_b", True, BadParameter, "side dimensions must be integers, got 2 and True"),
 ]
 
 
