@@ -2,7 +2,8 @@
 
 Everything operates on plain numpy arrays wrapped in a few thin NamedTuples.
 States live on Hilbert spaces of total dimension <= ~64, so clarity and
-robustness win over asymptotic performance throughout.
+robustness win over asymptotic performance throughout.  The exception,
+``eigvalsh_2x2``, repeats LAPACK's 2 x 2 eigenvalue arithmetic over a stack.
 """
 
 from __future__ import annotations
@@ -262,6 +263,36 @@ def spectrum(rho: DensityOperator) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w)
+
+
+def eigvalsh_2x2(h: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(h)`` of a (..., 2, 2) stack, bit for bit, by LAPACK's ``zheevd`` arithmetic at n = 2.
+
+    On the lower triangle: ``zhetd2``'s reflector (e = |b| by ``dlapy3``, the (2,2) entry rounded to c - 2 Re y'),
+    ``dsterf``'s split tests, then ``dlae2``.  Rows LAPACK would rescale (largest |entry| outside [1e-100, 1e100],
+    or 0 < |b| < 1e-300) and non-finite rows go to ``np.linalg.eigvalsh``.
+    """
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    with np.errstate(all="ignore"):  # 0/0 where b = 0 or a row splits; the wheres drop those entries
+        br, bi = np.abs(b.real), np.abs(b.imag)
+        w, v = np.maximum(br, bi), np.minimum(br, bi)
+        e = w * np.sqrt(1.0 + (v / w) ** 2)
+        tr, ti = (e + br) / e, bi / e
+        y = tr * d
+        c = np.where(bi == 0.0, d, d - 2.0 * (y - ((0.5 * tr) * y + (0.5 * ti) * (ti * d))))
+        aa, ac, e2 = np.abs(a), np.abs(c), e * e
+        split = ~(e > np.sqrt(aa) * np.sqrt(ac) * (0.5 * EPS)) | (e2 <= 0.25 * EPS * EPS * np.abs(a * c))
+        rte, sm, adf, big = np.sqrt(e2), a + c, np.abs(a - c), ac < aa
+        hi, lo = np.maximum(adf, rte + rte), np.minimum(adf, rte + rte)
+        rt1 = 0.5 * (sm + np.copysign(hi * np.sqrt(1.0 + (lo / hi) ** 2), sm))
+        rt2 = np.where(sm == 0.0, -rt1, (np.where(big, a, c) / rt1) * np.where(big, c, a) - (rte / rt1) * rte)
+        x1, x2, scale = np.where(split, a, rt1), np.where(split, c, rt2), np.maximum(np.maximum(aa, ac), w)
+        routed = ~(scale <= 1e100) | ((scale < 1e-100) != (scale == 0)) | ((w < 1e-300) != (w == 0))
+    swap = x2 < x1  # dlasrt's test, which keeps equal values such as 0 and -0 in their order
+    out = np.stack([np.where(swap, x2, x1), np.where(swap, x1, x2)], -1)
+    if routed.any():
+        out[routed] = np.linalg.eigvalsh(h[routed])
+    return out
 
 
 def hs_norm_sq(a) -> float:

@@ -32,6 +32,7 @@ from .entropy import (
 from .linalg import DensityOperator, DimMismatch, dag
 
 SIDES = ("A", "B", "AB")
+CLOSED_FORM_BLOCKS = 112  # below this many 2 x 2 blocks LAPACK is faster than linalg.eigvalsh_2x2
 
 
 def check_side(side: str) -> None:
@@ -180,18 +181,26 @@ def _flat_spectrum(vals: np.ndarray) -> np.ndarray:
     return np.where(vals < linalg.rank_cutoff(vals.shape[-1], 1.0), 0.0, vals)
 
 
+def _block_spectrum(blocks: np.ndarray) -> np.ndarray:
+    """``_flat_spectrum`` of the blocks' eigenvalues; CLOSED_FORM_BLOCKS or more 2 x 2 take ``linalg.eigvalsh_2x2``."""
+    closed = blocks.shape[-1] == 2 and blocks.size >= 4 * CLOSED_FORM_BLOCKS
+    return _flat_spectrum((linalg.eigvalsh_2x2 if closed else np.linalg.eigvalsh)(blocks))
+
+
 def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
     """Spectrum after measuring side A: union of conditional-block spectra.
 
     The three ``_spectrum_side_*`` kernels take one unitary per side or
     stacks of them (shape (..., n, n)) and return spectra of shape (..., N).
+    Sides A and B take their blocks' eigenvalues from ``_block_spectrum``.
     """
-    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(t, ua)))
+    return _block_spectrum(_blocks_side_a(t, ua))
 
 
 def _spectrum_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Spectrum after measuring side B: side A of the swapped tensor."""
-    return _flat_spectrum(np.linalg.eigvalsh(_blocks_side_a(_swap_sides(t), ub)))
+    """Spectrum after measuring side B: side A of the swapped tensor.
+    Its blocks go to ``_block_spectrum`` directly, so a call here is not also a ``_spectrum_side_a`` call."""
+    return _block_spectrum(_blocks_side_a(_swap_sides(t), ub))
 
 
 def _spectrum_side_ab(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:

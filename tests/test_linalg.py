@@ -418,3 +418,58 @@ def _random_mix(p, rng):
     for w in weights:
         out = out + w * p[rng.permutation(p.size)]
     return out
+
+
+def _lapack_bits_match(h) -> np.ndarray:
+    """Per block of h, whether ``eigvalsh_2x2`` gives ``np.linalg.eigvalsh``'s bytes, sign of zero and NaN included."""
+    got, ref = linalg.eigvalsh_2x2(h), np.linalg.eigvalsh(h)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    return (got.view(np.int64) == ref.view(np.int64)).all(axis=-1)
+
+
+def _two_by_two_families(n, rng) -> dict:
+    """n blocks of each kind the closed form must get bit for bit."""
+    g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    hs = g @ linalg.dag(g)
+    rank1 = g[..., :1] @ linalg.dag(g[..., :1])
+    real_off = hs.copy()
+    real_off[:, 1, 0] = real_off[:, 0, 1] = hs[:, 1, 0].real
+    diag = np.zeros((n, 2, 2), dtype=complex)
+    diag[:, 0, 0], diag[:, 1, 1] = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0], (2, n))
+    diag[::2, 1, 1] = diag[::2, 0, 0]  # repeated entries in half the rows
+    equal = hs.copy()
+    equal[:, 1, 1] = hs[:, 0, 0]
+    traceless = hs.copy()  # a + c = 0, where dlae2 takes its own branch
+    traceless[:, 1, 1] = -hs[:, 0, 0]
+    tiny_off = hs.copy()
+    tiny_off[:, 1, 0] *= 10.0 ** rng.uniform(-20, -5, n)
+    tiny_off[:, 0, 1] = tiny_off[:, 1, 0].conj()
+    scaled = hs * 10.0 ** rng.uniform(-100, 100, (n, 1, 1))
+    upper = g.copy()  # LAPACK reads the lower triangle and the diagonal's real parts only
+    return dict(hilbert_schmidt=hs, rank1=rank1, real_off_diagonal=real_off, diagonal_repeated=diag,
+                a_equals_c=equal, traceless=traceless, tiny_off_diagonal=tiny_off, indefinite=g + linalg.dag(g),
+                scales=scaled, non_hermitian_upper=upper)
+
+
+def test_eigvalsh_2x2_has_lapacks_bits_on_every_family():
+    for name, h in _two_by_two_families(100_000, np.random.default_rng(41)).items():
+        match = _lapack_bits_match(h)
+        assert match.all(), f"{name}: {np.count_nonzero(~match)} of {len(h)} blocks differ"
+
+
+def test_eigvalsh_2x2_routes_what_lapack_rescales():
+    """Blocks LAPACK rescales or cannot take (and -0.0 entries, kept in place) equal its bits too, in any stack shape."""
+    rng = np.random.default_rng(43)
+    g = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
+    h = g @ linalg.dag(g)
+    h[0] *= 1e-150
+    h[1] *= 1e150
+    h[2, 0, 0] = np.inf
+    h[3] = [[np.nan, 0.0], [0.0, 1.0]]  # LAPACK returns [0, -0] for this one
+    h[4, 1, 0] = 1e-310 + 3e-311j  # a subnormal b, which zlarfg rescales
+    h[5] = 0.0
+    h[6] = [[-0.0, 0.0], [0.0, -0.0]]
+    h[7] = [[-0.0, 0.0], [1e-300j, -0.0]]
+    assert _lapack_bits_match(h).all()
+    assert _lapack_bits_match(h.reshape(2, 4, 2, 2)).all()
+    assert _lapack_bits_match(h[:0]).shape == (0,)
