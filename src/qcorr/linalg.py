@@ -227,9 +227,10 @@ def regroup(rho: DensityOperator, block) -> DensityOperator:
     return DensityOperator(perm.matrix, (na, nb))
 
 
-def _eigh(h: np.ndarray):
+def _eigh(h: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh(h)``, or ``eigvalsh`` without ``vectors``; ConvergenceFailure where LAPACK does not converge."""
     try:
-        return np.linalg.eigh(h)
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -258,20 +259,12 @@ def eig_hermitian(rho: DensityOperator):
 
 def spectrum(rho: DensityOperator) -> np.ndarray:
     """Eigenvalues only, sorted decreasing; those below ``rank_cutoff`` of the largest are zeroed."""
-    try:
-        w = np.linalg.eigvalsh(rho.matrix)[::-1]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    w = _eigh(rho.matrix, vectors=False)[::-1]
     return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w)
 
 
 def eigvalsh_2x2(h: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(h)`` of a (..., 2, 2) stack, bit for bit, by LAPACK's ``zheevd`` arithmetic at n = 2.
-
-    On the lower triangle: ``zhetd2``'s reflector (e = |b| by ``dlapy3``, the (2,2) entry rounded to c - 2 Re y'),
-    ``dsterf``'s split tests, then ``dlae2``.  Rows LAPACK would rescale (largest |entry| outside [1e-100, 1e100],
-    or 0 < |b| < 1e-300) and non-finite rows go to ``np.linalg.eigvalsh``.
-    """
+    """``np.linalg.eigvalsh(h)`` of a (..., 2, 2) stack by ``zheevd``'s steps at n = 2; rescaled rows take LAPACK."""
     a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
     with np.errstate(all="ignore"):  # 0/0 where b = 0 or a row splits; the wheres drop those entries
         br, bi = np.abs(b.real), np.abs(b.imag)

@@ -32,7 +32,6 @@ from .entropy import (
 from .linalg import DensityOperator, DimMismatch, dag
 
 SIDES = ("A", "B", "AB")
-CLOSED_FORM_BLOCKS = 112  # below this many 2 x 2 blocks LAPACK is faster than linalg.eigvalsh_2x2
 
 
 def check_side(side: str) -> None:
@@ -182,9 +181,8 @@ def _flat_spectrum(vals: np.ndarray) -> np.ndarray:
 
 
 def _block_spectrum(blocks: np.ndarray) -> np.ndarray:
-    """``_flat_spectrum`` of the blocks' eigenvalues; CLOSED_FORM_BLOCKS or more 2 x 2 take ``linalg.eigvalsh_2x2``."""
-    closed = blocks.shape[-1] == 2 and blocks.size >= 4 * CLOSED_FORM_BLOCKS
-    return _flat_spectrum((linalg.eigvalsh_2x2 if closed else np.linalg.eigvalsh)(blocks))
+    """``_flat_spectrum`` of the blocks' eigenvalues, 2 x 2 blocks by ``linalg.eigvalsh_2x2``."""
+    return _flat_spectrum((linalg.eigvalsh_2x2 if blocks.shape[-1] == 2 else np.linalg.eigvalsh)(blocks))
 
 
 def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
@@ -198,8 +196,7 @@ def _spectrum_side_a(t: np.ndarray, ua: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_side_b(t: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Spectrum after measuring side B: side A of the swapped tensor.
-    Its blocks go to ``_block_spectrum`` directly, so a call here is not also a ``_spectrum_side_a`` call."""
+    """Spectrum after measuring side B: side A of the swapped tensor, by ``_block_spectrum``, not side A's kernel."""
     return _block_spectrum(_blocks_side_a(_swap_sides(t), ub))
 
 

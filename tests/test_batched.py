@@ -190,28 +190,22 @@ class TestStackedSpectra:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_side_kernels_equal_a_per_block_lapack_loop(self, dims, monkeypatch):
-        """Sides A and B give, row by row, the cut spectra of one ``np.linalg.eigvalsh`` call per block.
-
-        That holds whether a stack's blocks take LAPACK or the closed form, so at 1, 8 and 1,000 pairs
-        and on both sides of CLOSED_FORM_BLOCKS 2 x 2 blocks.
-        """
+        """Sides A and B give, row by row, the cut spectra of one ``np.linalg.eigvalsh`` call per block,
+        at 1, 8 and 1,000 pairs, and every stack of 2 x 2 blocks takes ``linalg.eigvalsh_2x2``."""
         na, nb = dims
         rng = np.random.default_rng([47, na, nb])
         t = linalg.random_density(dims, rng).matrix.reshape(na, nb, na, nb)
         closed_form = []
         monkeypatch.setattr(linalg, "eigvalsh_2x2", lambda h, kernel=linalg.eigvalsh_2x2: (
             closed_form.append(len(h)) or kernel(h)))
-        # pair counts whose 2 x 2 blocks (m outcomes a pair) are one short of CLOSED_FORM_BLOCKS, or reach it
-        edge = [math.ceil(measurement.CLOSED_FORM_BLOCKS / m) + k for m, other in (dims, dims[::-1]) if other == 2
-                for k in (-1, 0)]
-        for pairs in sorted({1, 8, 1000, *edge}):
+        for pairs in (1, 8, 1000):
             ua, ub = linalg.haar_batch(rng, pairs, dims)
             for kernel, u, side_t in ((measurement._spectrum_side_a, ua, t),
                                       (measurement._spectrum_side_b, ub, measurement._swap_sides(t))):
                 blocks = measurement._blocks_side_a(side_t, u)
                 looped = np.array([[np.linalg.eigvalsh(block) for block in row] for row in blocks])
                 assert same_bits(kernel(t, u), measurement._flat_spectrum(looped)), (kernel.__name__, pairs)
-        assert set(closed_form) == {1000, *edge[1::2]}  # the stacks that reach the limit, and only they
+        assert closed_form == ([1, 8, 1000] if nb == 3 else [1, 1, 8, 8, 1000, 1000])  # 2 x 3: only side B's are 2 x 2
 
     def test_side_b_is_not_a_side_a_call(self, monkeypatch):
         """Side B runs its own blocks, so a benchmark span on ``_spectrum_side_a`` never counts a side-B call."""

@@ -458,7 +458,7 @@ def test_eigvalsh_2x2_has_lapacks_bits_on_every_family():
 
 
 def test_eigvalsh_2x2_routes_what_lapack_rescales():
-    """Blocks LAPACK rescales or cannot take (and -0.0 entries, kept in place) equal its bits too, in any stack shape."""
+    """Blocks LAPACK rescales or cannot take (and -0.0 entries, kept in place) equal its bits, in any stack shape."""
     rng = np.random.default_rng(43)
     g = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
     h = g @ linalg.dag(g)
