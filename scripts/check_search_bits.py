@@ -22,10 +22,14 @@ two values and their difference (this checkout's minus REF's), then per
 group (benchmark calls at s = 0 or q = 1, the other benchmark calls, the
 cusp gate at q = 0.3 and at q = 0.5) the count that differ, the largest move
 up and down, and the calls converged in each tree and flipped.  ``--passes
-N`` then times N passes over the 57 items at ``--seed`` in each tree, the
-first alternating, and prints each tree's median and fastest pass, then by
-``bench_pairs.compare`` REF's IQR and whether the medians differ by more,
-this median over REF's, the passes won and the largest |value difference|.
+N`` then loads this checkout a second time, under a third name, and times N
+passes over the 57 items at ``--seed`` in each of the three trees, the order
+rotating from pass to pass.  It prints each tree's median and fastest pass,
+then by ``bench_pairs.compare`` REF's IQR and whether the medians differ by
+more, this median over REF's, the passes won and the largest |value
+difference|, and beside it this median over the second copy's and the passes
+won: the A/A noise floor of one process.  A gap can be read only when
+``this / ref`` lies further from 1 than ``this / this again``.
 """
 
 import argparse
@@ -34,6 +38,7 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import statistics
 import sys
 import tempfile
 import time
@@ -115,20 +120,23 @@ def differences(here: list, there: list) -> tuple[list[str], int]:
 
 
 def timed_passes(trees: dict, seed: int, passes: int) -> list[str]:
-    """The lines that compare ``passes`` timed passes over the ``measure`` items at ``seed`` in the two ``trees``."""
+    """The lines that compare ``passes`` timed passes over the ``measure`` items at ``seed`` in the ``trees``: REF,
+    this checkout and this checkout loaded again, whose ratio to this one is the A/A noise floor."""
     calls = {name: [call[2:] for call in bench_calls(qc, seed)] for name, qc in trees.items()}
-    times, values = {name: [] for name in trees}, {}
+    times, values, names = {name: [] for name in trees}, {}, list(trees)
     for k in range(passes):
-        for name in list(trees)[::1 if k % 2 == 0 else -1]:
+        for name in names[k % len(names):] + names[:k % len(names)]:
             start = time.perf_counter()
             values[name] = [trees[name].measure_correlations(*call).value for call in calls[name]]
             times[name].append(time.perf_counter() - start)
     ref_median, this_median, ratio, iqr, won = compare(times["ref"], times["this"], higher=False)
+    _, _, floor, _, floor_won = compare(times["this again"], times["this"], higher=False)
     gap, largest = this_median - ref_median, max(abs(a - b) for a, b in zip(values["ref"], values["this"]))
-    return [f"{name}: median pass {median:.4f} s, fastest {min(times[name]):.4f} s ({len(calls[name])} items)"
-            for name, median in (("ref", ref_median), ("this", this_median))] + [
+    return [f"{name}: median pass {statistics.median(times[name]):.4f} s, fastest {min(times[name]):.4f} s"
+            f" ({len(calls[name])} items)" for name in names] + [
         f"ref IQR {iqr:.4f} s; the medians differ by {gap:+.4f} s, {'more' if abs(gap) > iqr else 'no more'} than that",
-        f"this / ref: median ratio {ratio:.4f}, this won {won} of {passes} passes; largest |value difference| {largest:.3g}"]
+        f"this / ref: median ratio {ratio:.4f}, this won {won} of {passes} passes; largest |value difference| {largest:.3g}",
+        f"this / this again: median ratio {floor:.4f}, this won {floor_won} of {passes} passes (the A/A noise floor)"]
 
 
 def main(argv=None) -> int:
@@ -157,6 +165,7 @@ def main(argv=None) -> int:
         verdict = f"{count} of {len(here)} calls differ" if count else f"all {len(here)} calls identical"
         print("\n".join(report) + f"\nagainst {args.against}: {verdict}", flush=True)
         if args.passes:
+            trees["this again"] = load(ROOT / "src", "qcorr_this_again")
             print("\n".join(timed_passes(trees, args.seed, args.passes)))
     return 1 if count else 0
 

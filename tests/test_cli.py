@@ -504,6 +504,36 @@ def test_check_search_bits_loads_two_trees_in_one_process(monkeypatch):
         ["bell: 0 of 1 calls differ; converged on 1 here, 1 there, 0 flipped"], 0)
 
 
+def test_check_search_bits_times_three_trees_in_rotation(monkeypatch):
+    """Timed passes run REF, this checkout and its second copy, the first tree rotating, then the A/A line."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    script = load_script("check_search_bits")
+    order, clock = [], [0.0]
+    seconds = {"ref": 2.0, "this": 1.0, "this again": 1.25}  # each tree's pass time on a fake clock
+
+    class Tree:  # stands in for a loaded package, recording which tree each call ran in
+        def __init__(self, name):
+            self.name = name
+
+        def measure_correlations(self, *args):
+            order.append(self.name)
+            clock[0] += seconds[self.name]
+            return argparse.Namespace(value=0.5)
+
+    monkeypatch.setattr(script, "bench_calls", lambda qc, seed: [("group", "label", "rho")])
+    monkeypatch.setattr(script, "time", argparse.Namespace(perf_counter=lambda: clock[0]))
+    lines = script.timed_passes({name: Tree(name) for name in seconds}, 1, 3)
+    assert order == ["ref", "this", "this again", "this", "this again", "ref", "this again", "ref", "this"]
+    assert lines == [
+        "ref: median pass 2.0000 s, fastest 2.0000 s (1 items)",
+        "this: median pass 1.0000 s, fastest 1.0000 s (1 items)",
+        "this again: median pass 1.2500 s, fastest 1.2500 s (1 items)",
+        "ref IQR 0.0000 s; the medians differ by -1.0000 s, more than that",
+        "this / ref: median ratio 0.5000, this won 3 of 3 passes; largest |value difference| 0",
+        "this / this again: median ratio 0.8000, this won 3 of 3 passes (the A/A noise floor)",
+    ]
+
+
 def test_every_committed_csv_has_a_documented_run():
     assert set(RUNS) == {p.name for p in RESULTS.glob("*.csv")}
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcorr import correlations, families, linalg
-from qcorr.entropy import EntropicIndices, Regime, relative_entropy
+from qcorr.entropy import EntropicIndices, Regime, entropy_change, purity_ratio_sums, relative_entropy, spectral_sum
 from qcorr.linalg import DensityOperator, DimMismatch
 from qcorr.measurement import (
     LocalMeasurement,
@@ -18,7 +19,7 @@ from qcorr.measurement import (
     measured_spectrum,
     purity_ratio,
 )
-from util import IDX_GRID, bell_density, plus_density, random_basis
+from util import IDX_GRID, bell_density, plus_density, pure_density, random_basis
 
 
 @pytest.fixture
@@ -386,6 +387,23 @@ class TestDisturbance:
             if idx.regime is not Regime.UNIFIED:
                 assert rep.rescale == 1.0
                 assert rep.purity_ratio == 1.0
+
+    # von Neumann, Renyi, Tsallis below q = 1, and q ln N past entropy.UNDERFLOW_LOG at N = 4
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_record_is_the_kernels_on_one_sum_per_spectrum(self, dims, rng):
+        """Each field is its kernel on the spectral_sum of the spectra before and after, bit for bit."""
+        pure = pure_density(linalg.random_pure(dims, rng), dims)
+        assert (linalg.spectrum(pure) == 0.0).any()  # a rank-1 state, so the spectra hold zeros
+        indices = [EntropicIndices(*qs) for qs in ((1.0, 1.0), (2.0, 0.0), (0.5, 1.0), (600.0, 1.0))]
+        for rho, side, idx in itertools.product((linalg.random_density(dims, rng), pure), ("A", "B", "AB"), indices):
+            m = LocalMeasurement(side, *(random_basis(n, rng) if name in side else None for name, n in zip("AB", dims)))
+            before, after = spectral_sum(linalg.spectrum(rho), idx), spectral_sum(measured_spectrum(rho, m), idx)
+            expected = (entropy_change(before, 0.0, idx), entropy_change(after, 0.0, idx),
+                        purity_ratio_sums(after, before, idx), purity_ratio_sums(before, 0.0, idx),
+                        entropy_change(after, before, idx))
+            rep = disturbance(rho, m, idx)
+            assert [float(v).hex() for v in rep] == [float(v).hex() for v in expected]
+            assert float(purity_ratio(rho, m, idx)).hex() == rep.purity_ratio.hex()
 
 
 # every check of a side name and of a state's two-block split is measurement.py's

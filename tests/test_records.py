@@ -83,6 +83,22 @@ def test_validating_record_raises_its_named_error(valid, field, bad, error, mess
             construct()
 
 
+# each validating record's real-valued fields, which take only what linalg.is_real accepts
+REAL_FIELDS = [(EntropicIndices(2.0, 1.0), ("q", "s"), BadIndices),
+               (FamilySpec("werner", 2, 2, 0.3), ("parameter",), BadParameter)]
+
+
+@pytest.mark.parametrize("valid, fields, error", REAL_FIELDS, ids=[type(row[0]).__name__ for row in REAL_FIELDS])
+def test_real_field_rejects_what_is_not_a_real_number(valid, fields, error):
+    """Text, complex numbers, None, bools and arrays raise the record's named error; numpy scalars are kept as given."""
+    for field in fields:
+        for bad in ("0.5", 0.5 + 0j, None, True, np.bool_(False), np.array(0.5)):
+            with pytest.raises(error, match="must be a real number|must be real numbers"):
+                valid._replace(**{field: bad})
+        for good in (0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1)):
+            assert getattr(valid._replace(**{field: good}), field) is good
+
+
 def test_import_leaves_out_dataclasses():
     """No qcorr module imports dataclasses, whose class building was most of the module-body time of the import."""
     src = pathlib.Path(qcorr.__file__).resolve().parent.parent
