@@ -4,8 +4,6 @@ from .correlations import (
     CorrelationResult,
     OptimizerOptions,
     TriangleReport,
-    bilocal_decomposition_check,
-    contractivity_probe,
     entanglement_lower_bound,
     measure_correlations,
     qubit_oracle,
@@ -14,9 +12,7 @@ from .correlations import (
 from .entropy import (
     EntropicIndices,
     Regime,
-    check_schur_concavity,
     max_entropy,
-    relative_entropy,
     unified_entropy,
     unified_entropy_spectrum,
 )
@@ -24,7 +20,6 @@ from .families import (
     FamilySpec,
     build,
     isotropic_closed_form,
-    isotropic_specializations,
     maximally_entangled,
     pseudopure_closed_form,
     swap_operator,
@@ -36,8 +31,6 @@ from .linalg import (
     SchmidtDecomposition,
     eig_hermitian,
     haar_unitary,
-    hs_norm_sq,
-    majorizes,
     make_density,
     partial_trace,
     permute_subsystems,
@@ -49,13 +42,10 @@ from .linalg import (
     tensor,
 )
 from .measurement import (
-    ConditionalDecomposition,
     DisturbanceReport,
     LocalMeasurement,
     ProjectiveBasis,
     apply_local,
-    conditional_decomposition,
-    dephase,
     disturbance,
     disturbance_spectra,
     measured_spectrum,

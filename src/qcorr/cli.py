@@ -136,18 +136,6 @@ def parse_state_file(path) -> DensityOperator:
     return linalg.make_density(mat, dims)
 
 
-def write_state_file(path, rho: DensityOperator):
-    """Write the nonzero entries of a state in the plain-text format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("dims: " + " ".join(str(d) for d in rho.dims) + "\n")
-        n = rho.dim
-        for r in range(n):
-            for c in range(n):
-                z = rho.matrix[r, c]
-                if z != 0:
-                    fh.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------

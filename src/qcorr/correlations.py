@@ -63,7 +63,6 @@ from .measurement import (
     _swap_sides,
     _tensor,
     check_side,
-    disturbance,
     disturbance_spectra,
 )
 
@@ -565,7 +564,7 @@ def qubit_oracle(rho: DensityOperator, side: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bounds, identities and contractivity diagnostics
+# bounds and contractivity diagnostics
 # ---------------------------------------------------------------------------
 
 def entanglement_lower_bound(rho: DensityOperator, idx: EntropicIndices) -> float:
@@ -577,29 +576,6 @@ def entanglement_lower_bound(rho: DensityOperator, idx: EntropicIndices) -> floa
     _tensor(rho)
     joint = linalg.spectrum(rho)
     return max(disturbance_spectra(joint, linalg.spectrum(linalg.partial_trace(rho, [k])), idx) for k in (0, 1))
-
-
-def bilocal_decomposition_check(
-    rho: DensityOperator,
-    basis_a: ProjectiveBasis,
-    basis_b: ProjectiveBasis,
-    idx: EntropicIndices,
-) -> tuple[float, float]:
-    """Residuals of the two exact bilocal-to-sequential identities.
-
-    Both |D_AB - (D_A + P_A * D_B(post_A))| and the B-first analogue should
-    vanish to roundoff for every state, basis pair and index choice.
-    """
-    m_a = LocalMeasurement("A", basis_a=basis_a)
-    m_b = LocalMeasurement("B", basis_b=basis_b)
-    d_ab = disturbance(rho, LocalMeasurement("AB", basis_a, basis_b), idx).disturbance
-
-    def residual(first, then):
-        post = measurement.apply_local(rho, first)
-        d_first = disturbance(rho, first, idx)
-        return abs(d_ab - (d_first.disturbance + d_first.purity_ratio * disturbance(post, then, idx).disturbance))
-
-    return residual(m_a, m_b), residual(m_b, m_a)
 
 
 def triangle_analysis(
@@ -663,6 +639,8 @@ def measurement_pair_spectra(rho: DensityOperator, trials: int, seed) -> dict:
     stacked spectrum call per side replaces that loop.
     """
     dims = _tensor(rho).shape[:2]
+    if not linalg.is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return _pair_spectra(rho, *linalg.haar_batch(np.random.default_rng(seed), trials, dims))
@@ -689,17 +667,3 @@ def contractivity_min_from_spectra(spectra: dict, indices) -> list[float]:
         p_b = purity_ratio_sums(after_b, before, idx)
         mins.append(min_difference(d_a, p_b, after_ab, after_b, idx))
     return mins
-
-
-def contractivity_probe(
-    rho: DensityOperator, idx: EntropicIndices, trials: int, seed
-) -> float:
-    """Search for violations of local contractivity of unilocal disturbances.
-
-    Returns the minimal difference D_A(rho) - P_B * D_A(post_B) over
-    ``trials`` random local measurement pairs; a negative value certifies a
-    contractivity violation.
-    """
-    return contractivity_min_from_spectra(
-        measurement_pair_spectra(rho, trials, seed), [idx]
-    )[0]

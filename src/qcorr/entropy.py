@@ -34,10 +34,6 @@ class BadIndices(ValueError):
     pass
 
 
-class PreconditionUnmet(ValueError):
-    pass
-
-
 class Regime(Enum):
     VON_NEUMANN = "von_neumann"
     RENYI = "renyi"
@@ -236,46 +232,5 @@ def unified_entropy(rho: linalg.DensityOperator, idx: EntropicIndices) -> float:
 
 def max_entropy(n: int, idx: EntropicIndices) -> float:
     """Upper entropy bound (N^((1-q)s) - 1)/((1-q)s): the entropy of I/N."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    linalg.check_dims((n,))  # one dimension: a sequence is refused too
     return unified_entropy_spectrum(np.full(n, 1.0 / n), idx)
-
-
-def relative_entropy(rho: linalg.DensityOperator, sigma: linalg.DensityOperator) -> float:
-    """Quantum relative entropy S(rho||sigma) = Tr(rho (ln rho - ln sigma)).
-
-    Computed in sigma's eigenbasis.  Returns math.inf when rho has weight above
-    1e-9 in sigma's kernel, the eigenvalues ``linalg.eig_hermitian`` cut to zero.
-    """
-    if rho.dim != sigma.dim:
-        raise linalg.DimMismatch("states must share a Hilbert space")
-    w, v = linalg.eig_hermitian(sigma)
-    # weights of rho along sigma's eigenvectors
-    d = np.real(np.einsum("ij,jk,ki->i", linalg.dag(v), rho.matrix, v))
-    d = np.clip(d, 0.0, None)
-    kernel = w == 0.0
-    if np.any(d[kernel] > 1e-9):
-        return math.inf
-    cross = float(np.sum(d[~kernel] * np.log(w[~kernel])))
-    val = -spectral_sum(linalg.spectrum(rho), EntropicIndices(1.0, 1.0)) - cross
-    # Klein inequality guarantees nonnegativity; clamp roundoff only
-    return max(val, 0.0)
-
-
-def check_schur_concavity(p, q_vec, idx: EntropicIndices) -> bool:
-    """Entropy comparison along the majorization order.
-
-    For p majorized by q_vec, checks entropy(p) >= entropy(q_vec) - 1e-10
-    (and the mirrored check if only the reverse relation holds).  Raises
-    PreconditionUnmet when the spectra are incomparable.
-    """
-    if linalg.majorizes(p, q_vec):
-        disordered, ordered = p, q_vec
-    elif linalg.majorizes(q_vec, p):
-        disordered, ordered = q_vec, p
-    else:
-        raise PreconditionUnmet("spectra are not comparable under majorization")
-    return (
-        unified_entropy_spectrum(disordered, idx)
-        >= unified_entropy_spectrum(ordered, idx) - 1e-10
-    )

@@ -226,20 +226,3 @@ def werner_printed_form(n: int, x: float, idx: EntropicIndices) -> float:
         (2, (n - 1) * (x + 1.0)), (n - 1, n - x + n * x / 2.0 - 0.5), (n - 1, n - x - n * x / 2.0 + 0.5)
     ]
     return disturbance_spectra(_printed_spectrum(den_terms), _printed_spectrum(num_terms), idx)
-
-
-def isotropic_specializations(n: int, p: float, q: float) -> tuple[float, float]:
-    """Tsallis (s=1) and Renyi (s->0) values for the isotropic family at p.
-
-    The Renyi value follows the published specialization, which matches the
-    s -> 0 limit of the general expression.  The published Tsallis line drops
-    the purity rescaling and a sign, so the Tsallis value here is derived
-    from the general expression at s = 1 instead.
-    """
-    tsallis = closed_form(FamilySpec("pseudopure", n, n, p), "AB", EntropicIndices(q, 1.0))
-    num_terms = [(n, 1.0 - p + n * p), (n * n - n, 1.0 - p)]
-    den_terms = [(1, 1.0 - p + n * n * p), (n * n - 1, 1.0 - p)]
-    renyi = disturbance_spectra(
-        _printed_spectrum(den_terms), _printed_spectrum(num_terms), EntropicIndices(q, 0.0)
-    )
-    return tsallis, renyi

@@ -17,7 +17,6 @@ import numpy as np
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
 TOL_UNITARY = 1e-10
-TOL_MAJORIZATION = 1e-10  # slack of each partial-sum comparison in majorizes
 EPS = float(np.finfo(float).eps)  # machine epsilon, the unit of rank_cutoff
 
 
@@ -293,12 +292,6 @@ def eigvalsh_2x2(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def hs_norm_sq(a) -> float:
-    """Squared Hilbert-Schmidt norm Tr(A^dag A)."""
-    a = np.asarray(a)
-    return float(np.vdot(a, a).real)
-
-
 def schmidt(psi, dims) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector on dims [N_A, N_B]; NotFinite for a NaN or inf entry."""
     psi = np.asarray(psi, dtype=complex).ravel()
@@ -369,18 +362,3 @@ def random_pure(dims, rng: np.random.Generator) -> np.ndarray:
     n = math.prod(check_dims(dims))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def majorizes(p, q_vec) -> bool:
-    """True iff p is majorized by q_vec (p < q_vec in the majorization order).
-
-    Vectors are sorted decreasing and the shorter one is zero-padded; the
-    check is that every partial sum of q_vec dominates the matching partial
-    sum of p within TOL_MAJORIZATION.
-    """
-    p = np.sort(np.asarray(p, dtype=float))[::-1]
-    q = np.sort(np.asarray(q_vec, dtype=float))[::-1]
-    n = max(p.size, q.size)
-    p = np.pad(p, (0, n - p.size))
-    q = np.pad(q, (0, n - q.size))
-    return bool(np.all(np.cumsum(p) <= np.cumsum(q) + TOL_MAJORIZATION))

@@ -76,21 +76,6 @@ class LocalMeasurement(NamedTuple):
         return tuple(b.unitary for name, b in zip("AB", (self.basis_a, self.basis_b)) if name in self.side)
 
 
-class ConditionalDecomposition(NamedTuple):
-    """Outcome probabilities and conditional states of a local measurement.
-
-    For side A (B), ``conditionals`` holds the post-outcome states of the
-    unmeasured side, with None where the outcome probability is below
-    ``linalg.rank_cutoff`` of the N outcomes at scale 1 (they sum to one).
-    For side AB, ``probabilities`` is the joint (N_A, N_B) table and
-    ``conditionals`` is empty.
-    """
-
-    side: str
-    probabilities: np.ndarray
-    conditionals: tuple[DensityOperator | None, ...]
-
-
 class DisturbanceReport(NamedTuple):
     entropy_before: float
     entropy_after: float
@@ -114,16 +99,6 @@ def _measured_tensor(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:
         if len(u) != n:
             raise DimMismatch(f"basis_{name.lower()} has dim {len(u)}, side {name} has dim {n}")
     return t
-
-
-def dephase(rho: DensityOperator, basis: ProjectiveBasis) -> DensityOperator:
-    """Full-space measurement: keep only the diagonal in the given basis."""
-    if basis.dim != rho.dim:
-        raise DimMismatch(f"basis dim {basis.dim} != state dim {rho.dim}")
-    u = basis.unitary
-    p = np.real(np.einsum("ij,jk,ki->i", dag(u), rho.matrix, u))
-    mat = (u * np.clip(p, 0.0, None)) @ dag(u)
-    return DensityOperator(0.5 * (mat + dag(mat)), rho.dims)
 
 
 def _dephase_side_a(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -217,26 +192,6 @@ def measured_spectrum(rho: DensityOperator, m: LocalMeasurement) -> np.ndarray:
     blocks; after a bilocal measurement it is the rotated diagonal.
     """
     return np.sort(KERNELS[m.side](_measured_tensor(rho, m), *m.unitaries))[::-1]
-
-
-def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> ConditionalDecomposition:
-    """Outcome probabilities and conditional states of the unmeasured side."""
-    t = _measured_tensor(rho, m)
-    if m.side == "AB":
-        probs = _joint_probabilities(t, *m.unitaries)
-        return ConditionalDecomposition("AB", np.clip(probs, 0.0, None), ())
-    if m.side == "B":  # side A of the swapped tensor
-        t = _swap_sides(t)
-    blocks = _blocks_side_a(t, *m.unitaries)
-    probs = np.clip(np.real(np.trace(blocks, axis1=1, axis2=2)), 0.0, None)
-    conditionals, cut = [], linalg.rank_cutoff(len(probs), 1.0)
-    for blk, p in zip(blocks, probs):
-        if p < cut:
-            conditionals.append(None)
-            continue
-        c = blk / p
-        conditionals.append(DensityOperator(0.5 * (c + dag(c)), (t.shape[1],)))
-    return ConditionalDecomposition(m.side, probs, tuple(conditionals))
 
 
 def disturbance_spectra(before, after, idx: EntropicIndices):

@@ -15,12 +15,12 @@ from qcorr.entropy import (
     EntropicIndices,
     max_entropy,
     purity_ratio_sums,
-    relative_entropy,
     spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
 )
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
+from util import bilocal_decomposition_check, dephase, hs_norm_sq, majorizes, relative_entropy
 
 VN = EntropicIndices(1.0, 1.0)
 TS2 = EntropicIndices(2.0, 1.0)
@@ -183,7 +183,7 @@ def test_criterion_6_identities():
         rho = linalg.random_density((2, 2), rng)
         basis_a = ProjectiveBasis(linalg.haar_unitary(2, rng))
         basis_b = ProjectiveBasis(linalg.haar_unitary(2, rng))
-        res = correlations.bilocal_decomposition_check(
+        res = bilocal_decomposition_check(
             rho, basis_a, basis_b, random_idx(rng)
         )
         worst_residual = max(worst_residual, max(res))
@@ -198,7 +198,7 @@ def test_criterion_6_identities():
             worst_vn,
             abs(measurement.disturbance(rho, m, VN).disturbance - relative_entropy(rho, post)),
         )
-        hs = linalg.hs_norm_sq(rho.matrix - post.matrix)
+        hs = hs_norm_sq(rho.matrix - post.matrix)
         purity = float(np.trace(rho.matrix @ rho.matrix).real)
         worst_hs = max(
             worst_hs,
@@ -223,7 +223,7 @@ def test_criterion_7_inequality_suite():
         rho = linalg.random_density((2, 2), rng)
         if k % 2 == 0:
             basis = ProjectiveBasis(linalg.haar_unitary(4, rng))
-            after = linalg.spectrum(measurement.dephase(rho, basis))
+            after = linalg.spectrum(dephase(rho, basis))
             idx = random_idx(rng)
             value = measurement.disturbance_spectra(linalg.spectrum(rho), after, idx)
         else:
@@ -235,7 +235,7 @@ def test_criterion_7_inequality_suite():
             )
             after = measurement.measured_spectrum(rho, m)
             value = measurement.disturbance(rho, m, random_idx(rng)).disturbance
-        majorization_ok &= linalg.majorizes(after, linalg.spectrum(rho))
+        majorization_ok &= majorizes(after, linalg.spectrum(rho))
         disturbance_floor = min(disturbance_floor, value)
 
     bounds_ok = True

@@ -12,11 +12,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcorr import cli, families, linalg
-from qcorr.cli import ParseError, main, parse_state_file, write_state_file
+from qcorr.cli import ParseError, main, parse_state_file
 from qcorr.correlations import OptimizerOptions, measure_correlations, qubit_oracle
 from qcorr.entropy import EntropicIndices
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis, disturbance
-from util import bell_density
+from util import bell_density, write_state_file
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"

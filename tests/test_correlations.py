@@ -8,9 +8,7 @@ from scipy.linalg import expm
 from qcorr import correlations, families, linalg, measurement
 from qcorr.correlations import (
     OptimizerOptions,
-    bilocal_decomposition_check,
     contractivity_min_from_spectra,
-    contractivity_probe,
     entanglement_lower_bound,
     measure_correlations,
     measurement_pair_spectra,
@@ -21,7 +19,7 @@ from qcorr.correlations import (
 from qcorr.entropy import EntropicIndices, spectral_sum, unified_entropy, unified_from_renyi
 from qcorr.linalg import DimMismatch, NotUnitary
 from qcorr.measurement import LocalMeasurement, ProjectiveBasis
-from util import IDX_GRID, bell_density, cc_state, cq_state, pure_density, random_basis
+from util import IDX_GRID, bell_density, bilocal_decomposition_check, cc_state, cq_state, pure_density, random_basis
 
 VN = EntropicIndices(1.0, 1.0)
 TS2 = EntropicIndices(2.0, 1.0)
@@ -565,7 +563,9 @@ def test_optimizer_options_take_numpy_integers():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: measurement_pair_spectra(bell_density(), 0, 1), "trials must be >= 1"),
-], ids=["no trials"])
+    (lambda: measurement_pair_spectra(bell_density(), 2.5, 1), "trials must be an integer, got 2.5"),
+    (lambda: measurement_pair_spectra(bell_density(), True, 1), "trials must be an integer, got True"),
+], ids=["no trials", "float trials", "bool trials"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -670,12 +670,14 @@ class TestContractivity:
     def test_von_neumann_no_violation(self, rng):
         for _ in range(5):
             rho = linalg.random_density((2, 2), rng)
-            assert contractivity_probe(rho, VN, 200, rng.integers(2**32)) >= -1e-8
+            spectra = measurement_pair_spectra(rho, 200, rng.integers(2**32))
+            assert contractivity_min_from_spectra(spectra, [VN])[0] >= -1e-8
 
     def test_tsallis_two_no_violation(self, rng):
         for _ in range(5):
             rho = linalg.random_density((2, 2), rng)
-            assert contractivity_probe(rho, TS2, 200, rng.integers(2**32)) >= -1e-8
+            spectra = measurement_pair_spectra(rho, 200, rng.integers(2**32))
+            assert contractivity_min_from_spectra(spectra, [TS2])[0] >= -1e-8
 
     @pytest.mark.parametrize("q", [0.5, 4.0])
     def test_tsallis_violations_found(self, q):
@@ -683,7 +685,7 @@ class TestContractivity:
         found = False
         for state_seed in range(20):
             rho = linalg.random_density((2, 2), np.random.default_rng([99, state_seed]))
-            value = contractivity_probe(rho, idx, 400, [99, state_seed, 1])
+            value = contractivity_min_from_spectra(measurement_pair_spectra(rho, 400, [99, state_seed, 1]), [idx])[0]
             if value < -1e-6:
                 found = True
                 break
@@ -696,11 +698,3 @@ class TestContractivity:
         indices = [EntropicIndices(q, s) for s in (0.0, 1.0) for q in (0.5, 1.0, 2.0, 4.0)]
         shared = contractivity_min_from_spectra(spectra, indices)
         assert shared == [contractivity_min_from_spectra(spectra, [idx])[0] for idx in indices]
-
-    def test_probe_matches_split_api(self, rng):
-        rho = linalg.random_density((2, 2), rng)
-        spectra = measurement_pair_spectra(rho, 50, 123)
-        for idx in IDX_GRID:
-            direct = contractivity_probe(rho, idx, 50, 123)
-            cached = contractivity_min_from_spectra(spectra, [idx])[0]
-            assert_allclose(direct, cached, atol=1e-14)

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,20 +14,26 @@ from qcorr.entropy import (
     UNDERFLOW_LOG,
     BadIndices,
     EntropicIndices,
-    PreconditionUnmet,
     Regime,
-    check_schur_concavity,
     entropy_change,
     log_power_sum,
     max_entropy,
-    relative_entropy,
     renyi_change_and_slope,
     spectral_sum,
     unified_entropy,
     unified_entropy_spectrum,
     unified_from_renyi,
 )
-from util import IDX_GRID, bell_density, plus_density
+from util import (
+    IDX_GRID,
+    PreconditionUnmet,
+    bell_density,
+    check_schur_concavity,
+    dephase,
+    majorizes,
+    plus_density,
+    relative_entropy,
+)
 
 
 @pytest.fixture
@@ -36,8 +43,13 @@ def rng():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: max_entropy(0, EntropicIndices(2.0, 1.0)), ValueError, "dimension must be >= 1"),
+    (lambda: max_entropy(2.5, EntropicIndices(2.0, 1.0)), linalg.DimMismatch, re.escape("dims (2.5,) are not integers")),
+    (lambda: max_entropy(True, EntropicIndices(2.0, 1.0)), linalg.DimMismatch, re.escape("dims (True,) are not integers")),
+    (lambda: max_entropy((2, 2), EntropicIndices(2.0, 1.0)), linalg.DimMismatch,
+     re.escape("dims ((2, 2),) are not integers")),
     (lambda: relative_entropy(plus_density(), bell_density()), linalg.DimMismatch, "states must share a Hilbert space"),
-], ids=["max entropy dim 0", "relative entropy dims"])
+], ids=["max entropy dim 0", "max entropy float dim", "max entropy bool dim", "max entropy dims tuple",
+        "relative entropy dims"])
 def test_named_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -433,7 +445,7 @@ class TestRelativeEntropy:
         for _ in range(100):
             rho = linalg.random_density(3, rng)
             basis = measurement.ProjectiveBasis(linalg.haar_unitary(3, rng))
-            dephased = measurement.dephase(rho, basis)
+            dephased = dephase(rho, basis)
             dist = measurement.disturbance_spectra(
                 linalg.spectrum(rho), linalg.spectrum(dephased), idx
             )
@@ -449,7 +461,7 @@ class TestSchurConcavity:
     def test_first_spectrum_majorizing_the_second(self, idx):
         """Only the reverse relation holds, so the mirrored check compares the second entropy against the first."""
         p, q_vec = [0.7, 0.2, 0.1], [0.4, 0.35, 0.25]
-        assert linalg.majorizes(q_vec, p) and not linalg.majorizes(p, q_vec)
+        assert majorizes(q_vec, p) and not majorizes(p, q_vec)
         assert check_schur_concavity(p, q_vec, idx)
         assert unified_entropy_spectrum(q_vec, idx) > unified_entropy_spectrum(p, idx)
 
@@ -471,9 +483,9 @@ class TestSchurConcavity:
         for _ in range(250):
             rho = linalg.random_density(4, rng)
             basis = measurement.ProjectiveBasis(linalg.haar_unitary(4, rng))
-            diag = linalg.spectrum(measurement.dephase(rho, basis))
+            diag = linalg.spectrum(dephase(rho, basis))
             spec = linalg.spectrum(rho)
-            assert linalg.majorizes(diag, spec)
+            assert majorizes(diag, spec)
             for idx in IDX_GRID:
                 assert check_schur_concavity(diag, spec, idx)
                 count += 1

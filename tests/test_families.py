@@ -13,14 +13,13 @@ from qcorr.families import (
     FamilySpec,
     build,
     isotropic_closed_form,
-    isotropic_specializations,
     maximally_entangled,
     pseudopure_closed_form,
     swap_operator,
     werner_printed_form,
     werner_spectrum_form,
 )
-from util import IDX_GRID
+from util import IDX_GRID, isotropic_specializations, majorizes
 
 VN = EntropicIndices(1.0, 1.0)
 TS2 = EntropicIndices(2.0, 1.0)
@@ -444,4 +443,4 @@ class TestSymmetryProperties:
                 measurement.ProjectiveBasis(linalg.haar_unitary(3, rng)),
             )
             other = measurement.measured_spectrum(rho, m)
-            assert linalg.majorizes(other, schmidt_spec)
+            assert majorizes(other, schmidt_spec)

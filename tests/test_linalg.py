@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcorr import linalg, measurement
-from util import bell_density, plus_density, pure_density
+from util import bell_density, hs_norm_sq, majorizes, plus_density, pure_density
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -249,15 +249,15 @@ def test_one_rank_rule_everywhere(big, low, high, seed):
 
 class TestHSNorm:
     def test_zero(self):
-        assert linalg.hs_norm_sq(np.zeros((3, 3))) == 0.0
+        assert hs_norm_sq(np.zeros((3, 3))) == 0.0
 
     def test_identity(self):
-        assert_allclose(linalg.hs_norm_sq(np.eye(5)), 5.0)
+        assert_allclose(hs_norm_sq(np.eye(5)), 5.0)
 
     def test_dephased_plus_state(self):
         rho = plus_density()
         diff = rho.matrix - np.eye(2) / 2
-        assert_allclose(linalg.hs_norm_sq(diff), 0.5, atol=1e-14)
+        assert_allclose(hs_norm_sq(diff), 0.5, atol=1e-14)
 
 
 class TestSchmidt:
@@ -379,26 +379,26 @@ spectra = st.integers(2, 6).flatmap(
 
 class TestMajorizes:
     def test_uniform_majorized_by_pure(self):
-        assert linalg.majorizes([0.5, 0.5], [1.0, 0.0])
-        assert not linalg.majorizes([1.0, 0.0], [0.5, 0.5])
+        assert majorizes([0.5, 0.5], [1.0, 0.0])
+        assert not majorizes([1.0, 0.0], [0.5, 0.5])
 
     def test_partial_sum_example(self):
-        assert linalg.majorizes([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
+        assert majorizes([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
 
     def test_zero_padding(self):
-        assert linalg.majorizes([0.5, 0.5], [1.0])
-        assert linalg.majorizes([1.0], [0.7, 0.3]) is False
+        assert majorizes([0.5, 0.5], [1.0])
+        assert majorizes([1.0], [0.7, 0.3]) is False
 
     @settings(max_examples=50, deadline=None)
     @given(spectra)
     def test_reflexive(self, p):
-        assert linalg.majorizes(p, p)
+        assert majorizes(p, p)
 
     @settings(max_examples=50, deadline=None)
     @given(spectra)
     def test_uniform_is_bottom(self, p):
         uniform = np.full(p.size, 1.0 / p.size)
-        assert linalg.majorizes(uniform, p)
+        assert majorizes(uniform, p)
 
     @settings(max_examples=50, deadline=None)
     @given(spectra, st.integers(0, 2**32 - 1))
@@ -407,9 +407,9 @@ class TestMajorizes:
         rng = np.random.default_rng(seed)
         q = _random_mix(p, rng)
         r = _random_mix(q, rng)
-        assert linalg.majorizes(q, p)
-        assert linalg.majorizes(r, q)
-        assert linalg.majorizes(r, p)
+        assert majorizes(q, p)
+        assert majorizes(r, q)
+        assert majorizes(r, p)
 
 
 def _random_mix(p, rng):

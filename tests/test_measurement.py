@@ -6,20 +6,30 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcorr import correlations, families, linalg
-from qcorr.entropy import EntropicIndices, Regime, entropy_change, purity_ratio_sums, relative_entropy, spectral_sum
+from qcorr.entropy import EntropicIndices, Regime, entropy_change, purity_ratio_sums, spectral_sum
 from qcorr.linalg import DensityOperator, DimMismatch
 from qcorr.measurement import (
     LocalMeasurement,
     ProjectiveBasis,
     apply_local,
-    conditional_decomposition,
-    dephase,
     disturbance,
     disturbance_spectra,
     measured_spectrum,
     purity_ratio,
 )
-from util import IDX_GRID, bell_density, plus_density, pure_density, random_basis
+from util import (
+    IDX_GRID,
+    bell_density,
+    bilocal_decomposition_check,
+    conditional_decomposition,
+    dephase,
+    hs_norm_sq,
+    majorizes,
+    plus_density,
+    pure_density,
+    random_basis,
+    relative_entropy,
+)
 
 
 @pytest.fixture
@@ -97,7 +107,7 @@ class TestDephase:
         for _ in range(1000):
             rho = linalg.random_density(4, rng)
             out = dephase(rho, random_basis(4, rng))
-            assert linalg.majorizes(linalg.spectrum(out), linalg.spectrum(rho))
+            assert majorizes(linalg.spectrum(out), linalg.spectrum(rho))
 
 
 class TestApplyLocal:
@@ -333,7 +343,7 @@ class TestDisturbance:
         val = disturbance_spectra(before, after, EntropicIndices(2, 1))
         assert_allclose(val, 0.5, atol=1e-14)
         diff = rho.matrix - np.eye(2) / 2
-        hs = linalg.hs_norm_sq(diff) / np.trace(rho.matrix @ rho.matrix).real
+        hs = hs_norm_sq(diff) / np.trace(rho.matrix @ rho.matrix).real
         assert_allclose(val, hs, atol=1e-14)
 
     def test_plus_state_von_neumann_equals_relative_entropy(self):
@@ -352,7 +362,7 @@ class TestDisturbance:
                 "AB", random_basis(2, rng), random_basis(2, rng)
             )
             after = measured_spectrum(rho, m)
-            assert linalg.majorizes(after, linalg.spectrum(rho))
+            assert majorizes(after, linalg.spectrum(rho))
             for idx in IDX_GRID:
                 assert disturbance(rho, m, idx).disturbance >= -1e-10
 
@@ -371,7 +381,7 @@ class TestDisturbance:
             rho = linalg.random_density((2, 2), rng)
             m = LocalMeasurement("A", basis_a=random_basis(2, rng))
             post = apply_local(rho, m)
-            hs = linalg.hs_norm_sq(rho.matrix - post.matrix)
+            hs = hs_norm_sq(rho.matrix - post.matrix)
             purity = np.trace(rho.matrix @ rho.matrix).real
             rep = disturbance(rho, m, idx)
             assert abs(rep.disturbance - hs / purity) < 1e-10
@@ -440,7 +450,7 @@ def test_every_state_entry_point_needs_two_blocks(rng):
         lambda: conditional_decomposition(rho, m),
         lambda: apply_local(rho, m),
         lambda: disturbance(rho, m, TS2),
-        lambda: correlations.bilocal_decomposition_check(rho, basis_a, basis_b, TS2),
+        lambda: bilocal_decomposition_check(rho, basis_a, basis_b, TS2),
     ]
     for call in calls:
         with pytest.raises(DimMismatch, match="expected a two-block dims split"):

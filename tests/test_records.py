@@ -14,7 +14,7 @@ from qcorr.correlations import CorrelationResult, LocalSearch, OptimizerOptions,
 from qcorr.entropy import BadIndices, EntropicIndices
 from qcorr.families import BadKind, BadParameter, FamilySpec
 from qcorr.linalg import DensityOperator, NotUnitary, SchmidtDecomposition
-from qcorr.measurement import ConditionalDecomposition, DisturbanceReport, LocalMeasurement, ProjectiveBasis
+from qcorr.measurement import DisturbanceReport, LocalMeasurement, ProjectiveBasis
 
 BASIS = ProjectiveBasis(np.eye(2, dtype=complex))
 
@@ -23,7 +23,6 @@ RECORDS = [
     (DensityOperator, ("matrix", "dims"), {}, (np.eye(2) / 2, (2,))),
     (SchmidtDecomposition, ("coefficients", "basis_a", "basis_b", "schmidt_number"), {},
      (np.ones(1), np.eye(2), np.eye(2), 1)),
-    (ConditionalDecomposition, ("side", "probabilities", "conditionals"), {}, ("AB", np.eye(2) / 2, ())),
     (DisturbanceReport, ("entropy_before", "entropy_after", "purity_ratio", "rescale", "disturbance"), {},
      (0.1, 0.3, 1.0, 1.0, 0.2)),
     (CorrelationResult, ("value", "argmin", "restarts_used", "iterations", "spread", "converged", "grad_norm",
