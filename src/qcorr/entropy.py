@@ -118,11 +118,10 @@ def entropy_change(after_sum, before_sum, idx: EntropicIndices, expm1=math.expm1
 
     Takes two spectral_sum values (floats or arrays) with d their
     difference, and returns d (von Neumann), d / (1-q) (Renyi) or
-    expm1(s d) / ((1-q) s), switching to the leading series when
-    |s d| < 1e-12.  With before_sum = 0 this is the entropy of ``after``.
-    ``expm1`` is math.expm1, mapped over arrays, unless a numpy ufunc is
-    given; numpy's expm1 differs from it in the last bit on about one input
-    in ten.
+    expm1(s d) / ((1-q) s).  With before_sum = 0 this is the entropy of
+    ``after``.  ``expm1`` is math.expm1, mapped over arrays, unless a numpy
+    ufunc is given; numpy's expm1 differs from it in the last bit on about
+    one input in ten.
     """
     d = after_sum - before_sum
     regime = idx.regime
@@ -130,18 +129,10 @@ def entropy_change(after_sum, before_sum, idx: EntropicIndices, expm1=math.expm1
         return d
     if regime is Regime.RENYI:
         return d / (1.0 - idx.q)
-    x = idx.s * d
-    scale = (1.0 - idx.q) * idx.s
-    if np.ndim(x) == 0:
-        return _series(d, x, idx) if abs(x) < 1e-12 else expm1(x) / scale
-    if isinstance(expm1, np.ufunc):
-        general = expm1(x)
-    else:
-        general = np.fromiter(map(expm1, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    small = np.abs(x) < 1e-12
-    if not small.any():
-        return general / scale
-    return np.where(small, _series(d, x, idx), general / scale)
+    x, scale = idx.s * d, (1.0 - idx.q) * idx.s
+    if np.ndim(x) and not isinstance(expm1, np.ufunc):  # math.expm1 takes one float at a time
+        return np.fromiter(map(expm1, x.ravel().tolist()), float, x.size).reshape(x.shape) / scale
+    return expm1(x) / scale
 
 
 def min_difference(base, weight, after_sum, before_sum, idx: EntropicIndices) -> float:
@@ -151,20 +142,16 @@ def min_difference(base, weight, after_sum, before_sum, idx: EntropicIndices) ->
     max |base|) of the minimum m under numpy's expm1.  At 2 eps between the two, the rounded quotient, u = weight *
     quotient and v = base - u move by delta <= 5 eps (|u| + |v|) <= 5 eps (|base| + 2 |v|).  The true argmin k and
     numpy's j have |v| <= |m| + delta, so v~_k <= v_j + delta_k <= m + delta_j + delta_k <= m + 20 eps (max |base|
-    + |m|).  A NaN or infinite row takes every row, so np.min's value, or math.expm1's OverflowError, stands.
+    + |m|).  Every stack takes this filter, a one-row stack keeping its row.  A NaN or infinite row takes every row,
+    so np.min's value, or math.expm1's OverflowError, stands.
     """
-    if idx.regime is Regime.UNIFIED and np.size(after_sum) > 1:
+    if idx.regime is Regime.UNIFIED:
         with np.errstate(all="ignore"):
             approx = base - weight * entropy_change(after_sum, before_sum, idx, expm1=np.expm1)
         if np.isfinite(approx).all():
             keep = approx <= (m := approx.min()) + 64.0 * linalg.EPS * (abs(m) + np.abs(base).max())
             base, weight, after_sum, before_sum = base[keep], weight[keep], after_sum[keep], before_sum[keep]
     return float(np.min(base - weight * entropy_change(after_sum, before_sum, idx)))
-
-
-def _series(d, x, idx: EntropicIndices):
-    """Leading terms of expm1(x) / ((1-q) s) in x = s d, for |x| below 1e-12."""
-    return d / (1.0 - idx.q) * (1.0 + 0.5 * x)
 
 
 def unified_from_renyi(r, idx: EntropicIndices):

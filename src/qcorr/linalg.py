@@ -156,26 +156,30 @@ def make_density(matrix, dims) -> DensityOperator:
     The input is hermitized as (m + m^dag)/2; eigenvalues in [-TOL_PSD, 0)
     are clipped to zero and the result is renormalized to unit trace.
 
-    Raises NotSquare, NotFinite (a NaN or infinite entry), DimMismatch,
-    NotPositive (eigenvalue below -TOL_PSD) or TraceZero.
+    Raises NotSquare, NotFinite (a NaN or infinite entry, or entries so large that the
+    hermitized matrix, an eigenvalue or their sum overflows), DimMismatch, NotPositive
+    (eigenvalue below -TOL_PSD) or TraceZero.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotFinite("matrix has a NaN or infinite entry")
+    with np.errstate(all="ignore"):  # a NaN or infinite entry stays one in h, and an overflow makes one
+        h = 0.5 * (m + dag(m))
+    if not np.isfinite(h).all():
+        raise NotFinite("matrix has a NaN or infinite entry, or overflows the float range when hermitized")
     dims = check_dims(dims)
     if math.prod(dims) != m.shape[0]:
         raise DimMismatch(f"dims {dims} incompatible with dimension {m.shape[0]}")
-    h = 0.5 * (m + dag(m))
     w, v = _eigh(h)
+    with np.errstate(over="ignore"):
+        tr = float((clipped := np.clip(w, 0.0, None)).sum())
+    if not (math.isfinite(w[0]) and math.isfinite(tr)):  # the clip hides an eigenvalue of -inf
+        raise NotFinite("matrix's eigenvalues overflow the float range, or their sum does")
     if w[0] < -TOL_PSD:
         raise NotPositive(f"eigenvalue {w[0]:.3e} below -{TOL_PSD:.1e}")
-    w = np.clip(w, 0.0, None)
-    tr = float(w.sum())
     if tr <= TOL_TRACE:
         raise TraceZero("state has (near-)zero trace")
-    h = (v * (w / tr)) @ dag(v)
+    h = (v * (clipped / tr)) @ dag(v)
     return DensityOperator(0.5 * (h + dag(h)), dims)
 
 
@@ -256,9 +260,8 @@ def eig_hermitian(rho: DensityOperator):
     matching orthonormal eigenvector columns.
     """
     w, v = _eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w), v[:, order]
+    w = w[::-1]
+    return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w), v[:, ::-1]
 
 
 def spectrum(rho: DensityOperator) -> np.ndarray:

@@ -278,9 +278,9 @@ class TestDisturbanceRows:
         p = zeros_in_every_position()
         self.check(p[:150], p[150:], idx)
 
-    def test_series_branch(self):
-        # |s * dlog| runs from about 1e-17 to 1e-9 over the rows, so the batch
-        # holds rows on both sides of the 1e-12 switch to the series
+    def test_tiny_exponents(self):
+        # |s * dlog| runs from about 1e-17 to 1e-9 over the rows, on both sides
+        # of 1e-12, below which entropy_change once took a truncated series
         idx = EntropicIndices(2.0, 2e-8)
         rng = np.random.default_rng(31)
         before = rng.dirichlet(np.ones(4), 60)
@@ -440,7 +440,7 @@ class TestKernelRows:
         sums = spectral_sum(p, idx)
         assert same_bits(sums, np.array([spectral_sum(row, idx) for row in p]))
         # before sums a hair away from the after sums put |s d| on both sides
-        # of the 1e-12 switch to the series
+        # of 1e-12, below which entropy_change once took a truncated series
         before = sums[::-1] + shift * np.arange(sums.size)
         expm1 = np.expm1 if ufunc else math.expm1
         change = entropy_change(sums, before, idx, expm1=expm1)

@@ -808,6 +808,19 @@ class TestErrorsAndDeterminism:
         assert len(lines) == 1 and lines[0].startswith("error: float overflow: "), proc.stderr
         assert proc.stdout == ""
 
+    def test_state_file_near_the_float_limit_is_a_named_error(self, tmp_path):
+        """Finite entries of 1e308 overflow once hermitized: one error line, with no warning or traceback.
+
+        Run in a child, so stderr is what a user sees under Python's default warning filters.
+        """
+        path = tmp_path / "huge.txt"
+        path.write_text("dims: 2 2\n0 0 1e308 0\n3 3 1e308 0\n0 3 1e308 0\n3 0 1e308 0\n")
+        proc = run_child(["-m", "qcorr", "entropy", "--state-file", str(path)])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0], proc.stderr
+        assert proc.stdout == ""
+
     def test_zero_restarts_fail(self, capsys):
         assert run(["measure", "--family", "werner", "--N", "2", "--x", "1",
                     "--q", "2", "--s", "1", "--restarts", "0", "--seed", "1"]) == 1

@@ -394,6 +394,34 @@ def test_unified_entropy_against_a_60_digit_reference(n, q, s):
     assert float(error) / max(1.0, abs(float(exact))) <= REFERENCE_C * np.finfo(float).eps * amplification
 
 
+def reference_change(d: float, q: float, s: float) -> decimal.Decimal:
+    """expm1(s d) / ((1 - q) s) to 60 digits, from the doubles d, q and s exactly as given."""
+    ctx, exact = DIGITS, DIGITS.create_decimal
+    x, scale = ctx.multiply(exact(s), exact(d)), ctx.multiply(ctx.subtract(1, exact(q)), exact(s))
+    return ctx.divide(ctx.subtract(ctx.exp(x), 1), scale)
+
+
+@pytest.mark.parametrize("expm1", [math.expm1, np.expm1], ids=["math", "numpy"])
+@pytest.mark.parametrize("q, s", [(2.0, 1.0), (3.0, -0.75), (0.5, -1.0), (0.25, 3e-7)])
+def test_unified_change_near_zero_against_a_60_digit_reference(q, s, expm1):
+    """expm1(s d) / ((1 - q) s) is within 2 eps, relative, of its 60-digit value for |s d| from 1e-20 to 1e-6.
+
+    The range straddles 1e-12, below which the kernel once took a truncated series.  Each scalar call and
+    the stack's row is compared at the float d = after - before that the kernel forms.
+    """
+    rng = np.random.default_rng(43)
+    size = np.logspace(-20, -6, 57) / abs(s)
+    d = np.where(rng.uniform(size=size.size) < 0.5, -size, size)
+    before = d * rng.uniform(-4.0, 4.0, d.size)
+    after = before + d
+    idx = EntropicIndices(q, s)
+    stack = entropy_change(after, before, idx, expm1=expm1)
+    for a, b, row in zip(after.tolist(), before.tolist(), stack.tolist()):
+        exact = reference_change(a - b, q, s)
+        for got in (entropy_change(a, b, idx, expm1=expm1), row):
+            assert float(abs(DIGITS.create_decimal(float(got)) - exact) / abs(exact)) <= 2 * linalg.EPS, (a - b, got)
+
+
 spectra = st.integers(2, 6).flatmap(
     lambda n: st.lists(
         st.floats(0.0, 1.0, allow_nan=False), min_size=n, max_size=n

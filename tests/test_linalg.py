@@ -90,6 +90,17 @@ class TestMakeDensity:
         with pytest.raises(linalg.NotFinite):
             linalg.make_density(m, [2])
 
+    @pytest.mark.parametrize("m, dims", [
+        (np.diag([1e308, 1e308]), (2,)),
+        (np.diag([8e307] * 4), (2, 2)),
+        (np.full((3, 3), 8e307), (3,)),
+        (np.full((3, 3), -8e307), (3,)),
+    ], ids=["hermitized entry", "eigenvalue sum", "eigenvalue", "negative eigenvalue"])
+    def test_overflow_near_the_float_limit_rejected(self, m, dims):
+        """Finite entries whose hermitized matrix, eigenvalues or eigenvalue sum overflow: NotFinite, no warning."""
+        with pytest.raises(linalg.NotFinite, match="overflow"):
+            linalg.make_density(m, dims)
+
     def test_hermitizes_input(self):
         m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         rho = linalg.make_density(m, [2])
