@@ -10,7 +10,8 @@ worktree is added and this checkout is not touched.  Each pair runs
 exported tree and once here, one run at a time, with the first side
 alternating from pair to pair.  For each end-to-end metric of
 BENCHMARK.json it prints ``compare``'s medians, ratio, REF's interquartile
-range and pairs won, then every run that did not read ``correct: true``.
+range and pairs won, and ``verdict``'s reading of them, then every run that
+did not read ``correct: true``.
 """
 
 import argparse
@@ -51,17 +52,32 @@ def compare(ref: list[float], new: list[float], higher: bool) -> tuple[float, fl
     return ref_median, new_median, new_median / ref_median, q3 - q1, won
 
 
+def verdict(ref: list[float], new: list[float], higher: bool, bound: float) -> str:
+    """``better`` or ``worse`` when that side won at least 9 in 10 of the pairs (a tie counts for neither) and the
+    medians differ by more than REF's IQR, else ``unresolved``; then ``, beyond bound`` when the new median is worse
+    than REF's by more than ``bound`` times REF's median."""
+    ref_median, new_median, _, iqr, won = compare(ref, new, higher)
+    lost = sum((a > b) if higher else (a < b) for a, b in zip(ref, new))
+    reading = "unresolved"
+    if abs(new_median - ref_median) > iqr:
+        reading = "better" if 10 * won >= 9 * len(ref) else "worse" if 10 * lost >= 9 * len(ref) else reading
+    worse_by = ref_median - new_median if higher else new_median - ref_median
+    return reading + (", beyond bound" if worse_by > bound * ref_median else "")
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
-    """Per metric, ``compare`` over (ref result, this result) pairs; then each run that was not correct.
+    """Per metric, ``compare`` and ``verdict`` over (ref result, this result) pairs; then each run that was not correct.
 
     A result is run.py's last line: ``correct``, ``attempted``, ``failed`` and ``metrics``, each metric
-    a dict with its ``value``.  ``metrics`` are BENCHMARK.json's ``end_to_end`` entries.
+    a dict with its ``value``.  ``metrics`` are BENCHMARK.json's ``end_to_end`` entries, with their ``bound``.
     """
     lines = []
     for metric in metrics:
         ref, new = ([result["metrics"][metric["name"]]["value"] for result in side] for side in zip(*pairs))
-        a, b, ratio, iqr, won = compare(ref, new, metric["better"] == "higher")
-        lines.append(f"{metric['name']}: {a:.6g} -> {b:.6g} (x{ratio:.4g}), ref IQR {iqr:.3g}, won {won}/{len(pairs)}")
+        higher = metric["better"] == "higher"
+        a, b, ratio, iqr, won = compare(ref, new, higher)
+        lines.append(f"{metric['name']}: {a:.6g} -> {b:.6g} (x{ratio:.4g}), ref IQR {iqr:.3g}, won {won}/{len(pairs)}, "
+                     + verdict(ref, new, higher, metric["bound"]))
     for k, pair in enumerate(pairs):
         for side, result in zip(("ref", "this"), pair):
             if not result["correct"]:

@@ -48,10 +48,6 @@ class NotUnitary(ValueError):
     pass
 
 
-class ConvergenceFailure(RuntimeError):
-    pass
-
-
 class NotFinite(ValueError):
     pass
 
@@ -170,7 +166,7 @@ def make_density(matrix, dims) -> DensityOperator:
     dims = check_dims(dims)
     if math.prod(dims) != m.shape[0]:
         raise DimMismatch(f"dims {dims} incompatible with dimension {m.shape[0]}")
-    w, v = _eigh(h)
+    w, v = np.linalg.eigh(h)
     with np.errstate(over="ignore"):
         tr = float((clipped := np.clip(w, 0.0, None)).sum())
     if not (math.isfinite(w[0]) and math.isfinite(tr)):  # the clip hides an eigenvalue of -inf
@@ -235,14 +231,6 @@ def regroup(rho: DensityOperator, block) -> DensityOperator:
     return DensityOperator(perm.matrix, (na, nb))
 
 
-def _eigh(h: np.ndarray, vectors: bool = True):
-    """``np.linalg.eigh(h)``, or ``eigvalsh`` without ``vectors``; ConvergenceFailure where LAPACK does not converge."""
-    try:
-        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-
-
 def rank_cutoff(n: int, scale) -> float:
     """n eps scale, the ``numpy.linalg.matrix_rank`` tolerance for n eigenvalues whose largest is ``scale``.
 
@@ -259,14 +247,14 @@ def eig_hermitian(rho: DensityOperator):
     ``rank_cutoff`` of the largest, as ``spectrum`` cuts them, and the
     matching orthonormal eigenvector columns.
     """
-    w, v = _eigh(rho.matrix)
+    w, v = np.linalg.eigh(rho.matrix)
     w = w[::-1]
     return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w), v[:, ::-1]
 
 
 def spectrum(rho: DensityOperator) -> np.ndarray:
     """Eigenvalues only, sorted decreasing; those below ``rank_cutoff`` of the largest are zeroed."""
-    w = _eigh(rho.matrix, vectors=False)[::-1]
+    w = np.linalg.eigvalsh(rho.matrix)[::-1]
     return np.where(w < rank_cutoff(w.size, w[0]), 0.0, w)
 
 
@@ -312,42 +300,30 @@ def schmidt(psi, dims) -> SchmidtDecomposition:
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
-
-    Consumes 2 n^2 standard normals from ``rng``: the n x n real parts in
-    row-major order, then the imaginary parts (``haar_batch``'s stream).
-    """
-    check_dims(n)
-    return haar_from_normals(rng.standard_normal(2 * n * n), n)
-
-
-def haar_from_normals(z: np.ndarray, n: int) -> np.ndarray:
-    """Haar unitaries from standard normals, stacked over the leading axes of z.
-
-    The last axis of z holds 2 n^2 numbers, laid out as ``haar_unitary``
-    draws them.  The QR factorization runs once over the whole stack and the
-    phases of R's diagonal are moved into Q's columns.
-    """
-    z = np.asarray(z, dtype=float)
-    z = z.reshape(*z.shape[:-1], 2, n, n)
-    g = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d))[..., None, :]
+    """One Haar-distributed n x n unitary: ``haar_batch``'s one-draw case, 2 n^2 standard normals from ``rng``."""
+    return haar_batch(rng, 1, check_dims((n,)))[0][0]
 
 
 def haar_batch(rng: np.random.Generator, count: int, dims) -> list:
-    """``count`` Haar unitaries for each dimension in ``dims``, one stack per dimension.
+    """``count`` Haar unitaries for each dimension in ``dims``, one (count, n, n) stack per dimension.
 
-    Stream contract: one ``rng.standard_normal((count, sum 2 n^2))`` draw,
-    whose row k holds side by side what ``haar_unitary(n, rng)`` would take
-    for each n of ``dims`` in turn in round k.  The stacks equal such a loop
-    bit for bit; one batched QR per dimension replaces it.
+    Stream contract: one ``rng.standard_normal((count, sum 2 n^2))`` draw.  Row k
+    holds, for each n of ``dims`` in turn, the n x n real parts of round k's
+    Ginibre matrix in row-major order, then its imaginary parts, so a loop of
+    ``haar_unitary`` calls over rounds and ``dims`` reads the same numbers.  One
+    QR factorization runs over each dimension's stack, and the phases of R's
+    diagonal are moved into Q's columns.
     """
     sizes = [2 * n * n for n in dims]
     z = rng.standard_normal((count, sum(sizes)))
-    return [haar_from_normals(x, n) for x, n in zip(np.split(z, np.cumsum(sizes)[:-1], axis=1), dims)]
+    stacks = []
+    for x, n in zip(np.split(z, np.cumsum(sizes)[:-1], axis=1), dims):
+        x = x.reshape(count, 2, n, n)
+        q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0))
+        d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+        d[d == 0] = 1.0  # measure-zero guard
+        stacks.append(q * (d / np.abs(d))[..., None, :])
+    return stacks
 
 
 def random_density(dims, rng: np.random.Generator) -> DensityOperator:

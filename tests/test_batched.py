@@ -101,6 +101,17 @@ class TestHaarStream:
         for _ in range(50):
             assert same_bits(linalg.haar_unitary(n, r1), reference_haar(n, r2))
 
+    def test_haar_unitary_is_the_one_draw_batch(self):
+        """``haar_unitary(n)`` is ``haar_batch(rng, 1, (n,))[0][0]`` and takes one ``standard_normal(2 n^2)``; n must be an integer."""
+        for n, shown in (((2,), r"\(2,\)"), ((2, 3), r"\(2, 3\)")):
+            with pytest.raises(linalg.DimMismatch, match=rf"^dims \({shown},\) are not integers$"):
+                linalg.haar_unitary(n, np.random.default_rng(0))
+        for n in range(2, 7):
+            r1, r2, r3 = (np.random.default_rng([n, 3]) for _ in range(3))
+            assert same_bits(linalg.haar_unitary(n, r1), linalg.haar_batch(r2, 1, (n,))[0][0])
+            r3.standard_normal(2 * n * n)
+            assert r1.bit_generator.state == r2.bit_generator.state == r3.bit_generator.state
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacked_draw_equals_sequential_calls(self, n):
         """``haar_batch`` equals rounds of ``haar_unitary`` calls over its dims, one stack per dim."""

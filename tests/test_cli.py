@@ -457,20 +457,32 @@ def test_check_results_counts_changed_flags(tmp_path):
 
 
 def test_bench_pairs_summary():
-    """Medians, their ratio, the reference's quartile distance and the pairs won, on canned result lines."""
-    def result(items, p50, correct=True):
-        return {"correct": correct, "attempted": 40, "failed": 0 if correct else 2,
-                "metrics": {"items_per_s": {"value": items, "unit": "1/s"},
-                            "item_p50_ms": {"value": p50, "unit": "ms"}}}
+    """Medians, their ratio, the reference's quartile distance, the pairs won and the verdict, on canned result lines."""
+    names = ["items_per_s", "item_p50_ms", "item_tail_ms", "setup_s", "peak_rss_mb"]
 
-    ref = [result(100.0, 10.0), result(104.0, 9.0), result(96.0, 11.0), result(110.0, 8.0), result(90.0, 12.0)]
-    new = [result(120.0, 8.0), result(118.0, 9.0), result(101.0, 11.0), result(108.0, 8.5), result(125.0, 7.0, False)]
-    metrics = [{"name": "items_per_s", "better": "higher"}, {"name": "item_p50_ms", "better": "lower"}]
+    def result(values, correct=True):
+        return {"correct": correct, "attempted": 40, "failed": 0 if correct else 2,
+                "metrics": {name: {"value": value} for name, value in zip(names, values)}}
+
+    ref = [result((100.0, 10.0, 20.0, 1.0, 60.0)), result((104.0, 9.0, 21.0, 1.1, 61.0)),
+           result((96.0, 11.0, 19.0, 0.9, 59.0)), result((110.0, 8.0, 22.0, 1.2, 62.0)),
+           result((90.0, 12.0, 18.0, 0.8, 58.0))]
+    new = [result((120.0, 8.0, 26.0, 0.5, 62.5)), result((118.0, 9.0, 27.0, 0.6, 63.0)),
+           result((101.0, 11.0, 25.0, 0.4, 62.0)), result((108.0, 8.5, 30.0, 0.7, 64.0)),
+           result((125.0, 7.0, 24.0, 0.75, 61.0), False)]
+    metrics = [{"name": "items_per_s", "better": "higher", "bound": 0.25},
+               *({"name": name, "better": "lower", "bound": 0.25} for name in names[1:4]),
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
     assert load_script("bench_pairs").summarize(list(zip(ref, new)), metrics) == [
-        # ref 90/96/100/104/110: quartiles 96 and 104; every pair but the fourth is higher
-        "items_per_s: 100 -> 118 (x1.18), ref IQR 8, won 4/5",
+        # ref 90/96/100/104/110: quartiles 96 and 104; every pair but the fourth is higher, 4/5 short of 9 in 10
+        "items_per_s: 100 -> 118 (x1.18), ref IQR 8, won 4/5, unresolved",
         # ref 8/9/10/11/12: quartiles 9 and 11; pairs 1 and 5 are lower, 2 and 3 tie
-        "item_p50_ms: 10 -> 8.5 (x0.85), ref IQR 2, won 2/5",
+        "item_p50_ms: 10 -> 8.5 (x0.85), ref IQR 2, won 2/5, unresolved",
+        # every pair higher, by 6 against an IQR of 2, and above 1.25 times ref's median
+        "item_tail_ms: 20 -> 26 (x1.3), ref IQR 2, won 0/5, worse, beyond bound",
+        "setup_s: 1 -> 0.6 (x0.6), ref IQR 0.2, won 5/5, better",
+        # every pair higher, by 2.5 against an IQR of 2, but below 1.05 times ref's median
+        "peak_rss_mb: 60 -> 62.5 (x1.042), ref IQR 2, won 0/5, worse",
         "pair 5 this: not correct, 2 of 40 failed",
     ]
 
@@ -646,6 +658,15 @@ class TestErrorsAndDeterminism:
         bad.write_text("dims: 2 2\n0 0 0.5 0\n3 3 nan 0\n")
         assert run(["measure", "--state-file", str(bad), "--seed", "1"]) == 1
         assert "NaN" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_a_named_error(self, monkeypatch, capsys):
+        """LAPACK's non-convergence reaches the user as numpy's LinAlgError, a ValueError: one error line, exit 1."""
+        def eigh(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert run(["entropy", "--family", "werner", "--N", "2", "--x", "0.3"]) == 1
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
     def test_no_source_fails(self):
         assert run(["entropy"]) == 1

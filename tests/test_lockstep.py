@@ -477,7 +477,7 @@ def test_exp_path_is_the_matrix_exponential(n):
     1e-200, whose |c|^2 underflows; steps reach 50 rad, and every result is unitary to 1e-14.
     """
     rng = np.random.default_rng([43, n])
-    u = linalg.haar_from_normals(rng.standard_normal((10, 2 * n * n)), n)
+    u = linalg.haar_batch(rng, 10, (n,))[0]
     c = rng.standard_normal((10, n * (n - 1)))
     c[6] = 0.0
     c[7:9] *= np.array([[1e-160], [1e-200]]) / np.linalg.norm(c[7:9], axis=1, keepdims=True)

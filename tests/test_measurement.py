@@ -285,6 +285,15 @@ class TestConditionalDecomposition:
         assert abs(dec.probabilities.sum() - 1.0) < 1e-10
         assert dec.conditionals == ()
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_side_ab_spectrum_is_the_sorted_table(self, dims, rng):
+        """The side-AB kernel's spectrum is the reference's joint table, sorted, to 1e-15."""
+        for _ in range(20):
+            rho = linalg.random_density(dims, rng)
+            m = LocalMeasurement("AB", random_basis(dims[0], rng), random_basis(dims[1], rng))
+            table = conditional_decomposition(rho, m).probabilities
+            assert_allclose(measured_spectrum(rho, m), np.sort(table, axis=None)[::-1], rtol=0.0, atol=1e-15)
+
 
 class TestPurityRatio:
     def test_renyi_is_exactly_one(self, rng):

@@ -15,7 +15,6 @@ from qcorr.measurement import (
     LocalMeasurement,
     ProjectiveBasis,
     _blocks_side_a,
-    _joint_probabilities,
     _measured_tensor,
     _swap_sides,
     disturbance,
@@ -175,8 +174,9 @@ def dephase(rho: DensityOperator, basis: ProjectiveBasis) -> DensityOperator:
 def conditional_decomposition(rho: DensityOperator, m: LocalMeasurement) -> ConditionalDecomposition:
     """Outcome probabilities and conditional states of the unmeasured side."""
     t = _measured_tensor(rho, m)
-    if m.side == "AB":
-        probs = _joint_probabilities(t, *m.unitaries)
+    if m.side == "AB":  # the diagonal of (ua x ub)^dag rho (ua x ub), as an (N_A, N_B) table
+        u = np.kron(*m.unitaries)
+        probs = np.real(np.einsum("ij,jk,ki->i", dag(u), rho.matrix, u)).reshape(t.shape[:2])
         return ConditionalDecomposition("AB", np.clip(probs, 0.0, None), ())
     if m.side == "B":  # side A of the swapped tensor
         t = _swap_sides(t)
