@@ -9,7 +9,7 @@ the local eigenbases of the reduced states (the exact optimum for pure and
 pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
-from one measured spectrum (``entropy.renyi_change_and_slope``), and each
+from one cut measured spectrum (``entropy.renyi_change_and_slope``), and each
 exponential call covers all rows that need it, in closed form on a measured
 qubit; every row is its start's lone descent, bit for bit.  A basis is
 carried as its unitary throughout: the starts, the argmin and the warm
@@ -57,6 +57,7 @@ from .measurement import (
     LocalMeasurement,
     ProjectiveBasis,
     _blocks_side_a,
+    _flat_spectrum,
     _spectrum_side_a,
     _spectrum_side_ab,
     _spectrum_side_b,
@@ -202,11 +203,11 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
     of unitaries (shape (R, n, n)) for side A or B and two for side AB, and
     returns one value per row and one real (R, sum n(n - 1)) gradient stack,
     both from one pass of ``renyi_change_and_slope`` over one measured
-    spectrum.  With W the state in the rotated product basis and F the
-    matrix of the slopes in the measured eigenbasis (diagonal for side AB,
-    block-diagonal over the outcomes for side A), the disturbance changes
-    by Tr(K C), C = -i[W, F], under U -> U exp(iK)
-    on side A; the gradient is the partial trace of C over B, which has no
+    spectrum, cut by ``_flat_spectrum``.  With W the state in the rotated
+    product basis and F the matrix of the slopes in the measured eigenbasis
+    (diagonal for side AB, block-diagonal over the outcomes for side A), the
+    disturbance changes by Tr(K C), C = -i[W, F], under U -> U exp(iK) on
+    side A; the gradient is the partial trace of C over B, which has no
     diagonal, read off as ``_coordinates`` of x = Tr_B(W F).  Side A takes
     one ``eigh`` of the conditional blocks (``measurement._blocks_side_a``),
     and side B is side A of the swapped tensor, built once here.  Side AB
@@ -217,8 +218,8 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
 
     def conditional(blocks):
         lam, vec = np.linalg.eigh(blocks)
-        value, g = renyi_change_and_slope(lam, before, idx)
-        return value, (vec * g[..., None, :]) @ dag(vec)
+        value, g = renyi_change_and_slope(_flat_spectrum(lam), before, idx)
+        return value, (vec * g.reshape(lam.shape)[..., None, :]) @ dag(vec)
 
     if side != "AB":
         if side == "B":
@@ -237,7 +238,9 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
             # and x_B[j, l] = sum_i W[ij, il] g[i, l]
             u = np.einsum("...ai,...bj->...abij", ua, ub).reshape(ua.shape[:-2] + rho.shape)
             w = (dag(u) @ rho @ u).reshape(ua.shape[:-2] + (na, nb, na, nb))
-            value, g = renyi_change_and_slope(np.einsum("...ijij->...ij", w).real, before, idx)
+            table = np.einsum("...ijij->...ij", w).real
+            value, g = renyi_change_and_slope(_flat_spectrum(table), before, idx)
+            g = g.reshape(table.shape)
             x_a = np.einsum("...ijkj,...kj->...ik", w, g)
             x_b = np.einsum("...ijil,...il->...jl", w, g)
             return value, np.concatenate([_coordinates(x_a), _coordinates(x_b)], axis=1)

@@ -11,9 +11,10 @@ spectrum (or a stack of them) to the sum its entropy is built from, and
 ``entropy_change`` maps two such sums to the purity-rescaled entropy
 change.  Beside them, ``purity_ratio_sums`` maps two sums to the purity ratio,
 ``unified_from_renyi`` maps the Renyi measure to the (q, s) one, ``renyi_change_and_slope``
-gives its change and its slope by each entry of a spectrum in one pass, and ``min_difference``
+gives its change and its slope by each entry of a cut measured spectrum in one pass, and ``min_difference``
 minimizes a weighted ``entropy_change`` over a stack.  These six kernels are the package's one
 switch between the von Neumann, Renyi and unified regimes: no other module branches on ``Regime``.
+Every power sum comes from ``_power_trace``, the one home of the ``UNDERFLOW_LOG`` rule.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def _positive_sums(p: np.ndarray, term):
 
     A non-positive entry adds an exact zero where it stands (0^q := 0, 0 ln 0 := 0).
     """
-    positive = ~(p <= 0.0)
-    if p.size and positive.all():
+    if p.size and (p > 0.0).all():  # one comparison; zeros and NaN take the masked path
         return _row_sums(term(p))
+    positive = ~(p <= 0.0)
     if not positive.any(axis=-1).all():
         raise ValueError("spectrum has no positive weight")
     return _row_sums(np.where(positive, term(np.where(positive, p, 1.0)), 0.0))
@@ -88,14 +89,20 @@ def _row_sums(x: np.ndarray):
     return x.sum(axis=-1)
 
 
-def log_power_sum(p, q: float):
-    """log(sum_i p_i^q) over the positive entries of the last axis (0^q := 0); past q ln N =
-    UNDERFLOW_LOG the largest entry m is factored out, as q ln m + log(sum_i (p_i / m)^q)."""
-    p = np.asarray(p, dtype=float)
-    if q * math.log(p.shape[-1] or 1) <= UNDERFLOW_LOG:  # an empty spectrum raises below
-        return np.log(_positive_sums(p, lambda pz: pz**q))
+def _power_trace(p: np.ndarray, q: float):
+    """(Tr p^q, None) over the positive entries of the last axis of p (0^q := 0); past q ln N = UNDERFLOW_LOG,
+    where every p_i^q may underflow, (Tr (p/m)^q, m) with m the largest entry of each row."""
+    if q * math.log(p.shape[-1] or 1) <= UNDERFLOW_LOG:  # an empty spectrum raises in _positive_sums
+        return _positive_sums(p, lambda pz: pz**q), None
     top = np.maximum(p.max(axis=-1, keepdims=True), np.finfo(float).tiny)  # a row with no positive entry still raises
-    return np.log(_positive_sums(p / top, lambda pz: pz**q)) + q * np.log(top[..., 0])
+    return _positive_sums(p / top, lambda pz: pz**q), top[..., 0]
+
+
+def log_power_sum(p, q: float):
+    """log(sum_i p_i^q) over the positive entries of the last axis (0^q := 0), by ``_power_trace``:
+    q ln m + log(sum_i (p_i / m)^q) where it factors out the largest entry m."""
+    trace, top = _power_trace(np.asarray(p, dtype=float), q)
+    return np.log(trace) if top is None else np.log(trace) + q * np.log(top)
 
 
 def spectral_sum(p, idx: EntropicIndices):
@@ -174,37 +181,21 @@ def purity_ratio_sums(after_sum, before_sum, idx: EntropicIndices):
 def renyi_change_and_slope(p: np.ndarray, before_sum: float, idx: EntropicIndices):
     """R(p) - R(before) and dR/dp, for the Renyi measure R (von Neumann at q = 1) of p, whatever s.
 
-    The spectrum fills the last two axes of p (outcomes by conditional eigenvalues, or the joint
-    outcome table); any axes before them are stack axes, and ``before_sum`` is the spectral_sum before.
-    The value counts entries below ``linalg.rank_cutoff`` of a trace-one spectrum of N entries (scale 1)
-    as zero: it is entropy_change(spectral_sum(cut p), before_sum) bit for bit, and raises where that does.
-    The slope is -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q), with the value's Tr p^q of
-    the cut spectrum; ln p and, for q < 1, p^(q-1) diverge, so it takes cut entries at the cut-off.
+    p is a measured spectrum flat and cut, as ``measurement._flat_spectrum`` returns it, or a stack of
+    them over its leading axes, and ``before_sum`` is the spectral_sum before.  The value is
+    entropy_change(spectral_sum(p), before_sum) bit for bit, and raises where that does.  The slope is
+    -(ln p + 1) for von Neumann, else q p^(q-1) / ((1-q) Tr p^q) with the value's Tr p^q; ln p and, for
+    q < 1, p^(q-1) diverge at a cut entry, so the slope takes entries at the cut-off.
     """
-    n = p.shape[-2] * p.shape[-1]
-    cut = linalg.rank_cutoff(n, 1.0)
-    below = p < cut  # NaN is kept, and counts as positive
-    cuts = below.any()
-    if cuts and below.all(axis=(-2, -1)).any():
-        raise ValueError("spectrum has no positive weight")
-    flat = p.shape[:-2] + (n,)
+    pz = np.maximum(p, linalg.rank_cutoff(p.shape[-1], 1.0))
     if idx.regime is Regime.VON_NEUMANN:
-        log = np.log(np.maximum(p, cut))
-        terms = np.where(below, 0.0, p * log) if cuts else p * log
-        return -_row_sums(terms.reshape(flat)) - before_sum, -(log + 1.0)
-    q, top = idx.q, None
-    powers, pz, scale = np.maximum(p, 0.0), np.maximum(p, cut), q / (1.0 - q)
-    if q * math.log(n) > UNDERFLOW_LOG:  # as in log_power_sum: factor out the largest entry
-        top = p.max(axis=(-2, -1), keepdims=True)
-        powers, pz, scale = powers / top, pz / top, scale / top[..., 0, 0]
-    powers = powers**q  # p^q, over top^q when factored
-    # Tr p^q of the cut spectrum; numpy adds the last two axes as _row_sums adds a flat row
-    trace = _row_sums(np.where(below, 0.0, powers).reshape(flat)) if cuts else powers.sum(axis=(-2, -1))
-    total = np.log(trace)
-    if top is not None:
-        total = total + q * np.log(top[..., 0, 0])
-    slope = (scale / trace)[..., None, None] * pz ** (q - 1.0)
-    return (total - before_sum) / (1.0 - q), slope
+        return spectral_sum(p, idx) - before_sum, -(np.log(pz) + 1.0)
+    q = idx.q
+    trace, top = _power_trace(p, q)
+    total, scale = np.log(trace), q / (1.0 - q)
+    if top is not None:  # p^q over m^q, as _power_trace gives it
+        total, pz, scale = total + q * np.log(top), pz / top[..., None], scale / top
+    return (total - before_sum) / (1.0 - q), (scale / trace)[..., None] * pz ** (q - 1.0)
 
 
 def unified_entropy_spectrum(p, idx: EntropicIndices):

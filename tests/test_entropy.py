@@ -1,3 +1,4 @@
+import ast
 import decimal
 import math
 import re
@@ -120,6 +121,13 @@ class TestSpectrumEntropy:
         assert_allclose(a, b, atol=1e-14)
 
 
+def change_and_slope(p, before, idx):
+    """``renyi_change_and_slope`` of the measured spectrum p (its last two axes), cut by ``measurement._flat_spectrum``,
+    with the slope in p's shape."""
+    value, slope = renyi_change_and_slope(measurement._flat_spectrum(p), before, idx)
+    return value, slope.reshape(p.shape)
+
+
 class TestSpectralSlope:
     @pytest.mark.parametrize("idx", [EntropicIndices(1.0, 1.0), EntropicIndices(2.0, 0.0), EntropicIndices(0.5, 0.0),
                                      EntropicIndices(2.0, 1.0), EntropicIndices(0.5, 1.0), EntropicIndices(3.0, 0.5)],
@@ -129,7 +137,7 @@ class TestSpectralSlope:
         # fills the last two axes, and the first is a stack axis
         rng = np.random.default_rng(67)
         p = rng.dirichlet(np.ones(6), 3).reshape(3, 2, 3)
-        slope = renyi_change_and_slope(p, 0.0, idx)[1]
+        slope = change_and_slope(p, 0.0, idx)[1]
         assert slope.shape == p.shape
 
         def value(row):
@@ -198,7 +206,7 @@ def test_change_and_slope_is_the_chain_bit_for_bit(shape, q, before, seed, odd, 
         p[0] = odd_values[rng.integers(1, 4)][0]
     p = p.reshape(shape)
     idx = EntropicIndices(q, 0.0)
-    assert outcome(renyi_change_and_slope, p, before, idx) == outcome(chained_change_and_slope, p, before, idx)
+    assert outcome(change_and_slope, p, before, idx) == outcome(chained_change_and_slope, p, before, idx)
 
 
 def test_slope_is_that_of_the_cut_value():
@@ -210,7 +218,7 @@ def test_slope_is_that_of_the_cut_value():
     """
     p = np.array([[[0.6, 0.4 - 3e-16], [3e-16, 0.0]]])
     assert 3e-16 < linalg.rank_cutoff(4, 1.0)
-    slope = renyi_change_and_slope(p, 0.0, EntropicIndices(0.3, 1.0))[1]
+    slope = change_and_slope(p, 0.0, EntropicIndices(0.3, 1.0))[1]
     assert_allclose(slope[0, 0, 0], 0.37883745905225563, rtol=1e-15, atol=0.0)
 
 
@@ -231,6 +239,17 @@ def test_only_entropy_refers_to_regime_members():
         if "Regime." in line or "REGIME_TOL" in line
     ]
     assert offenders == []
+
+
+def test_only_power_trace_reads_underflow_log():
+    # one home for the underflow rule: every power sum past it goes through _power_trace
+    def reads(tree):
+        return sum(isinstance(n, ast.Name) and n.id == "UNDERFLOW_LOG" and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(tree))
+
+    module = ast.parse((SRC / "entropy.py").read_text())
+    readers = {f.name: reads(f) for f in module.body if isinstance(f, ast.FunctionDef) and reads(f)}
+    assert readers == {"_power_trace": reads(module)}
 
 
 class TestStateEntropy:
@@ -320,7 +339,7 @@ class TestLargeQ:
     def test_slope(self):
         # q p^(q-1) / ((1-q) Tr p^q), with Tr p^q = 2 0.6^q (1 + (0.4/0.6)^q / 2) far below the smallest double
         q, p = 2000.0, np.array([[[0.6, 0.0], [0.4, 0.0]]])
-        slope = renyi_change_and_slope(p, 0.0, EntropicIndices(q, 0.0))[1]
+        slope = change_and_slope(p, 0.0, EntropicIndices(q, 0.0))[1]
         log_total = scaled_log_power_sum([0.6, 0.4], q)
         assert abs(slope[0, 0, 0] - q / (1 - q) * math.exp((q - 1) * math.log(0.6) - log_total)) < 1e-12
         assert abs(slope[0, 1, 0] - q / (1 - q) * math.exp((q - 1) * math.log(0.4) - log_total)) < 1e-12

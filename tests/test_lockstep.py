@@ -293,16 +293,26 @@ def test_side_ab_warm_start_is_row_one(monkeypatch):
     np.testing.assert_array_equal(us[0][0], correlations._eigenbasis(rho, 0))
 
 
+def mixed_pure_states(dims, rank, rng):
+    """A random state of the given rank: a Dirichlet mixture of ``rank`` random pure states."""
+    weights, vectors = rng.dirichlet(np.ones(rank)), [linalg.random_pure(dims, rng) for _ in range(rank)]
+    return linalg.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)), dims)
+
+
 @pytest.mark.parametrize("rows", [1, 8])
 @pytest.mark.parametrize("side", ["A", "B", "AB"])
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_values_match_the_value_kernels(dims, side, rows):
+@pytest.mark.parametrize("dims, rank", [
+    pytest.param(dims, rank, id=f"dims{k}" + (f"-rank{rank}" if rank else ""))
+    for rank in (None, 1, 2) for k, dims in enumerate([(2, 2), (2, 3), (3, 2), (3, 3)])
+])
+def test_values_match_the_value_kernels(dims, rank, side, rows):
     """``evaluate``'s values are the value kernels' ``_spectrum_side_*`` then ``disturbance_spectra`` at (q, 0).
 
-    Mapped to (q, s), they are the disturbance at (q, s).
+    Mapped to (q, s), they are the disturbance at (q, s).  The states are full rank, or of rank 1 or 2,
+    whose side A or B conditional spectra hold entries below the cut-off that both paths must cut alike.
     """
     rng = np.random.default_rng([dims[0], dims[1], len(side), rows])
-    rho = linalg.random_density(dims, rng)
+    rho = linalg.random_density(dims, rng) if rank is None else mixed_pure_states(dims, rank, rng)
     t = rho.matrix.reshape(dims + dims)
     us = [np.array([linalg.haar_unitary(n, rng) for _ in range(rows)]) for n in side_dims(rho, side)]
     kernel = {"A": measurement._spectrum_side_a, "B": measurement._spectrum_side_b, "AB": measurement._spectrum_side_ab}
