@@ -11,28 +11,33 @@ every side, 8 restarts, seed = state index, where a last-bit change can send a
 descent into another cusp.  Prints one SHA-256 per call over ``value``,
 ``nfev``, ``iterations``, ``grad_norm``, ``converged``, ``spread``,
 ``basin_hits`` and the argmin unitaries' bytes, with the value and the
-``converged`` flag, then one digest over all 315.  On a 2-vCPU shared host it
-took 6.6-8.6 s, and 12.9-14.5 s with ``--against``.
+``converged`` flag, then one digest over all 315.  Then, per group of calls,
+the search's work: its lockstep rounds (per call, the longest row's
+iterations + 1, the first evaluation included) and its ``nfev``, read by
+wrapping the loaded package's ``correlations._lockstep`` while the calls run
+(``recorded_runs``).  On a 2-vCPU shared
+host it took 6.6-8.6 s, and 12.9-14.5 s with ``--against``.
 
 ``--against REF`` (a checkout's directory, or a commit, exported by
 ``bench_pairs.export``) imports REF's src/qcorr into this process too, under
 another name (the package's imports are all relative), digests the same
-calls with it and exits 1 if any differs.  It prints each differing call's
-two values and their difference (this checkout's minus REF's), then per
-group (benchmark calls at s = 0 or q = 1, the other benchmark calls, the
-cusp gate at q = 0.3 and at q = 0.5) the count that differ, the largest move
-up and down, and the calls converged in each tree and flipped.  ``--passes
-N`` then loads this checkout a second time, under a third name, and times N
-passes over the 57 items at ``--seed`` in each of the three trees, the order
-rotating from pass to pass.  It prints each tree's median and fastest pass,
-then by ``bench_pairs.compare`` REF's IQR and whether the medians differ by
-more, this median over REF's, the passes won and the largest |value
-difference|, and beside it this median over the second copy's and the passes
-won: the A/A noise floor of one process.  A gap can be read only when
+calls with it and exits 1 if any differs.  It prints REF's work per group,
+each differing call's two values and their difference (this checkout's minus
+REF's), then per group (benchmark calls at s = 0 or q = 1, the other
+benchmark calls, the cusp gate at q = 0.3 and at q = 0.5) the count that
+differ, the largest move up and down, and the calls converged in each tree
+and flipped.  ``--passes N`` then loads this checkout a second time, under a
+third name, and times N passes over the 57 items at ``--seed`` in each of the
+three trees, the order rotating from pass to pass.  It prints each tree's
+median and fastest pass, then by ``bench_pairs.compare`` REF's IQR and
+whether the medians differ by more, this median over REF's, the passes won
+and the largest |value difference|, and beside it this median over the
+second copy's and the passes won: the A/A noise floor of one process.  A gap can be read only when
 ``this / ref`` lies further from 1 than ``this / this again``.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import itertools
@@ -59,6 +64,23 @@ def load(src: pathlib.Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def recorded_runs(qc):
+    """A list to which each search of the package ``qc`` in the block appends its ``LocalSearch`` rows, in call
+    order, by wrapping ``qc.correlations._lockstep``; on exit the package has its own ``_lockstep`` again."""
+    lockstep, runs = qc.correlations._lockstep, []
+
+    def recorded(*args, **kwargs):
+        runs.append(lockstep(*args, **kwargs))
+        return runs[-1]
+
+    qc.correlations._lockstep = recorded
+    try:
+        yield runs
+    finally:
+        qc.correlations._lockstep = lockstep
 
 
 def bench_calls(qc, seed: int):
@@ -96,10 +118,25 @@ def digest(qc, group: str, label: str, *args) -> tuple[str, str, float, bool]:
     return group, f"{label}: {h.hexdigest()} {value!r} converged={converged}", value, converged
 
 
-def digests(qc) -> list[tuple[str, str, float, bool]]:
-    """``digest`` of every call: the benchmark's at three seeds, then the cusp gate's."""
+def digests(qc) -> tuple[list[tuple[str, str, float, bool]], list]:
+    """``digest`` of every call, the benchmark's at three seeds, then the cusp gate's, and each call's
+    ``LocalSearch`` rows (``recorded_runs``), in the same order."""
     calls = itertools.chain(*(bench_calls(qc, seed) for seed in (1, 2, 20260810)), cusp_calls(qc))
-    return [digest(qc, *call) for call in calls]
+    with recorded_runs(qc) as runs:
+        return [digest(qc, *call) for call in calls], runs
+
+
+def work_lines(tree: str, rows: list, runs: list) -> list[str]:
+    """Per group of ``digests`` rows, the lockstep rounds and ``nfev`` of ``runs``, each call's ``LocalSearch`` rows.
+
+    A call's rounds are its longest row's iterations + 1: the loop's passes that evaluate, the first one included.
+    """
+    totals = {}
+    for (group, *_), call in zip(rows, runs, strict=True):
+        total = totals.setdefault(group, [0, 0])
+        total[0] += max(r.nit for r in call) + 1
+        total[1] += sum(r.nfev for r in call)
+    return [f"{tree}, {group}: {rounds} lockstep rounds, {nfev} nfev" for group, (rounds, nfev) in totals.items()]
 
 
 def differences(here: list, there: list) -> tuple[list[str], int]:
@@ -150,9 +187,10 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree or under perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
     trees = {"this": load(ROOT / "src", "qcorr_this")}
-    here = digests(trees["this"])
+    here, runs = digests(trees["this"])
     text = "\n".join(line for _, line, _, _ in here)
     print(f"{text}\noverall: {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+    print("\n".join(work_lines("this", here, runs)), flush=True)
     if args.against is None:
         return 0
     with tempfile.TemporaryDirectory(prefix="qcorr-bits-ref-") as tmp:
@@ -161,7 +199,9 @@ def main(argv=None) -> int:
             tree = pathlib.Path(tmp)
             export(args.against, tree)
         trees = {"ref": load(tree.resolve() / "src", "qcorr_ref"), **trees}
-        report, count = differences(here, digests(trees["ref"]))
+        there, runs = digests(trees["ref"])
+        report, count = differences(here, there)
+        print("\n".join(work_lines("ref", there, runs)), flush=True)
         verdict = f"{count} of {len(here)} calls differ" if count else f"all {len(here)} calls identical"
         print("\n".join(report) + f"\nagainst {args.against}: {verdict}", flush=True)
         if args.passes:

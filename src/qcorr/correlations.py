@@ -9,12 +9,12 @@ the local eigenbases of the reduced states (the exact optimum for pure and
 pseudopure states), any caller's warm starts, then Haar-random unitaries.
 All starts descend in lockstep as one stack (``_lockstep``): one kernel
 call per line-search round gives the pending rows' values and gradients
-from one cut measured spectrum (``entropy.renyi_change_and_slope``), and each
-exponential call covers all rows that need it, in closed form on a measured
-qubit; every row is its start's lone descent, bit for bit.  A basis is
-carried as its unitary throughout: the starts, the argmin and the warm
-starts are ``LocalMeasurement``s, and ``qcorr measure`` prints the argmin's
-unitary entries.
+from one cut measured spectrum (``entropy.renyi_change_and_slope``), or at
+q = 2 and 3 on side A or B from a polynomial in the conditional blocks, and
+each exponential call covers all rows that need it, in closed form on a
+measured qubit; every row is its start's lone descent, bit for bit.  A basis
+is carried as its unitary throughout: the starts, the argmin and the warm
+starts are ``LocalMeasurement``s, and ``qcorr measure`` prints the argmin's entries.
 
 A basis is a unitary up to column phases: U -> U exp(iD), D diagonal,
 leaves every projector and so the disturbance unchanged.  The search thus
@@ -192,6 +192,7 @@ BASIN_TOL = 1e-9  # restarts ending this close to the best value count as basin 
 DECREASE_TOL = 1e-10  # a full first step lowering the value by at most this fraction ends a descent
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 MIN_ANGLE = 1e-12  # a trial step rotating the bases by less than this ends the search
+MAX_ANGLE = 1.0  # a first trial step rotates the bases by at most this (rad)
 
 
 def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
@@ -199,24 +200,25 @@ def _objective_factory(t: np.ndarray, side: str, q: float, before: float):
 
     R_q (von Neumann at q = 1) maps to every s by ``unified_from_renyi``.
     ``t`` is the state as an (N_A, N_B, N_A, N_B) tensor and ``before`` the
-    spectral sum of its spectrum at q.  The returned ``evaluate`` takes one stack
-    of unitaries (shape (R, n, n)) for side A or B and two for side AB, and
-    returns one value per row and one real (R, sum n(n - 1)) gradient stack,
-    both from one pass of ``renyi_change_and_slope`` over one measured
-    spectrum, cut by ``_flat_spectrum``.  With W the state in the rotated
-    product basis and F the matrix of the slopes in the measured eigenbasis
-    (diagonal for side AB, block-diagonal over the outcomes for side A), the
-    disturbance changes by Tr(K C), C = -i[W, F], under U -> U exp(iK) on
-    side A; the gradient is the partial trace of C over B, which has no
-    diagonal, read off as ``_coordinates`` of x = Tr_B(W F).  Side A takes
-    one ``eigh`` of the conditional blocks (``measurement._blocks_side_a``),
-    and side B is side A of the swapped tensor, built once here.  Side AB
-    forms W and reads the outcome table from its diagonal, with side A's
-    coordinates before side B's.
+    spectral sum of its spectrum at q.  The returned ``evaluate`` takes one
+    stack of unitaries (shape (R, n, n)) for side A or B and two for side AB,
+    and returns one value per row and one real (R, sum n(n - 1)) gradient
+    stack, both from one pass of ``renyi_change_and_slope`` over one measured
+    spectrum cut by ``_flat_spectrum``, or, at q = 2 and 3 on side A or B, from
+    the conditional blocks by ``measurement._block_power_trace``, with no
+    ``eigh``.  With W the state in the rotated product basis and F the matrix
+    of the slopes (diagonal for side AB, block-diagonal over the outcomes for
+    side A), the disturbance changes by Tr(K C), C = -i[W, F], under
+    U -> U exp(iK) on side A; the gradient is the partial trace of C over B, which has
+    no diagonal, read off as ``_coordinates`` of x = Tr_B(W F).  Side B is side
+    A of the swapped tensor, built once here.  Side AB forms W and reads the
+    outcome table from its diagonal, A's coordinates first.
     """
     idx = EntropicIndices(q, 0.0)
 
     def conditional(blocks):
+        if traced := measurement._block_power_trace(blocks, q):
+            return (np.log(traced[0]) - before) / (1.0 - q), traced[1]
         lam, vec = np.linalg.eigh(blocks)
         value, g = renyi_change_and_slope(_flat_spectrum(lam), before, idx)
         return value, (vec * g.reshape(lam.shape)[..., None, :]) @ dag(vec)
@@ -340,8 +342,8 @@ def _lockstep(evaluate, us, opts: OptimizerOptions, entropy: float = 0.0) -> lis
     gradient changes y are carried over unchanged in the Lie algebra
     (Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660, 2015).  Until a row
     has its first curvature pair, H is the identity and its first trial step
-    rotates the bases by 0.5 rad (|D| = |K|_F); after that the first trial
-    is the unit step, capped at that rotation.  The line search is Armijo backtracking;
+    rotates the bases by MAX_ANGLE = 1 rad (|D| = |K|_F); after that the first
+    trial is the unit step, capped at that rotation.  The line search is Armijo backtracking;
     each retry is the minimizer of the quadratic through the current value,
     slope and failed trial, kept within [0.1, 0.5] of the failed step.
 
@@ -389,7 +391,7 @@ def _lockstep(evaluate, us, opts: OptimizerOptions, entropy: float = 0.0) -> lis
                 d[k] = -g[k]
                 slope[k] = -gg[k]
                 dd[k] = gg[k]
-            cap = 0.5 / math.sqrt(dd[k])
+            cap = MAX_ANGLE / math.sqrt(dd[k])
             step[k] = min(1.0, cap) if unit[k] else cap
         paths = [_exp_path(u, d[:, part]) for u, part in zip(us, parts)]
         backtracked = [False] * len(f)

@@ -9,10 +9,11 @@ for every caller: the side check ``check_side``, the (N_A, N_B, N_A, N_B)
 state-tensor view ``_tensor``, ``LocalMeasurement.unitaries`` and the
 side -> kernel table ``KERNELS``.  The disturbance of a measurement is the
 entropy increase it causes, rescaled by the generalized purity (Tr rho^q)^s.
-It is ``entropy.entropy_change`` applied to the ``entropy.spectral_sum`` of
-the spectra after and before, for one pair of spectra or for stacks of them,
-and the rescale factor and the purity ratio come from
-``entropy.purity_ratio_sums``; this module does not branch on the regime.
+It is ``entropy.entropy_change`` applied to the ``entropy.spectral_sum`` of the
+spectra after and before, for one pair of spectra or for stacks of them; the
+rescale factor and the purity ratio come from ``entropy.purity_ratio_sums``, and
+this module does not branch on the regime.  At q = 2 and 3 on side A or B,
+``disturbance`` and the search take the sum after from ``_block_power_trace``.
 """
 
 from __future__ import annotations
@@ -155,6 +156,17 @@ def _flat_spectrum(vals: np.ndarray) -> np.ndarray:
     return np.where(vals < linalg.rank_cutoff(vals.shape[-1], 1.0), 0.0, vals)
 
 
+def _block_power_trace(blocks: np.ndarray, q: float):
+    """At q = 2 and 3, (T, q / (1 - q) B^(q-1) / T), T = sum_k Tr B_k^q, per row of Hermitian blocks B (..., N, M,
+    M): the power sum after measuring and the slope of R_q in B, with no eigenvalue or cut; else None.  T is the
+    sum of B^(q-1) B^* entrywise, each row its own (1, N M^2) @ (N M^2, 1) product."""
+    if q not in (2.0, 3.0):
+        return None
+    power, lead = (blocks if q == 2 else blocks @ blocks), blocks.shape[:-3]
+    trace = (power.reshape(lead + (1, -1)) @ blocks.conj().reshape(lead + (-1, 1)))[..., 0, 0].real
+    return trace, (q / (1.0 - q) / trace)[..., None, None, None] * power
+
+
 def _block_spectrum(blocks: np.ndarray) -> np.ndarray:
     """``_flat_spectrum`` of the blocks' eigenvalues, 2 x 2 blocks by ``linalg.eigvalsh_2x2``."""
     return _flat_spectrum((linalg.eigvalsh_2x2 if blocks.shape[-1] == 2 else np.linalg.eigvalsh)(blocks))
@@ -212,8 +224,14 @@ def purity_ratio(rho: DensityOperator, m: LocalMeasurement, idx: EntropicIndices
 
 
 def disturbance(rho: DensityOperator, m: LocalMeasurement, idx: EntropicIndices) -> DisturbanceReport:
-    """Entropies before/after, purity ratio, rescale and disturbance value, from one spectral_sum per spectrum."""
-    before, after = spectral_sum(linalg.spectrum(rho), idx), spectral_sum(measured_spectrum(rho, m), idx)
+    """Entropies before/after, purity ratio, rescale and disturbance value, from one spectral sum per spectrum."""
+    before, t = spectral_sum(linalg.spectrum(rho), idx), _measured_tensor(rho, m)
+    if m.side == "AB":
+        after = spectral_sum(measured_spectrum(rho, m), idx)
+    else:  # the search's sum after: ``_block_power_trace``'s where it has one; the blocks are ``KERNELS[m.side]``'s
+        blocks = _blocks_side_a(t if m.side == "A" else _swap_sides(t), *m.unitaries)
+        traced = _block_power_trace(blocks, idx.q)
+        after = float(np.log(traced[0])) if traced else spectral_sum(np.sort(_block_spectrum(blocks))[::-1], idx)
     return DisturbanceReport(
         entropy_before=entropy_change(before, 0.0, idx),
         entropy_after=entropy_change(after, 0.0, idx),

@@ -501,6 +501,12 @@ def test_check_search_bits_summary(monkeypatch):
         "bench: 1 of 2 calls differ; largest move up 0.125, down 0.125; converged on 2 here, 2 there, 0 flipped",
         "cusp: 1 of 1 calls differ; largest move up 0, down 0; converged on 0 here, 1 there, 1 flipped",
     ], 2)
+    # per group, rounds sum each call's longest row's iterations + 1, and nfev every row's evaluations
+    runs = [[argparse.Namespace(nit=n, nfev=f) for n, f in call] for call in ([(3, 4), (5, 7)], [(0, 1)], [(2, 3)])]
+    assert load_script("check_search_bits").work_lines("ref", here, runs) == [
+        "ref, bench: 7 lockstep rounds, 12 nfev",
+        "ref, cusp: 3 lockstep rounds, 3 nfev",
+    ]
 
 
 def test_check_search_bits_loads_two_trees_in_one_process(monkeypatch):
@@ -509,11 +515,22 @@ def test_check_search_bits_loads_two_trees_in_one_process(monkeypatch):
     script = load_script("check_search_bits")
     trees = [script.load(ROOT / "src", f"qcorr_test_tree_{k}") for k in range(2)]
     assert trees[0].linalg is not trees[1].linalg
-    rows = [script.digest(qc, "bell", "bell A", qc.make_density(bell_density().matrix, (2, 2)), "A",
-                          qc.EntropicIndices(2.0, 1.0), qc.OptimizerOptions(restarts=2, seed=1)) for qc in trees]
+    rows, recorded, lockstep = [], [], [qc.correlations._lockstep for qc in trees]
+    for qc in trees:
+        with script.recorded_runs(qc) as runs:
+            rows.append(script.digest(qc, "bell", "bell A", qc.make_density(bell_density().matrix, (2, 2)), "A",
+                                      qc.EntropicIndices(2.0, 1.0), qc.OptimizerOptions(restarts=2, seed=1)))
+        recorded.append(runs)
     assert rows[0] == rows[1]
     assert script.differences(rows[:1], rows[1:]) == (
         ["bell: 0 of 1 calls differ; converged on 1 here, 1 there, 0 flipped"], 0)
+    # each tree's own _lockstep is wrapped within the block only: one search each, its rows as measure_correlations
+    # ran them, and afterwards each package has its own _lockstep back
+    assert [qc.correlations._lockstep for qc in trees] == lockstep
+    (runs,), (other,) = recorded
+    assert [(r.nit, r.nfev) for r in runs] == [(r.nit, r.nfev) for r in other] and len(runs) == 2
+    rounds, nfev = max(r.nit for r in runs) + 1, sum(r.nfev for r in runs)
+    assert script.work_lines("this", rows[:1], [runs]) == [f"this, bell: {rounds} lockstep rounds, {nfev} nfev"]
 
 
 def test_check_search_bits_times_three_trees_in_rotation(monkeypatch):

@@ -54,9 +54,10 @@ def reference_descent(evaluate, us, opts):
         if slope >= 0.0:
             d, slope = -g, -gg
         dnorm = math.sqrt(correlations._inner(d, d)[0])
-        # the first trial rotates by 0.5 rad until the row has an inverse
+        # the first trial rotates by MAX_ANGLE until the row has an inverse
         # Hessian, then it is the unit step within that cap
-        step = min(1.0, 0.5 / dnorm) if scaled[0] else 0.5 / dnorm
+        cap = correlations.MAX_ANGLE / dnorm
+        step = min(1.0, cap) if scaled[0] else cap
         paths = [correlations._exp_path(u, x) for u, x in zip(us, side_columns(d, us))]
         backtracked = False
         while True:
@@ -538,10 +539,10 @@ def test_side_ab_row_with_a_still_side(monkeypatch, state, q):
 
 @pytest.mark.parametrize("side", ["A", "B", "AB"])
 def test_qubit_search_diagonalizes_no_direction(monkeypatch, side):
-    """A 2x2 search calls ``eigh`` only on the conditional blocks and for the eigenbasis starts.
+    """A 2x2 search at q = 1 calls ``eigh`` only on the conditional blocks and for the eigenbasis starts.
 
     Each step follows the qubit exponential in closed form; a stacked (R, 2, 2) ``eigh`` of the
-    directions would show here.
+    directions would show here.  At q = 1 the blocks take the eigenvalue path.
     """
     rho = linalg.random_density((2, 2), np.random.default_rng(53))
     shapes, eigh = [], np.linalg.eigh
@@ -551,11 +552,36 @@ def test_qubit_search_diagonalizes_no_direction(monkeypatch, side):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    res = measure_correlations(rho, side, TS2, OptimizerOptions(restarts=8, seed=5))
+    res = measure_correlations(rho, side, EntropicIndices(1.0, 1.0), OptimizerOptions(restarts=8, seed=5))
     starts, blocks = ([s for s in shapes if len(s) == ndim] for ndim in (2, 4))
     assert res.iterations > 0
     assert len(starts) == len(side) and len(starts) + len(blocks) == len(shapes)
     assert len(blocks) > 0 if side != "AB" else not blocks
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_integer_q_search_diagonalizes_no_block(monkeypatch, side, q):
+    """At q = 2 and 3 a side-A or side-B search calls ``eigh`` only for its eigenbasis start; at q = 1 it
+    diagonalizes the conditional blocks too.
+
+    The measured side is a qubit, whose steps take no ``eigh``, and its partner a qutrit, so the
+    blocks are 3 x 3: at q = 2 and 3 the value and slope are ``measurement._block_power_trace``'s.
+    """
+    dims = (2, 3) if side == "A" else (3, 2)
+    rho = linalg.random_density(dims, np.random.default_rng(59))
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    res = measure_correlations(rho, side, EntropicIndices(q, 1.0), OptimizerOptions(restarts=8, seed=5))
+    blocks = [s for s in shapes if len(s) == 4]
+    assert res.iterations > 0 and res.converged
+    assert [s for s in shapes if len(s) != 4] == [(2, 2)]  # the reduced state of the measured qubit
+    assert all(s[2:] == (3, 3) for s in blocks) and bool(blocks) == (q == 1.0)
 
 
 def record_bfgs(monkeypatch):

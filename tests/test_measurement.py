@@ -1,11 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcorr import correlations, families, linalg
+from qcorr import correlations, families, linalg, measurement
 from qcorr.entropy import EntropicIndices, Regime, entropy_change, purity_ratio_sums, spectral_sum
 from qcorr.linalg import DensityOperator, DimMismatch
 from qcorr.measurement import (
@@ -410,13 +411,22 @@ class TestDisturbance:
     # von Neumann, Renyi, Tsallis below q = 1, and q ln N past entropy.UNDERFLOW_LOG at N = 4
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_record_is_the_kernels_on_one_sum_per_spectrum(self, dims, rng):
-        """Each field is its kernel on the spectral_sum of the spectra before and after, bit for bit."""
+        """Each field is its kernel on the spectral_sum of the spectra before and after, bit for bit.
+
+        On side A or B the sum after is the log of ``_block_power_trace``'s sum where it has one (here q = 2), as the
+        search takes it.
+        """
         pure = pure_density(linalg.random_pure(dims, rng), dims)
         assert (linalg.spectrum(pure) == 0.0).any()  # a rank-1 state, so the spectra hold zeros
         indices = [EntropicIndices(*qs) for qs in ((1.0, 1.0), (2.0, 0.0), (0.5, 1.0), (600.0, 1.0))]
         for rho, side, idx in itertools.product((linalg.random_density(dims, rng), pure), ("A", "B", "AB"), indices):
             m = LocalMeasurement(side, *(random_basis(n, rng) if name in side else None for name, n in zip("AB", dims)))
             before, after = spectral_sum(linalg.spectrum(rho), idx), spectral_sum(measured_spectrum(rho, m), idx)
+            if side != "AB":
+                t = measurement._tensor(rho)
+                blocks = measurement._blocks_side_a(t if side == "A" else measurement._swap_sides(t), *m.unitaries)
+                if (traced := measurement._block_power_trace(blocks, idx.q)) is not None:
+                    after = float(np.log(traced[0]))
             expected = (entropy_change(before, 0.0, idx), entropy_change(after, 0.0, idx),
                         purity_ratio_sums(after, before, idx), purity_ratio_sums(before, 0.0, idx),
                         entropy_change(after, before, idx))
@@ -464,3 +474,85 @@ def test_every_state_entry_point_needs_two_blocks(rng):
     for call in calls:
         with pytest.raises(DimMismatch, match="expected a two-block dims split"):
             call()
+
+
+def exact_power_trace(blocks, q):
+    """sum_k Tr B_k^q over the float entries of the blocks B_k, in exact rational arithmetic: (real, imaginary)."""
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    total = [Fraction(0), Fraction(0)]
+    for block in blocks:
+        b = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in block]
+        for path in itertools.product(range(len(b)), repeat=q):  # B[i0, i1] B[i1, i2] ... B[i_(q-1), i0]
+            term = (Fraction(1), Fraction(0))
+            for i, j in zip(path, path[1:] + path[:1]):
+                term = times(term, b[i][j])
+            total = [total[0] + term[0], total[1] + term[1]]
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("rank", [None, 1, 2], ids=lambda r: f"rank{r}" if r else "full")
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_block_power_trace_is_the_exact_sum(dims, rank, q):
+    """sum_k Tr B_k^q of 2 x 2 to 4 x 4 conditional blocks is within 4 eps of its exact value from the float entries.
+
+    The states are full rank, pure or of rank 2, so some blocks are rank-deficient.  The slope is
+    q / (1 - q) B^(q-1) / T, B^(q-1) the blocks or their square, and one row alone gives its stacked row's bits.
+    """
+    rng = np.random.default_rng([dims[0], dims[1], rank or 0, q])
+    if rank is None:
+        rho = linalg.random_density(dims, rng)
+    else:
+        vectors = [linalg.random_pure(dims, rng) for _ in range(rank)]
+        rho = linalg.make_density(sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(rank)), vectors)), dims)
+    u = linalg.haar_batch(rng, 3, (dims[0],))[0]
+    blocks = measurement._blocks_side_a(measurement._tensor(rho), u)
+    trace, slope = measurement._block_power_trace(blocks, q)
+    assert trace.shape == (3,) and trace.dtype == float
+    power = blocks if q == 2 else blocks @ blocks
+    assert slope.tobytes() == ((q / (1.0 - q) / trace)[:, None, None, None] * power).tobytes()
+    for k, row in enumerate(blocks):
+        real, imag = exact_power_trace(row, q)
+        assert abs(Fraction(float(trace[k])) - real) <= 4 * Fraction(linalg.EPS) * real, (k, float(trace[k]), float(real))
+        assert abs(imag) <= linalg.EPS * real  # the blocks are Hermitian up to roundoff
+        alone, alone_slope = measurement._block_power_trace(row, q)
+        assert alone.shape == () and float(alone).hex() == float(trace[k]).hex()
+        assert alone_slope.tobytes() == slope[k].tobytes()
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.5, 4.0, 600.0])
+def test_block_power_trace_is_none_off_q_2_and_3(q, rng):
+    """Off q = 2 and 3 the block power trace has no value, so the search and ``disturbance`` take the eigenvalues."""
+    rho = linalg.random_density((2, 2), rng)
+    assert measurement._block_power_trace(measurement._blocks_side_a(measurement._tensor(rho), np.eye(2)), q) is None
+
+
+def test_flat_spectrum_is_the_where_form_bit_for_bit():
+    """``_flat_spectrum`` is np.where(p < cut-off, 0, p) over the flattened last two axes, bit for bit.
+
+    -0.0 counts as below the cut-off and NaN passes through, with or without entries below it, so a
+    shortcut for spectra with none below must give the same bits.  The input is never written: each one is
+    read-only.
+    """
+    cut, nan = linalg.rank_cutoff(4, 1.0), np.nan
+    cases = [
+        [[0.4, 0.3], [0.2, 0.1]],  # nothing below the cut-off
+        [[0.5, 0.5 - 0.5 * cut], [0.5 * cut, 0.0]],  # below it, and exact zeros
+        [[1.0, -0.0], [2.0 * cut, cut]],  # -0.0, and entries at and above the cut-off
+        [[-1e-17, 0.5], [0.25, 0.25]],  # a negative roundoff entry
+        [[0.5, nan], [0.25, 0.25]],  # NaN, nothing below
+        [[0.5, nan], [0.5, 0.0]],  # NaN beside a zero
+        [[[0.4, 0.3], [0.2, 0.1]], [[0.7, 0.3], [0.0, 0.0]], [[0.6, 0.4], [0.5 * cut, -0.0]]],  # a stack
+    ]
+    for case in cases:
+        vals = np.array(case, dtype=float)
+        vals = vals if vals.ndim == 3 else vals[None]
+        before = vals.copy()
+        vals.setflags(write=False)
+        flat = vals.reshape(len(vals), -1)
+        expected = np.where(flat < cut, 0.0, flat)
+        got = measurement._flat_spectrum(vals)
+        assert (got.shape, got.dtype, got.tobytes()) == (expected.shape, expected.dtype, expected.tobytes()), case
+        assert vals.tobytes() == before.tobytes()
